@@ -129,9 +129,6 @@ class BoundQuiverCategory:
     def identity(self, c) -> dict:
         return {(): self.field.one()}
 
-    def path_source(self, c, p: Path):
-        return c if not p else self.arrow_map[p[0]][0]
-
     def path_target(self, c, p: Path):
         return c if not p else self.arrow_map[p[-1]][1]
 
@@ -172,14 +169,6 @@ class BoundQuiverCategory:
                     else:
                         out[r] = acc
         return out
-
-    def element_vector(self, c, d, elem: dict) -> Matrix:
-        """Coordinate column of a hom element in the stored basis."""
-        idx = self._basis_index.get((c, d), {})
-        col = [self.field.zero()] * len(idx)
-        for p, coef in elem.items():
-            col[idx[p]] = coef
-        return Matrix(self.field, [[x] for x in col], len(col), 1)
 
     # -- derived categories ----------------------------------------------
 

@@ -15,7 +15,6 @@ from . import io as gio
 from .basechange import Factorization
 from .category import CategoryError
 from .gorenstein import (
-    base_gp,
     declared_profile,
     discrepancy_probe,
     enumerate_representations,
@@ -27,7 +26,7 @@ from .gorenstein import (
     self_injective_dimension,
 )
 from .linalg import LinAlgError
-from .modules import ModuleError, dual, projective_resolution, representable, tor_dim, ext_dim
+from .modules import ModuleError, projective_resolution, tor_dim, ext_dim
 from .nakayama import NakayamaEngine
 
 EXIT_OK = 0
@@ -266,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resolution/length cutoff (default 16)")
         p.add_argument("--field", default=None, help="field override: Q or F<p>")
         p.add_argument("--out", default=None, help="write the JSON report here")
-        p.add_argument("--json", action="store_true",
-                       help="print the JSON report to stdout (default)")
 
     p = sub.add_parser("cat-info", help="hom dimensions and bases of a category")
     common(p)

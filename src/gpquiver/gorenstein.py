@@ -294,36 +294,15 @@ def base_gp(n_mod: Module, profile: BaseGorensteinProfile, cutoff: int = 16) -> 
     if proj.is_yes:
         return Verdict("yes", proj.certificate, hyp)
     res = projective_resolution(n_mod, cutoff)
-
-    if profile.g is not None:
-        table = {}
-        settled = True
-        for i in range(1, profile.g + 1):
-            row = {}
-            for c in base.objects:
-                v = _ext_from_resolution(res, representable(base, c), i)
-                row[c] = v.dim if v.conclusive else None
-                if v.conclusive and v.dim > 0:
-                    table[i] = row
-                    return Verdict("no", {"ext_dims": table,
-                                          "failure": {"degree": i, "object": c,
-                                                      "dim": v.dim}}, hyp)
-                if not v.conclusive:
-                    settled = False
-            table[i] = row
-        if settled:
-            return Verdict("yes", {"ext_dims": table}, hyp)
-        return Verdict("inconclusive", {"ext_dims": table,
-                                        "blocking_cutoff": cutoff}, hyp)
-
-    # unknown profile
-    if res.completed:
+    known = profile.g is not None
+    if not known and res.completed:
         # finite projective dimension: Gorenstein projective would force
         # projective, and the cover kernel is nonzero
         return Verdict("no", {"reason": "finite-nonzero-projective-dimension",
                               "pdim": res.length()}, hyp)
     table = {}
-    for i in range(1, cutoff):
+    settled = True
+    for i in range(1, profile.g + 1 if known else cutoff):
         row = {}
         for c in base.objects:
             v = _ext_from_resolution(res, representable(base, c), i)
@@ -333,11 +312,15 @@ def base_gp(n_mod: Module, profile: BaseGorensteinProfile, cutoff: int = 16) -> 
                 return Verdict("no", {"ext_dims": table,
                                       "failure": {"degree": i, "object": c,
                                                   "dim": v.dim}}, hyp)
+            settled = settled and v.conclusive
         table[i] = row
-    return Verdict("inconclusive",
-                   {"ext_dims": table, "blocking_cutoff": cutoff,
-                    "note": "Ext vanishing verified only below the cutoff"},
-                   hyp)
+    if known and settled:
+        return Verdict("yes", {"ext_dims": table}, hyp)
+    cert = {"ext_dims": table, "blocking_cutoff": cutoff}
+    if not known:
+        # an unknown profile never turns an all-zero scan into a yes
+        cert["note"] = "Ext vanishing verified only below the cutoff"
+    return Verdict("inconclusive", cert, hyp)
 
 
 # -- Gorenstein projectivity of a based representation ---------------------

@@ -4,11 +4,14 @@ A Module is a k-linear functor C -> k-Mod: a dimension per object and a
 matrix per arrow.  Right C-modules are Modules over C.opposite(), which
 keeps one code path for both variances.  Everything downstream (duality,
 tensor, Hom, resolutions, Tor, Ext) reduces to exact linear algebra.
+Tor and Ext over a projective resolution are read off the generators of its
+free stages (Yoneda), without building tensor quotients or Hom systems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .category import BoundQuiverCategory
 from .linalg import (
@@ -85,13 +88,6 @@ class Module:
         for a in path:
             m = self.mats[a] @ m
         return m
-
-    def act_elem(self, c, d, elem: dict) -> Matrix:
-        f = self.cat.field
-        out = Matrix.zeros(f, self.dims[d], self.dims[c])
-        for path, coef in elem.items():
-            out = out + self.act_path(c, path).scale(coef)
-        return out
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -174,9 +170,6 @@ class ModuleMap:
         return all(
             m.rows == m.cols and m.rank() == m.rows for m in self.mats.values()
         )
-
-    def is_injective(self) -> bool:
-        return all(m.rank() == m.cols for m in self.mats.values())
 
     def is_surjective(self) -> bool:
         return all(m.rank() == m.rows for m in self.mats.values())
@@ -412,10 +405,6 @@ class TensorResult:
             self._section = self.proj.right_inverse()
         return self._section
 
-    def ambient_unit(self, y, i, j) -> int:
-        mdim, fdim = self.block_dims[y]
-        return self.offsets[y] + i * fdim + j
-
     def induced(self, target: "TensorResult", ambient_map: Matrix) -> Matrix:
         return target.proj @ (ambient_map @ self.section())
 
@@ -453,12 +442,6 @@ def tensor_over_cat(m: Module, f_mod: Module) -> TensorResult:
     return TensorResult(f, offsets, block_dims, ambient, proj)
 
 
-def tensor_ambient_map(src: TensorResult, dst: TensorResult, cat, u_mats: dict, v_mats: dict) -> Matrix:
-    """Block-diagonal ambient matrix of u (x) v between two tensor presentations."""
-    blocks = [kronecker_product(u_mats[y], v_mats[y]) for y in cat.objects]
-    return direct_sum_many(src.field, blocks)
-
-
 def tensor_induced(src: TensorResult, dst: TensorResult, cat, u: ModuleMap | None, v: ModuleMap | None) -> Matrix:
     u_mats = {y: u.mats[y] for y in cat.objects} if u is not None else None
     v_mats = {y: v.mats[y] for y in cat.objects} if v is not None else None
@@ -466,7 +449,8 @@ def tensor_induced(src: TensorResult, dst: TensorResult, cat, u: ModuleMap | Non
         u_mats = {y: Matrix.identity(src.field, src.block_dims[y][0]) for y in cat.objects}
     if v_mats is None:
         v_mats = {y: Matrix.identity(src.field, src.block_dims[y][1]) for y in cat.objects}
-    amb = tensor_ambient_map(src, dst, cat, u_mats, v_mats)
+    # block-diagonal ambient matrix of u (x) v
+    amb = direct_sum_many(src.field, [kronecker_product(u_mats[y], v_mats[y]) for y in cat.objects])
     return src.induced(dst, amb)
 
 
@@ -593,50 +577,72 @@ def pdim(m: Module, cutoff: int) -> int | None:
 # -- Tor and Ext ----------------------------------------------------------
 
 
-def _tor_from_resolution_of_right(res: Resolution, f_mod: Module, i: int) -> DerivedValue:
-    cat = f_mod.cat
+def _generators(res: Resolution, j: int) -> list:
+    """Objects c_l of the summands C(c_l,-) of P_j; empty outside the resolution."""
+    return [c for c, _ in res.stages[j].summands] if 0 <= j < len(res.stages) else []
+
+
+def _applied_diff(res: Resolution, x: Module, j: int, tensor: bool) -> Matrix:
+    """X applied to d_j: P_j -> P_{j-1}, read off the generators of P_j.
+
+    By Yoneda, Hom(C(c,-), X) = X(c) and C(-,c) (x) X = X(c), so both sides
+    are sums of X over generator objects.  With d_j sending generator l to
+    sum_k sum_p coef_p p.g_k (p a basis path of C(c_k, c_l)), the block
+    between X(c_k) and X(c_l) is sum_p coef_p X(p):
+      Hom case (X over the resolution's category): (+)_k X(c_k) -> (+)_l X(c_l);
+      tensor case (X over the opposite, paths reversed): (+)_l X(c_l) -> (+)_k X(c_k).
+    """
+    f = x.cat.field
+    src, dst = _generators(res, j), _generators(res, j - 1)
+    src_off = list(accumulate((x.dims[c] for c in src), initial=0))
+    dst_off = list(accumulate((x.dims[c] for c in dst), initial=0))
+    rows, cols = (dst_off[-1], src_off[-1]) if tensor else (src_off[-1], dst_off[-1])
+    data = [[f.zero()] * cols for _ in range(rows)]
+    if src and dst:
+        cat = res.module.cat
+        d = res.diff(j)
+        acts: dict = {}
+        for l, c in enumerate(src):
+            # generator l: identity path of its block at c, as in free_on_generators
+            gen = sum(cat.hom_dim(b, c) for b in src[:l]) + cat.hom_basis_paths(c, c).index(())
+            row = 0
+            for k, b in enumerate(dst):
+                for p in cat.hom_basis_paths(b, c):
+                    coef = d.mats[c].data[row][gen]
+                    row += 1
+                    if coef == f.zero():
+                        continue
+                    key = (c, tuple(reversed(p))) if tensor else (b, p)
+                    if key not in acts:
+                        acts[key] = x.act_path(*key)
+                    r0, c0 = (dst_off[k], src_off[l]) if tensor else (src_off[l], dst_off[k])
+                    for r, block_row in enumerate(acts[key].data):
+                        out = data[r0 + r]
+                        for s, v in enumerate(block_row):
+                            out[c0 + s] = f.add(out[c0 + s], f.mul(coef, v))
+    return Matrix(f, data, rows, cols)
+
+
+def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedValue:
+    """dim H_i of X applied to the resolution: Tor_i when tensor, else Ext^i."""
     n = res.length()
     if not res.completed and i > n - 1:
         return DerivedValue(None, False, "resolution truncated below requested degree")
     if i > n:
         return DerivedValue(0, True)
-    tens = [tensor_over_cat(res.stage_module(j), f_mod) for j in range(min(i + 1, n) + 1)]
+    if tensor:  # X P_{i+1} -> X P_i -> X P_{i-1}
+        d_out, d_in = _applied_diff(res, x, i, True), _applied_diff(res, x, i + 1, True)
+    else:       # X P_{i-1} -> X P_i -> X P_{i+1}
+        d_out, d_in = _applied_diff(res, x, i + 1, False), _applied_diff(res, x, i, False)
+    return DerivedValue(Subquotient.homology(d_out, d_in).dim, True)
 
-    def t_map(j):
-        # differential T_j -> T_{j-1}
-        return tensor_induced(tens[j], tens[j - 1], cat, res.diff(j), None)
 
-    if i == 0:
-        d_out = Matrix.zeros(cat.field, 0, tens[0].dim)
-    else:
-        d_out = t_map(i)
-    if i + 1 > n:
-        d_in = Matrix.zeros(cat.field, tens[i].dim, 0)
-    else:
-        d_in = t_map(i + 1)
-    h = Subquotient.homology(d_out, d_in)
-    return DerivedValue(h.dim, True)
+def _tor_from_resolution_of_right(res: Resolution, f_mod: Module, i: int) -> DerivedValue:
+    return _derived_dim(res, f_mod, i, tensor=True)
 
 
 def _tor_from_resolution_of_left(m_right: Module, res_f: Resolution, i: int) -> DerivedValue:
-    n = res_f.length()
-    if not res_f.completed and i > n - 1:
-        return DerivedValue(None, False, "resolution truncated below requested degree")
-    if i > n:
-        return DerivedValue(0, True)
-    cat = res_f.module.cat
-    tens = [tensor_over_cat(m_right, res_f.stage_module(j)) for j in range(min(i + 1, n) + 1)]
-
-    def t_map(j):
-        return tensor_induced(tens[j], tens[j - 1], cat, None, res_f.diff(j))
-
-    d_out = Matrix.zeros(cat.field, 0, tens[0].dim) if i == 0 else t_map(i)
-    if i + 1 > n:
-        d_in = Matrix.zeros(cat.field, tens[i].dim, 0)
-    else:
-        d_in = t_map(i + 1)
-    h = Subquotient.homology(d_out, d_in)
-    return DerivedValue(h.dim, True)
+    return _derived_dim(res_f, m_right, i, tensor=True)
 
 
 def tor_dim(m_right: Module, f_mod: Module, i: int, cutoff: int,
@@ -659,35 +665,7 @@ def tor_dim(m_right: Module, f_mod: Module, i: int, cutoff: int,
 
 
 def _ext_from_resolution(res: Resolution, n_mod: Module, i: int) -> DerivedValue:
-    n = res.length()
-    if not res.completed and i > n - 1:
-        return DerivedValue(None, False, "resolution truncated below requested degree")
-    if i > n:
-        return DerivedValue(0, True)
-    cat = n_mod.cat
-    f = cat.field
-    bases = [hom_basis(res.stage_module(j), n_mod) for j in range(min(i + 1, n) + 1)]
-
-    def delta(j):
-        # Hom(P_j, N) -> Hom(P_{j+1}, N), phi -> phi after d_{j+1}
-        src_b, dst_b = bases[j], bases[j + 1]
-        d = res.diff(j + 1)
-        cols = []
-        for phi in src_b:
-            cols.append(hom_coords(dst_b, d.then(phi)))
-        out = Matrix.zeros(f, len(dst_b), 0)
-        for c in cols:
-            out = out.hstack(c)
-        return out
-
-    if i + 1 <= n:
-        d_out = delta(i)
-    else:
-        # completed resolution: the next hom space is zero
-        d_out = Matrix.zeros(f, 0, len(bases[i]))
-    d_in = delta(i - 1) if i >= 1 else Matrix.zeros(f, len(bases[0]), 0)
-    h = Subquotient.homology(d_out, d_in)
-    return DerivedValue(h.dim, True)
+    return _derived_dim(res, n_mod, i, tensor=False)
 
 
 def ext_dim(m: Module, n_mod: Module, i: int, cutoff: int,
@@ -722,41 +700,3 @@ def homology_of_modules(d_out: ModuleMap, d_in: ModuleMap) -> tuple:
     for name, (s, t) in cat.arrow_map.items():
         mats[name] = sq[s].induced_map(sq[t], mid.mats[name])
     return Module(cat, dims, mats, check=False), sq
-
-
-def chain_lift(res_src: Resolution, res_dst: Resolution, w: ModuleMap, upto: int) -> list:
-    """Chain maps lifting w between resolutions, degrees 0..upto."""
-    lifts = []
-    prev = None
-    for j in range(upto + 1):
-        P = res_src.stage_module(j)
-        Q = res_dst.stage_module(j)
-        basis = hom_basis(P, Q)
-        # constraint: eps_dst . f_0 = w . eps_src, or d'_j . f_j = f_{j-1} . d_j
-        if j == 0:
-            target = res_src.stages[0].epi.then(w)
-            post = res_dst.stages[0].epi
-        else:
-            target = res_src.diff(j).then(prev)
-            post = res_dst.diff(j)
-        # solve sum x_k (b_k . post) = target in map coordinates
-        cols = None
-        for b in basis:
-            v = map_vec(b.then(post))
-            cols = v if cols is None else cols.hstack(v)
-        rhs = map_vec(target)
-        if cols is None:
-            cols = Matrix.zeros(P.cat.field, rhs.rows, 0)
-        sol = cols.solve(rhs)
-        if sol is None:
-            raise ModuleError("chain lift does not exist (non-projective stage?)")
-        f = P.cat.field
-        mats = {c: Matrix.zeros(f, Q.dims[c], P.dims[c]) for c in P.cat.objects}
-        lift = ModuleMap(P, Q, mats, check=False)
-        for k, b in enumerate(basis):
-            coef = sol.data[k][0]
-            if coef != f.zero():
-                lift = lift + ModuleMap(P, Q, {c: b.mats[c].scale(coef) for c in P.cat.objects}, check=False)
-        lifts.append(lift)
-        prev = lift
-    return lifts

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .category import BoundQuiverCategory
-from .linalg import Matrix, Subquotient
+from .linalg import Matrix
 from .modules import (
     Cover,
-    DerivedValue,
     InconclusiveError,
     Module,
     ModuleMap,
@@ -24,7 +23,6 @@ from .modules import (
     _ext_from_resolution,
     _tor_from_resolution_of_left,
     _tor_from_resolution_of_right,
-    chain_lift,
     direct_sum_modules,
     dual,
     dual_map,
@@ -105,7 +103,6 @@ class NakayamaEngine:
         self._res_left: dict = {}
         self._u: dict = {}
         self._w: dict = {}
-        self._u_lifts: dict = {}
         self._op_to_c: dict = {}
         self._gdim: GorensteinDimension | None = None
 
@@ -144,13 +141,6 @@ class NakayamaEngine:
         if arrow not in self._w:
             self._w[arrow] = dual_map(precomposition(self.op, arrow))
         return self._w[arrow]
-
-    def u_lift(self, arrow: str, upto: int) -> list:
-        key = (arrow, upto)
-        if key not in self._u_lifts:
-            s, t = self.cat.arrow_map[arrow]
-            self._u_lifts[key] = chain_lift(self.res_right(s), self.res_right(t), self.u_map(arrow), upto)
-        return self._u_lifts[key]
 
     def op_to_c(self, x, c) -> Matrix:
         """Change of basis from the opposite-side path basis of Hom(x, c) to

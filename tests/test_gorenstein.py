@@ -1,5 +1,7 @@
 """Membership verdicts, base profiles, and exhaustive enumeration."""
 
+import json
+
 import pytest
 
 from conftest import (
@@ -17,8 +19,10 @@ from conftest import (
 from gpquiver.basechange import Factorization
 from gpquiver.category import Quiver, build_category
 from gpquiver.gorenstein import (
+    BaseGorensteinProfile,
     Verdict,
     base_gp,
+    declared_profile,
     discrepancy_probe,
     enumerate_representations,
     gp_resolution_dimension,
@@ -147,6 +151,32 @@ def test_base_gp_injective_indecomposable_is_not_gp():
     i2 = dual(representable(lam1.opposite(), "2"))
     v = base_gp(i2, prof, 8)
     assert v.member == "no"
+
+
+_BASE_GP_CASES = [
+    # (base, module, declared g or None for an unknown profile, cutoff, verdict, certificate)
+    (loop_sq, "1", 2, 8, "yes", {"ext_dims": {1: {"1": 0}, 2: {"1": 0}}}),
+    (ka2, "1", 1, 8, "no", {"ext_dims": {1: {"1": 0, "2": 1}},
+                            "failure": {"degree": 1, "object": "2", "dim": 1}}),
+    (loop_sq, "1", 2, 1, "inconclusive", {"ext_dims": {1: {"1": None}, 2: {"1": None}},
+                                          "blocking_cutoff": 1}),
+    (ka2, "1", None, 8, "no", {"reason": "finite-nonzero-projective-dimension", "pdim": 1}),
+    (ex322, "2", None, 8, "no", {"ext_dims": {1: {"1": 1}},
+                                 "failure": {"degree": 1, "object": "1", "dim": 1}}),
+    (loop_sq, "1", None, 4, "inconclusive", {
+        "ext_dims": {1: {"1": 0}, 2: {"1": 0}, 3: {"1": 0}}, "blocking_cutoff": 4,
+        "note": "Ext vanishing verified only below the cutoff"}),
+]
+
+
+@pytest.mark.parametrize("make, obj, g, cutoff, member, cert", _BASE_GP_CASES)
+def test_base_gp_certificates_are_pinned(make, obj, g, cutoff, member, cert):
+    base = make()
+    profile = (BaseGorensteinProfile(base, None, "unknown") if g is None
+               else declared_profile(base, g))
+    v = base_gp(simple(base, obj), profile, cutoff)
+    assert v.member == member
+    assert json.dumps(v.certificate) == json.dumps(cert)
 
 
 def test_p_projective_counit_split():
