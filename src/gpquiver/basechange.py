@@ -96,7 +96,6 @@ class Factorization:
         for d in self.base.objects:
             for c in self.cat.objects:
                 dims[self.pair_obj(d, c)] = nus[d].module.dims[c]
-        for d in self.base.objects:
             for a in self.cat.arrow_map:
                 mats[self.cat_arrow_at(d, a)] = nus[d].module.mats[a]
         for b in self.base.arrow_map:
@@ -108,19 +107,13 @@ class Factorization:
 
     def i_star_nu_components(self, F: Module, engine: NakayamaEngine) -> dict:
         """The base-module components of i^*(nu F): one Lambda_B-module per
-        object of C."""
-        fibs = self.fibers(F)
-        nus = {d: engine.nu(fibs[d]) for d in self.base.objects}
-        pushed = {}
-        for b in self.base.arrow_map:
-            d, d2 = self.base.arrow_map[b]
-            pushed[b] = engine.nu_map(nus[d], nus[d2], self.base_map(F, b, fibs))
-        out = {}
-        for c in self.cat.objects:
-            dims = {d: nus[d].module.dims[c] for d in self.base.objects}
-            mats = {b: pushed[b].mats[c] for b in self.base.arrow_map}
-            out[c] = Module(self.base, dims, mats, check=False)
-        return out
+        object of C, sliced out of nu_based's T-module."""
+        nuF, _ = self.nu_based(F, engine)
+        B = self.base
+        return {c: Module(B, {d: nuF.dims[self.pair_obj(d, c)] for d in B.objects},
+                          {b: nuF.mats[self.base_arrow_at(b, c)] for b in B.arrow_map},
+                          check=False)
+                for c in self.cat.objects}
 
     # -- the P endofunctor on based representations ------------------------
 

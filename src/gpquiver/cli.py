@@ -63,7 +63,7 @@ def _load_module(args):
 
 
 def _engine_for(cat, args) -> NakayamaEngine:
-    return NakayamaEngine(cat, args.cutoff or 16)
+    return NakayamaEngine(cat, gio.effective_cutoff(args.cutoff))
 
 
 def _factorization(cat, side):
@@ -105,7 +105,7 @@ def cmd_gdim(args):
 
 def cmd_resolve(args):
     m = _load_module(args)
-    res = projective_resolution(m, args.cutoff or 16)
+    res = projective_resolution(m, gio.effective_cutoff(args.cutoff))
     payload = {
         "completed": res.completed,
         "stages": [res.stage_module(i).dim_vector() for i in range(res.length() + 1)],
@@ -141,82 +141,62 @@ def cmd_derived(args):
     return payload, (EXIT_OK if ok else EXIT_INCONCLUSIVE)
 
 
-def cmd_tor(args):
-    m = _load_module(args)
-    eng = _engine_for(m.cat, args)
-    v = tor_dim(eng.coef_right(args.object), m, args.degree, args.cutoff or 16)
+def _dim_payload(args, v):
     payload = {"object": args.object, "degree": args.degree,
                "dim": v.dim if v.conclusive else None, "conclusive": v.conclusive}
     return payload, (EXIT_OK if v.conclusive else EXIT_INCONCLUSIVE)
+
+
+def cmd_tor(args):
+    m = _load_module(args)
+    eng = _engine_for(m.cat, args)
+    return _dim_payload(args, tor_dim(eng.coef_right(args.object), m, args.degree, eng.cutoff))
 
 
 def cmd_ext(args):
     m = _load_module(args)
     eng = _engine_for(m.cat, args)
-    v = ext_dim(eng.coef_left(args.object), m, args.degree, args.cutoff or 16)
-    payload = {"object": args.object, "degree": args.degree,
-               "dim": v.dim if v.conclusive else None, "conclusive": v.conclusive}
-    return payload, (EXIT_OK if v.conclusive else EXIT_INCONCLUSIVE)
+    return _dim_payload(args, ext_dim(eng.coef_left(args.object), m, args.degree, eng.cutoff))
 
 
 def cmd_check(args):
     m = _load_module(args)
-    cutoff = args.cutoff or 16
-    if args.kind == "monic":
+    kind = args.kind
+    if kind == "discrepancy":
+        if m.cat.tensor_info is None:
+            raise ModuleError("check discrepancy needs a tensor-category input")
+        out = discrepancy_probe(m, Factorization(m.cat, "right"),
+                                Factorization(m.cat, "left"), gio.effective_cutoff(args.cutoff))
+        payload = {"check": kind, "discrepancy": out["discrepancy"]}
+        for tag in ("first", "second"):
+            payload[tag] = dict(out[tag], verdict=verdict_payload(out[tag]["verdict"]))
+        members = {out["first"]["verdict"].member, out["second"]["verdict"].member}
+        return payload, (EXIT_INCONCLUSIVE if "inconclusive" in members else EXIT_OK)
+    if kind == "monic":
         v = is_monic(m)
-        return {"check": "monic", "verdict": verdict_payload(v)}, _verdict_exit(v.member)
-    if args.kind == "gproj-p":
-        eng = _engine_for(m.cat, args)
-        v = is_gproj_P(m, eng, force_full=args.full)
-        return {"check": "gproj-p", "verdict": verdict_payload(v)}, _verdict_exit(v.member)
-    if args.kind == "p-proj":
-        fact = _factorization(m.cat, args.factor) if args.factor else None
-        eng = _engine_for(fact.cat if fact else m.cat, args)
-        v = is_p_projective(m, eng, fact)
-        return {"check": "p-proj", "verdict": verdict_payload(v)}, _verdict_exit(v.member)
-    if args.kind == "gp":
-        fact = _factorization(m.cat, args.factor) if args.factor else None
-        eng = _engine_for(fact.cat if fact else m.cat, args)
-        profile = None
-        if fact is not None:
-            profile = (declared_profile(fact.base, args.declared_g)
-                       if args.declared_g is not None
-                       else self_injective_dimension(fact.base, cutoff))
-        v = is_gp_functor(m, eng, profile, fact, force_full=args.full)
-        return {"check": "gp", "verdict": verdict_payload(v)}, _verdict_exit(v.member)
-    if args.kind == "lifted":
-        if not args.x_class or not args.f_class:
+    elif kind == "gproj-p":
+        v = is_gproj_P(m, _engine_for(m.cat, args), force_full=args.full)
+    else:
+        if kind == "lifted" and not (args.x_class and args.f_class):
             raise ModuleError("check lifted requires --x and --f")
         fact = _factorization(m.cat, args.factor) if args.factor else None
         eng = _engine_for(fact.cat if fact else m.cat, args)
         profile = None
         if fact is not None and args.declared_g is not None:
             profile = declared_profile(fact.base, args.declared_g)
-        v = lifted_class_membership(m, args.x_class, args.f_class, eng, profile, fact)
-        return {"check": "lifted", "verdict": verdict_payload(v)}, _verdict_exit(v.member)
-    if args.kind == "discrepancy":
-        if m.cat.tensor_info is None:
-            raise ModuleError("check discrepancy needs a tensor-category input")
-        out = discrepancy_probe(m, Factorization(m.cat, "right"),
-                                Factorization(m.cat, "left"), cutoff)
-        payload = {
-            "check": "discrepancy",
-            "first": {"cat_side": out["first"]["cat_side"],
-                      "verdict": verdict_payload(out["first"]["verdict"]),
-                      "restriction_exactness": out["first"]["restriction_exactness"]},
-            "second": {"cat_side": out["second"]["cat_side"],
-                       "verdict": verdict_payload(out["second"]["verdict"]),
-                       "restriction_exactness": out["second"]["restriction_exactness"]},
-            "discrepancy": out["discrepancy"],
-        }
-        members = {out["first"]["verdict"].member, out["second"]["verdict"].member}
-        return payload, (EXIT_INCONCLUSIVE if "inconclusive" in members else EXIT_OK)
-    raise ModuleError(f"unknown check kind {args.kind!r}")
+        if kind == "p-proj":
+            v = is_p_projective(m, eng, fact)
+        elif kind == "gp":
+            # without a declared profile the base is profiled at the cutoff
+            v = is_gp_functor(m, eng, profile, fact, force_full=args.full)
+        else:
+            v = lifted_class_membership(m, args.x_class, args.f_class, eng, profile, fact)
+    return {"check": kind, "verdict": verdict_payload(v)}, _verdict_exit(v.member)
 
 
 def cmd_profile_base(args):
     cat = _load_category(args)
-    prof = self_injective_dimension(cat, args.cutoff or 16)
+    prof = self_injective_dimension(cat, gio.effective_cutoff(args.cutoff))
     payload = {"g": prof.g, "status": prof.status, "tables": prof.tables}
     return payload, (EXIT_OK if prof.g is not None else EXIT_INCONCLUSIVE)
 
@@ -250,8 +230,16 @@ def cmd_fixtures(args):
     return payload, EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1, since 2 means inconclusive."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gpquiver",
         description="Exact Nakayama-functor and Gorenstein-projectivity "
                     "computations for bound quiver categories.",
@@ -262,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_path:
             p.add_argument("path", help="category or representation file")
         p.add_argument("--cutoff", type=int, default=None,
-                       help="resolution/length cutoff (default 16)")
+                       help="resolution/length cutoff, at least 1 (default 16)")
         p.add_argument("--field", default=None, help="field override: Q or F<p>")
         p.add_argument("--out", default=None, help="write the JSON report here")
 
@@ -335,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        cutoff = gio.effective_cutoff(args.cutoff)
         payload, status = args.fn(args)
     except (gio.ParseError, CategoryError, ModuleError, LinAlgError,
             FileNotFoundError, ValueError, OSError) as exc:
@@ -342,7 +331,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     inputs = [args.path] if getattr(args, "path", None) else []
     report = gio.build_report(args.command, inputs, payload,
-                              cutoff=args.cutoff or 16, field=args.field)
+                              cutoff=cutoff, field=args.field)
     text = gio.dumps_report(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -20,8 +20,8 @@ from .modules import (
     _tor_from_resolution_of_left,
     dual,
     hom_basis,
+    hom_coords,
     kernel,
-    map_vec,
     projective_cover,
     projective_resolution,
     representable,
@@ -71,6 +71,35 @@ def declared_profile(base: BoundQuiverCategory, g: int) -> BaseGorensteinProfile
 # -- Gorenstein P-projectivity ---------------------------------------------
 
 
+def _vanishing_scan(cert: dict, key: str, degrees, objects, row_at,
+                    failure: dict) -> str:
+    """Tabulate derived-functor dimensions into cert[key], degree by degree.
+
+    row_at(i) gives the DerivedValue of each object at degree i, either as a
+    dict (a row computed whole, recorded whole) or as a function of the
+    object (evaluated object by object, recorded up to the first failure).
+    The scan stops at the first conclusive nonzero dimension and records it
+    in cert["failure"] after the entries of `failure`. Returns "no" then,
+    else "yes" when every value was conclusive and "inconclusive" otherwise.
+    """
+    table = cert[key] = {}
+    settled = True
+    for i in degrees:
+        at = row_at(i)
+        if isinstance(at, dict):
+            table[i] = {c: v.dim if v.conclusive else None for c, v in at.items()}
+            at = at.__getitem__
+        row = table.setdefault(i, {})
+        for c in objects:
+            v = at(c)
+            row[c] = v.dim if v.conclusive else None
+            if v.conclusive and v.dim > 0:
+                cert["failure"] = dict(failure, degree=i, object=c, dim=v.dim)
+                return "no"
+            settled = settled and v.conclusive
+    return "yes" if settled else "inconclusive"
+
+
 def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) -> Verdict:
     """Membership of F in the Gorenstein P-projective representations.
 
@@ -84,79 +113,41 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
     cat = engine.cat
     cutoff = engine.cutoff
     g = engine.gorenstein_dimension()
+    hyp = {"P_iwanaga_gorenstein": g.value, "cutoff": cutoff}
+    l_nu = {"functor": "L_nu"}
     if g.finite and not force_full:
-        table = {}
-        for i in range(1, g.value + 1):
-            vals = engine.left_derived_nu_dims(f_mod, i)
-            table[i] = {c: (v.dim if v.conclusive else None) for c, v in vals.items()}
-            for c in cat.objects:
-                v = vals[c]
-                if v.conclusive and v.dim > 0:
-                    return Verdict(
-                        "no",
-                        {"route": "shortcut", "l_nu_dims": table,
-                         "failure": {"functor": "L_nu", "degree": i, "object": c,
-                                     "dim": v.dim}},
-                        {"P_iwanaga_gorenstein": g.value, "cutoff": cutoff},
-                    )
-        if all(v is not None for row in table.values() for v in row.values()):
-            return Verdict("yes", {"route": "shortcut", "l_nu_dims": table},
-                           {"P_iwanaga_gorenstein": g.value, "cutoff": cutoff})
-        return Verdict("inconclusive",
-                       {"route": "shortcut", "l_nu_dims": table},
-                       {"P_iwanaga_gorenstein": g.value, "cutoff": cutoff})
+        cert = {"route": "shortcut"}
+        member = _vanishing_scan(cert, "l_nu_dims", range(1, g.value + 1), cat.objects,
+                                 lambda i: engine.left_derived_nu_dims(f_mod, i), l_nu)
+        return Verdict(member, cert, hyp)
 
-    hyp = {"P_iwanaga_gorenstein": g.value if g.finite else None, "cutoff": cutoff}
+    def degrees(res):
+        return range(1, (res.length() if res.completed else cutoff - 1) + 1)
+
     cert = {"route": "full"}
 
     # (a) vanishing of the left derived Nakayama functor
     res_f = projective_resolution(f_mod, cutoff)
-    max_a = res_f.length() if res_f.completed else cutoff - 1
-    a_table = {}
-    a_settled = True
-    for i in range(1, max_a + 1):
-        row = {}
-        for c in cat.objects:
-            v = _tor_from_resolution_of_left(engine.coef_right(c), res_f, i)
-            row[c] = v.dim if v.conclusive else None
-            if v.conclusive and v.dim > 0:
-                a_table[i] = row
-                cert["l_nu_dims"] = a_table
-                cert["failure"] = {"functor": "L_nu", "degree": i, "object": c,
-                                   "dim": v.dim}
-                return Verdict("no", cert, hyp)
-            if not v.conclusive:
-                a_settled = False
-        a_table[i] = row
-    if not res_f.completed:
-        a_settled = False
-    cert["l_nu_dims"] = a_table
+    a = _vanishing_scan(
+        cert, "l_nu_dims", degrees(res_f), cat.objects,
+        lambda i: lambda c: _tor_from_resolution_of_left(engine.coef_right(c), res_f, i),
+        l_nu)
+    if a == "no":
+        return Verdict("no", cert, hyp)
 
-    # (b) vanishing of the right derived inverse on nu F
+    # (b) vanishing of the right derived inverse on nu F, falling back to the
+    # dual side where the coefficient resolution is truncated
     nuF = engine.nu(f_mod).module
     res_dual = projective_resolution(dual(nuF), cutoff)
-    max_b = res_dual.length() if res_dual.completed else cutoff - 1
-    b_table = {}
-    b_settled = True
-    for i in range(1, max_b + 1):
-        row = {}
-        for c in cat.objects:
-            v = _ext_from_resolution(engine.res_left(c), nuF, i)
-            if not v.conclusive:
-                v = _ext_from_resolution(res_dual, dual(engine.coef_left(c)), i)
-            row[c] = v.dim if v.conclusive else None
-            if v.conclusive and v.dim > 0:
-                b_table[i] = row
-                cert["r_nu_minus_dims"] = b_table
-                cert["failure"] = {"functor": "R_nu_minus", "degree": i, "object": c,
-                                   "dim": v.dim}
-                return Verdict("no", cert, hyp)
-            if not v.conclusive:
-                b_settled = False
-        b_table[i] = row
-    if not res_dual.completed:
-        b_settled = False
-    cert["r_nu_minus_dims"] = b_table
+
+    def r_nu_minus(i, c):
+        v = _ext_from_resolution(engine.res_left(c), nuF, i)
+        return v if v.conclusive else _ext_from_resolution(res_dual, dual(engine.coef_left(c)), i)
+
+    b = _vanishing_scan(cert, "r_nu_minus_dims", degrees(res_dual), cat.objects,
+                        lambda i: lambda c: r_nu_minus(i, c), {"functor": "R_nu_minus"})
+    if b == "no":
+        return Verdict("no", cert, hyp)
 
     # (c) the unit is an isomorphism
     lam = engine.lambda_unit(f_mod)
@@ -173,7 +164,7 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
         cert["failure"] = {"functor": "lambda", "object": bad}
         return Verdict("no", cert, hyp)
 
-    if a_settled and b_settled:
+    if a == b == "yes" and res_f.completed and res_dual.completed:
         return Verdict("yes", cert, hyp)
     cert["blocking_cutoff"] = cutoff
     return Verdict("inconclusive", cert, hyp)
@@ -236,34 +227,31 @@ def splitting_section(eps: ModuleMap) -> ModuleMap | None:
         return ModuleMap(F, eps.src, {c: Matrix.zeros(F.cat.field, eps.src.dims[c], 0)
                                       for c in F.cat.objects}, check=False)
     basis = hom_basis(F, eps.src)
-    if not basis:
+    try:
+        coeffs = hom_coords([b.then(eps) for b in basis], ModuleMap.identity(F))
+    except ModuleError:  # the identity is not in the span
         return None
-    f = F.cat.field
-    cols = [map_vec(b.then(eps)) for b in basis]
-    A = Matrix.zeros(f, cols[0].rows, 0)
-    for col in cols:
-        A = A.hstack(col)
-    rhs = map_vec(ModuleMap.identity(F))
-    sol = A.solve(rhs)
-    if sol is None:
-        return None
-    return _combine_maps(basis, sol)
+    return _combine_maps(basis, coeffs)
 
 
 def is_p_projective(f_mod: Module, engine: NakayamaEngine,
                     fact: Factorization | None = None) -> Verdict:
-    """Summand-of-i_! test: does the counit P(F) -> F split?"""
+    """Is F P-projective, a summand of P(F) = i_! i^* F?
+
+    Over the field i_!(V) = (+)_c C(c,-) (x) V_c, so P-projective means
+    projective, which the projective cover decides (is_base_projective and
+    its certificate). Over a base algebra (fact given) P-projective is
+    weaker than projective, and the test is whether the based counit
+    P(F) -> F splits.
+    """
     if fact is None:
-        PF, eps = engine.counit_P(f_mod)
-    else:
-        PF, eps = fact.p_counit_based(f_mod)
-    sec = splitting_section(eps)
-    if sec is None:
-        return Verdict("no", {"test": "counit-splitting",
-                              "p_dims": dict(PF.dims)})
-    return Verdict("yes", {"test": "counit-splitting",
-                           "p_dims": dict(PF.dims),
-                           "section_found": True})
+        return is_base_projective(f_mod)
+    PF, eps = fact.p_counit_based(f_mod)
+    cert = {"test": "counit-splitting", "p_dims": dict(PF.dims)}
+    if splitting_section(eps) is None:
+        return Verdict("no", cert)
+    cert["section_found"] = True
+    return Verdict("yes", cert)
 
 
 # -- Gorenstein projectivity over the base ---------------------------------
@@ -300,23 +288,13 @@ def base_gp(n_mod: Module, profile: BaseGorensteinProfile, cutoff: int = 16) -> 
         # projective, and the cover kernel is nonzero
         return Verdict("no", {"reason": "finite-nonzero-projective-dimension",
                               "pdim": res.length()}, hyp)
-    table = {}
-    settled = True
-    for i in range(1, profile.g + 1 if known else cutoff):
-        row = {}
-        for c in base.objects:
-            v = _ext_from_resolution(res, representable(base, c), i)
-            row[c] = v.dim if v.conclusive else None
-            if v.conclusive and v.dim > 0:
-                table[i] = row
-                return Verdict("no", {"ext_dims": table,
-                                      "failure": {"degree": i, "object": c,
-                                                  "dim": v.dim}}, hyp)
-            settled = settled and v.conclusive
-        table[i] = row
-    if known and settled:
-        return Verdict("yes", {"ext_dims": table}, hyp)
-    cert = {"ext_dims": table, "blocking_cutoff": cutoff}
+    cert = {}
+    member = _vanishing_scan(
+        cert, "ext_dims", range(1, profile.g + 1 if known else cutoff), base.objects,
+        lambda i: lambda c: _ext_from_resolution(res, representable(base, c), i), {})
+    if member == "no" or (known and member == "yes"):
+        return Verdict(member, cert, hyp)
+    cert["blocking_cutoff"] = cutoff
     if not known:
         # an unknown profile never turns an all-zero scan into a yes
         cert["note"] = "Ext vanishing verified only below the cutoff"
@@ -330,13 +308,8 @@ def _components_of_i_star_nu(f_mod: Module, engine: NakayamaEngine,
                              fact: Factorization | None) -> tuple:
     """(restriction to the C-direction, base-valued components of i^*(nu F))."""
     if fact is None:
-        restriction = f_mod
-        nuF = engine.nu(f_mod).module
-        comps = {c: nuF.dims[c] for c in engine.cat.objects}
-        return restriction, comps
-    restriction = fact.restrict_to_cat(f_mod)
-    comps = fact.i_star_nu_components(f_mod, engine)
-    return restriction, comps
+        return f_mod, dict(engine.nu(f_mod).module.dims)
+    return fact.restrict_to_cat(f_mod), fact.i_star_nu_components(f_mod, engine)
 
 
 def _gp_regime(engine: NakayamaEngine, profile: BaseGorensteinProfile | None) -> str:
@@ -348,6 +321,29 @@ def _gp_regime(engine: NakayamaEngine, profile: BaseGorensteinProfile | None) ->
     return "membership in GP(GProj_P) only"
 
 
+def _merge_sides(cert: dict, hyp: dict, xv: Verdict, comps: dict,
+                 engine: NakayamaEngine, f_test) -> Verdict:
+    """Record the X-side verdict and the F-side verdicts of the components
+    in cert and merge them: any no is a no, all yes is a yes, anything else
+    is inconclusive at the engine's cutoff. f_test is None over the field,
+    where every component passes."""
+    cert["x_side"] = {"member": xv.member, "certificate": xv.certificate}
+    members = [xv.member]
+    if f_test is None:
+        cert["f_side"] = {"base": "field", "component_dims": comps, "member": "yes"}
+    else:
+        fv = {c: f_test(comps[c]) for c in engine.cat.objects}
+        cert["f_side"] = {c: {"member": v.member, "certificate": v.certificate}
+                          for c, v in fv.items()}
+        members += [v.member for v in fv.values()]
+    if "no" in members:
+        return Verdict("no", cert, hyp)
+    if all(m == "yes" for m in members):
+        return Verdict("yes", cert, hyp)
+    cert["blocking_cutoff"] = engine.cutoff
+    return Verdict("inconclusive", cert, hyp)
+
+
 def is_gp_functor(f_mod: Module, engine: NakayamaEngine,
                   profile: BaseGorensteinProfile | None = None,
                   fact: Factorization | None = None,
@@ -357,32 +353,14 @@ def is_gp_functor(f_mod: Module, engine: NakayamaEngine,
     of i^*(nu F) must be Gorenstein projective over the base."""
     restriction, comps = _components_of_i_star_nu(f_mod, engine, fact)
     xv = is_gproj_P(restriction, engine, force_full=force_full)
+    if fact is not None and profile is None:
+        profile = self_injective_dimension(fact.base, engine.cutoff)
     hyp = {"interpretation": _gp_regime(engine, profile),
            "P_iwanaga_gorenstein": engine.gorenstein_dimension().value,
            "base_self_injective_dimension": profile.g if profile else 0,
            "cutoff": engine.cutoff}
-    cert = {"x_side": {"member": xv.member, "certificate": xv.certificate}}
-    if fact is None:
-        cert["f_side"] = {"base": "field", "component_dims": comps,
-                          "member": "yes"}
-        members = [xv.member, "yes"]
-    else:
-        if profile is None:
-            profile = self_injective_dimension(fact.base, engine.cutoff)
-            hyp["base_self_injective_dimension"] = profile.g
-            hyp["interpretation"] = _gp_regime(engine, profile)
-        fv = {c: base_gp(comps[c], profile, engine.cutoff) for c in engine.cat.objects}
-        cert["f_side"] = {
-            c: {"member": fv[c].member, "certificate": fv[c].certificate}
-            for c in engine.cat.objects
-        }
-        members = [xv.member] + [fv[c].member for c in engine.cat.objects]
-    if "no" in members:
-        return Verdict("no", cert, hyp)
-    if all(m == "yes" for m in members):
-        return Verdict("yes", cert, hyp)
-    cert["blocking_cutoff"] = engine.cutoff
-    return Verdict("inconclusive", cert, hyp)
+    f_test = None if fact is None else (lambda n: base_gp(n, profile, engine.cutoff))
+    return _merge_sides({}, hyp, xv, comps, engine, f_test)
 
 
 def lifted_class_membership(f_mod: Module, x_class: str, f_class: str,
@@ -401,33 +379,16 @@ def lifted_class_membership(f_mod: Module, x_class: str, f_class: str,
         xv = is_gproj_P(restriction, engine)
     else:
         xv = is_p_projective(f_mod, engine, fact)
-    cert = {"x_class": x_class, "f_class": f_class,
-            "x_side": {"member": xv.member, "certificate": xv.certificate}}
     hyp = {"cutoff": engine.cutoff}
-    if fact is None:
-        cert["f_side"] = {"base": "field", "component_dims": comps,
-                          "member": "yes"}
-        members = [xv.member, "yes"]
-    else:
+    f_test = None
+    if fact is not None:
         if profile is None:
             profile = self_injective_dimension(fact.base, engine.cutoff)
         hyp["base_self_injective_dimension"] = profile.g
-        fv = {}
-        for c in engine.cat.objects:
-            if f_class == "gp":
-                fv[c] = base_gp(comps[c], profile, engine.cutoff)
-            else:
-                fv[c] = is_base_projective(comps[c])
-        cert["f_side"] = {c: {"member": fv[c].member,
-                              "certificate": fv[c].certificate}
-                          for c in engine.cat.objects}
-        members = [xv.member] + [fv[c].member for c in engine.cat.objects]
-    if "no" in members:
-        return Verdict("no", cert, hyp)
-    if all(m == "yes" for m in members):
-        return Verdict("yes", cert, hyp)
-    cert["blocking_cutoff"] = engine.cutoff
-    return Verdict("inconclusive", cert, hyp)
+        f_test = (is_base_projective if f_class == "proj"
+                  else lambda n: base_gp(n, profile, engine.cutoff))
+    return _merge_sides({"x_class": x_class, "f_class": f_class}, hyp, xv, comps,
+                        engine, f_test)
 
 
 # -- Gorenstein-projective resolution dimension ----------------------------
@@ -487,9 +448,8 @@ def discrepancy_probe(m_mod: Module, fact_a: Factorization, fact_b: Factorizatio
         raise ModuleError("factorizations must present the module's category")
     out = {}
     for tag, fact in (("first", fact_a), ("second", fact_b)):
-        engine = NakayamaEngine(fact.cat, cutoff)
-        profile = self_injective_dimension(fact.base, cutoff)
-        v = is_gp_functor(m_mod, engine, profile, fact)
+        # is_gp_functor profiles the base at the engine's cutoff
+        v = is_gp_functor(m_mod, NakayamaEngine(fact.cat, cutoff), None, fact)
         entry = {"verdict": v,
                  "cat_side": fact.cat_side,
                  "restriction_exactness": exactness_table(fact.restrict_to_cat(m_mod))}
@@ -544,19 +504,9 @@ def enumerate_representations(cat: BoundQuiverCategory, dim_bounds,
                     entries.append(rem % p)
                     rem //= p
                 mats[a] = Matrix(f, [entries[i * c:(i + 1) * c] for i in range(r)], r, c)
-            m = Module(cat, dims, mats, check=False)
-            if _relations_hold(m):
-                yield m
+            try:
+                m = Module(cat, dims, mats)
+            except ModuleError:  # a relation fails
+                continue
+            yield m
 
-
-def _relations_hold(m: Module) -> bool:
-    cat = m.cat
-    for rel in cat.relations:
-        s, _ = rel.endpoints(cat.arrow_map)
-        acc = None
-        for coeff, path in rel.terms:
-            term = m.act_path(s, path).scale(coeff)
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            return False
-    return True

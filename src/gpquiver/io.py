@@ -20,10 +20,11 @@ import os
 import re
 
 from .category import BoundQuiverCategory, Quiver, Relation, build_category, tensor_category
-from .linalg import Matrix, field_from_name
+from .linalg import Matrix, PrimeField, field_from_name
 from .modules import Module
 
 REPORT_SCHEMA = "gpquiver-report/1"
+DEFAULT_CUTOFF = 16
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
 
@@ -35,9 +36,16 @@ class ParseError(Exception):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-def field_name(field) -> str:
-    from .linalg import PrimeField
+def effective_cutoff(*given) -> int:
+    """The first of the given cutoffs that is set (not None), else
+    DEFAULT_CUTOFF; a cutoff below 1 is refused."""
+    cutoff = next((c for c in given if c is not None), DEFAULT_CUTOFF)
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
+    return cutoff
 
+
+def field_name(field) -> str:
     return f"F{field.p}" if isinstance(field, PrimeField) else "Q"
 
 
@@ -133,9 +141,10 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
             pending["field"] = (i, val)
         elif key == "length_cutoff":
             try:
-                pending["cutoff"] = int(val)
+                pending["cutoff"] = effective_cutoff(int(val))
             except ValueError:
-                raise ParseError(path, i, f"length_cutoff must be an integer, got {val!r}")
+                raise ParseError(path, i,
+                                 f"length_cutoff must be an integer of at least 1, got {val!r}")
         else:
             raise ParseError(path, i, f"unknown category key {key!r}")
 
@@ -161,7 +170,7 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
         field = field_from_name(field_override or fval)
     except Exception as exc:
         raise ParseError(path, fi, f"bad field {fval!r}: {exc}") from exc
-    cutoff = cutoff_override or pending["cutoff"] or 16
+    cutoff = effective_cutoff(cutoff_override, pending["cutoff"])
     relations = tuple(
         parse_relation_expr(field, val, path, i) for i, val in raw_relations
     )

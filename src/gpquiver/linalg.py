@@ -102,9 +102,40 @@ class RationalField(Field):
         return hash("QQ")
 
 
+# Miller-Rabin to the prime bases 2..41 decides primality exactly below
+# MAX_PRIME_MODULUS, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_MODULUS = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n < MAX_PRIME_MODULUS."""
+    if n >= MAX_PRIME_MODULUS:
+        raise ValueError(f"modulus {n} is not below the supported bound {MAX_PRIME_MODULUS}")
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
         self.name = f"F{p}"

@@ -29,6 +29,17 @@ def loop_sq(field=QQ, cutoff=4):
     return build_category(q, (rel,), field, cutoff)
 
 
+def exterior2(field=QQ, cutoff=4):
+    # the exterior algebra on two generators as a one-object category
+    q = Quiver(("o",), (("x1", "o", "o"), ("x2", "o", "o")))
+    rels = (
+        Relation(((one(field), ("x1", "x1")),)),
+        Relation(((one(field), ("x2", "x2")),)),
+        Relation(((one(field), ("x1", "x2")), (one(field), ("x2", "x1")))),
+    )
+    return build_category(q, rels, field, cutoff)
+
+
 def square(field=QQ, cutoff=4):
     # commutative square: both length-two composites agree
     q = Quiver(

@@ -200,3 +200,34 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
         assert status == 0
         texts.append(dest.read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_cutoff_below_one_is_input_error(tmp_path, capsys):
+    status, out, err = run(["gdim", fix("square.cat"), "--cutoff", "0"], capsys)
+    assert status == 1
+    assert out == ""
+    assert "cutoff must be at least 1" in err
+    p = tmp_path / "zero.cat"
+    p.write_text("[category]\nfield = Q\nlength_cutoff = 0\nobjects = 1\n")
+    status, out, err = run(["cat-info", str(p)], capsys)
+    assert status == 1
+    assert "zero.cat:3" in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "bogus", fix("a2_incl.rep")],
+    ["derived", fix("a2_incl.rep"), "--functor", "l_nu", "--degree", "x"],
+    ["gdim"],
+])
+def test_usage_errors_exit_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

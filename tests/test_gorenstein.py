@@ -1,12 +1,16 @@
 """Membership verdicts, base profiles, and exhaustive enumeration."""
 
 import json
+import os
+import random
 
 import pytest
 
 from conftest import (
     F2,
     F5,
+    chain,
+    cyclic3,
     ex322,
     ka2,
     ka3,
@@ -34,9 +38,10 @@ from gpquiver.gorenstein import (
     self_injective_dimension,
     splitting_section,
 )
-from gpquiver.linalg import QQ, Matrix
+from gpquiver.linalg import GF, QQ, Matrix
 from gpquiver.modules import Module, ModuleError, representable, simple
 from gpquiver.nakayama import NakayamaEngine
+from test_modules import random_module
 
 
 def a2_rep(field, d1, d2, rows):
@@ -179,15 +184,102 @@ def test_base_gp_certificates_are_pinned(make, obj, g, cutoff, member, cert):
     assert json.dumps(v.certificate) == json.dumps(cert)
 
 
+# Verdict certificates and hypotheses recorded as `json.dumps` output (so
+# key order counts) before the vanishing scans and the X-side/F-side merges
+# shared their helpers. Each case: (category, field, cutoff, max_gens,
+# seed) of a random cokernel module, or "m322", and the call made on it.
+PINNED_VERDICTS = os.path.join(os.path.dirname(__file__), "pinned_verdicts.json")
+
+_VERDICT_CASES = {
+    "gproj_shortcut_yes": ((square, 3, 8, 2, 0), "gproj", {}),
+    "gproj_shortcut_no": ((square, 3, 8, 2, 3), "gproj", {}),
+    "gproj_full_yes": ((square, 3, 8, 2, 0), "gproj", {"force_full": True}),
+    "gproj_full_no_l_nu": ((square, 3, 8, 2, 3), "gproj", {"force_full": True}),
+    "gproj_full_no_r_nu_minus": ((ex322, 3, 2, 1, 142), "gproj", {"force_full": True}),
+    "gproj_full_no_lambda": ((lambda f, n: chain(3, f, n), 5, 2, 1, 21), "gproj",
+                             {"force_full": True}),
+    "gproj_full_inconclusive": ((cyclic3, 5, 2, 2, 0), "gproj", {"force_full": True}),
+    "gp_field_yes": ((square, 3, 8, 2, 0), "gp", {}),
+    "gp_field_inconclusive": ((cyclic3, 5, 2, 2, 0), "gp", {"force_full": True}),
+    "lifted_field_gproj_gp_no": ((square, 3, 8, 2, 3), "lifted", {"x": "gproj_P", "f": "gp"}),
+    "lifted_field_gproj_proj": ((cyclic3, 5, 2, 2, 0), "lifted",
+                                {"x": "gproj_P", "f": "proj"}),
+    "gp_m322_right": ("m322", "gp", {"side": "right"}),
+    "gp_m322_left": ("m322", "gp", {"side": "left"}),
+    "gp_m322_left_declared": ("m322", "gp", {"side": "left", "g": 1}),
+    "lifted_m322_right_gproj_gp": ("m322", "lifted", {"side": "right", "x": "gproj_P", "f": "gp"}),
+    "lifted_m322_left_gproj_gp": ("m322", "lifted",
+                                  {"side": "left", "x": "gproj_P", "f": "gp", "g": 1}),
+    "lifted_m322_right_pproj_proj": ("m322", "lifted",
+                                     {"side": "right", "x": "P_proj", "f": "proj"}),
+    "lifted_m322_left_pproj_proj": ("m322", "lifted", {"side": "left", "x": "P_proj", "f": "proj"}),
+}
+
+
+def pinned_case_verdict(name):
+    source, call, opts = _VERDICT_CASES[name]
+    fact = profile = None
+    if source == "m322":
+        T = tensor322()
+        F = module322(T)
+        fact = Factorization(T, opts["side"])
+        eng = NakayamaEngine(fact.cat, 4)
+        if "g" in opts:
+            profile = declared_profile(fact.base, opts["g"])
+    else:
+        make, p, cutoff, max_gens, seed = source
+        C = make(GF(p), cutoff)
+        F = random_module(C, random.Random(seed), max_gens)
+        eng = NakayamaEngine(C, cutoff)
+    if call == "gproj":
+        return is_gproj_P(F, eng, force_full=opts.get("force_full", False))
+    if call == "gp":
+        return is_gp_functor(F, eng, profile, fact, force_full=opts.get("force_full", False))
+    return lifted_class_membership(F, opts["x"], opts["f"], eng, profile, fact)
+
+
+@pytest.mark.parametrize("name", sorted(_VERDICT_CASES))
+def test_verdict_certificates_are_pinned(name):
+    with open(PINNED_VERDICTS, encoding="utf-8") as fh:
+        pinned = json.load(fh)[name]
+    v = pinned_case_verdict(name)
+    assert v.member == pinned["member"]
+    assert json.dumps(v.certificate) == json.dumps(pinned["certificate"])
+    assert json.dumps(v.hypotheses) == json.dumps(pinned["hypotheses"])
+
+
 def test_p_projective_counit_split():
     C = ka2()
     eng = NakayamaEngine(C, 8)
     s1 = simple(C, "1")
-    assert is_p_projective(s1, eng).member == "no"
-    pf, eps = eng.counit_P(s1)
-    sec = splitting_section(eps)
-    assert sec is None
-    assert is_p_projective(representable(C, "1"), eng).member == "yes"
+    no = is_p_projective(s1, eng)
+    assert no.member == "no"
+    assert no.certificate == {"reason": "cover-kernel", "kernel_dims": {"1": 0, "2": 1}}
+    _, eps = eng.counit_P(s1)
+    assert splitting_section(eps) is None
+    yes = is_p_projective(representable(C, "1"), eng)
+    assert yes.member == "yes"
+    assert yes.certificate == {"reason": "projective", "cover_summands": ["1"]}
+
+
+@pytest.mark.parametrize("make, bound, count, members", [
+    (ka3, 2, 499, 71),
+    (square, 1, 39, 5),
+    (lambda f: chain(2, f), 2, 207, 46),
+    (loop_sq, 2, 6, 4),
+], ids=["ka3", "square", "chain2", "loop_x2"])
+def test_p_projective_matches_counit_splitting(make, bound, count, members):
+    # the unbased verdict reads the projective cover; the counit splitting
+    # P(F) -> F is the independent route
+    C = make(F2)
+    eng = NakayamaEngine(C, 8)
+    seen = yes = 0
+    for m in enumerate_representations(C, bound):
+        split = splitting_section(eng.counit_P(m)[1]) is not None
+        assert (is_p_projective(m, eng).member == "yes") == split
+        seen += 1
+        yes += split
+    assert (seen, yes) == (count, members)
 
 
 def test_gp_functor_base_field_reduces_to_gproj_p():

@@ -1,4 +1,5 @@
 import random
+import time
 
 from fractions import Fraction
 
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from gpquiver.linalg import (
     GF,
+    MAX_PRIME_MODULUS,
     QQ,
     Matrix,
+    PrimeField,
     ShapeError,
     Subquotient,
     direct_sum,
@@ -189,3 +192,17 @@ def test_subquotient_induced_map():
     assert ind == Matrix.identity(QQ, 1)
     killed = h.classes_of(mat([[2], [0]]))
     assert killed.is_zero()
+
+
+def test_prime_field_modulus_check():
+    # 2^61 - 1 is prime; trial division up to its square root takes minutes
+    start = time.perf_counter()
+    assert field_from_name("F2305843009213693951").p == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+    # 561 is a Carmichael number, 2047 a strong pseudoprime to base 2 and
+    # 3215031751 one to bases 2, 3, 5 and 7
+    for n in (0, 1, 561, 2047, 3215031751):
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+    with pytest.raises(ValueError, match="supported bound"):
+        PrimeField(MAX_PRIME_MODULUS)

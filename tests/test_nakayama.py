@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from conftest import F5, chain, cyclic3, ex322, ka2, ka3, loop_sq, square
+from conftest import F5, chain, cyclic3, ex322, exterior2, ka2, ka3, loop_sq, square
 
-from gpquiver.linalg import QQ, Matrix
+from gpquiver.linalg import GF, QQ, Matrix
 from gpquiver.modules import (
     InconclusiveError,
     Module,
@@ -86,8 +86,16 @@ def test_nu_minus_functorial():
         eng.nu_minus_map(nmF, nmG, phi).validate()
 
 
+def test_exterior2_opposite_changes_basis():
+    # the only fixture here whose opposite orders its path basis differently
+    eng = NakayamaEngine(exterior2(GF(3)))
+    f = eng.cat.field
+    assert eng.op_to_c("o", "o") == Matrix.from_ints(
+        f, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+
+
 def test_iso_nu_ishriek_and_coinduced():
-    for C in (ka2(), ka3(), square(), ex322(), cyclic3()):
+    for C in (ka2(), ka3(), square(), ex322(), cyclic3(), exterior2(GF(3))):
         eng = NakayamaEngine(C)
         rng = random.Random(5)
         for _ in range(3):
@@ -127,7 +135,7 @@ def test_lambda_kills_s1_over_a2():
 
 
 def test_triangle_identities_nu():
-    for C in (ka2(), square(), ex322()):
+    for C in (ka2(), square(), ex322(), exterior2(GF(3))):
         eng = NakayamaEngine(C)
         rng = random.Random(7)
         for _ in range(3):
