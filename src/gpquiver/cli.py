@@ -2,7 +2,10 @@
 reports.
 
 Exit codes: 0 for definite results, 2 for inconclusive ones (raise the
-cutoff and retry), 1 for input errors.
+resolution cutoff `--cutoff` and retry), 1 for input errors.  A category
+whose hom spaces still grow at its path-length cutoff ("possibly-infinite")
+is an input error: that cutoff is the file's `length_cutoff`, which
+`--cutoff` does not touch, so the remedy is to raise it in the file.
 """
 
 from __future__ import annotations
@@ -55,11 +58,11 @@ def _verdict_exit(member: str) -> int:
 
 
 def _load_category(args):
-    return gio.parse_category(args.path, args.cutoff, args.field)
+    return gio.parse_category(args.path, field_override=args.field)
 
 
 def _load_module(args):
-    return gio.parse_module(args.path, args.cutoff, args.field)
+    return gio.parse_module(args.path, field_override=args.field)
 
 
 def _engine_for(cat, args) -> NakayamaEngine:
@@ -250,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_path:
             p.add_argument("path", help="category or representation file")
         p.add_argument("--cutoff", type=int, default=None,
-                       help="resolution/length cutoff, at least 1 (default 16)")
+                       help="resolution cutoff, at least 1 (default 16)")
         p.add_argument("--field", default=None, help="field override: Q or F<p>")
         p.add_argument("--out", default=None, help="write the JSON report here")
 

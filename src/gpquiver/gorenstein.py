@@ -228,7 +228,7 @@ def splitting_section(eps: ModuleMap) -> ModuleMap | None:
                                       for c in F.cat.objects}, check=False)
     basis = hom_basis(F, eps.src)
     try:
-        coeffs = hom_coords([b.then(eps) for b in basis], ModuleMap.identity(F))
+        coeffs = hom_coords([b.then(eps) for b in basis], [ModuleMap.identity(F)], F.cat.field)
     except ModuleError:  # the identity is not in the span
         return None
     return _combine_maps(basis, coeffs)
@@ -287,7 +287,7 @@ def base_gp(n_mod: Module, profile: BaseGorensteinProfile, cutoff: int = 16) -> 
         # finite projective dimension: Gorenstein projective would force
         # projective, and the cover kernel is nonzero
         return Verdict("no", {"reason": "finite-nonzero-projective-dimension",
-                              "pdim": res.length()}, hyp)
+                              "pdim": res.pdim()}, hyp)
     cert = {}
     member = _vanishing_scan(
         cert, "ext_dims", range(1, profile.g + 1 if known else cutoff), base.objects,

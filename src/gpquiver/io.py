@@ -217,8 +217,7 @@ def format_matrix(field, m: Matrix) -> str:
     return " ; ".join(" ".join(field.fmt(x) for x in row) for row in m.data)
 
 
-def parse_module(path, cutoff_override=None, field_override=None,
-                 category=None) -> Module:
+def parse_module(path, field_override=None, category=None) -> Module:
     section = None
     cat_ref = None
     dims = {}
@@ -253,7 +252,7 @@ def parse_module(path, cutoff_override=None, field_override=None,
         sub = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
         if not os.path.exists(sub):
             raise ParseError(path, i, f"referenced category file {ref!r} not found")
-        category = parse_category(sub, cutoff_override, field_override)
+        category = parse_category(sub, field_override=field_override)
     for obj in dims:
         if obj not in category.objects:
             raise ParseError(path, 0, f"unknown object {obj!r} in dim line")

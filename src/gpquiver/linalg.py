@@ -445,13 +445,6 @@ class Matrix:
             raise LinAlgError("matrix has no right inverse (row rank deficient)")
         return s
 
-    def inverse(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise ShapeError("inverse of non-square matrix")
-        if self.rank() != self.rows:
-            raise LinAlgError("matrix is singular")
-        return self.right_inverse()
-
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     a._check_field(b)

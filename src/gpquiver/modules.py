@@ -310,14 +310,6 @@ def image(f: ModuleMap) -> tuple:
 # -- Hom ------------------------------------------------------------------
 
 
-def map_vec(f: ModuleMap) -> Matrix:
-    """Flatten a module map to a coordinate column (object order, row-major)."""
-    entries = []
-    for c in f.src.cat.objects:
-        entries.extend(f.mats[c].entries_flat())
-    return Matrix(f.src.cat.field, [[e] for e in entries], len(entries), 1)
-
-
 def hom_basis(m: Module, n: Module) -> list:
     """Canonical basis of the space of module maps m -> n."""
     cat = m.cat
@@ -361,19 +353,24 @@ def hom_basis(m: Module, n: Module) -> list:
     return maps
 
 
-def hom_coords(basis: list, f: ModuleMap) -> Matrix:
-    """Coordinates of a map in a given hom basis."""
+def hom_coords(basis: list, maps: list, field) -> Matrix:
+    """Coordinates of maps in a hom basis: one column per map, from one solve."""
     if not basis:
-        if not f.is_zero():
+        if not all(m.is_zero() for m in maps):
             raise ModuleError("nonzero map in zero hom space")
-        return Matrix.zeros(f.src.cat.field, 0, 1)
-    cols = map_vec(basis[0])
-    for b in basis[1:]:
-        cols = cols.hstack(map_vec(b))
-    sol = cols.solve(map_vec(f))
+        return Matrix.zeros(field, 0, len(maps))
+    if not maps:
+        return Matrix.zeros(field, len(basis), 0)
+    sol = _map_columns(basis).solve(_map_columns(maps))
     if sol is None:
         raise ModuleError("map outside the span of the hom basis")
     return sol
+
+
+def _map_columns(maps: list) -> Matrix:
+    """Module maps flattened to columns (object order, row-major)."""
+    flat = [[e for c in m.src.cat.objects for e in m.mats[c].entries_flat()] for m in maps]
+    return Matrix(maps[0].src.cat.field, [list(r) for r in zip(*flat)], len(flat[0]), len(flat))
 
 
 # -- tensor over the category --------------------------------------------
@@ -532,6 +529,11 @@ class Resolution:
             return self.stages[i].module
         return zero_module(self.module.cat)
 
+    def pdim(self) -> int | None:
+        """Projective dimension of the module, None when the resolution is
+        truncated; every stage of a minimal resolution is nonzero."""
+        return self.length() if self.completed else None
+
     def diff(self, i: int) -> ModuleMap:
         """The map P_i -> P_{i-1} (zero beyond the computed range)."""
         if 1 <= i <= len(self.diffs):
@@ -565,13 +567,7 @@ def projective_resolution(m: Module, cutoff: int, padded: bool = False) -> Resol
 
 def pdim(m: Module, cutoff: int) -> int | None:
     """Projective dimension; None means not settled within the cutoff."""
-    res = projective_resolution(m, cutoff)
-    if not res.completed:
-        return None
-    n = res.length()
-    while n > 0 and res.stages[n].module.is_zero():
-        n -= 1
-    return n
+    return projective_resolution(m, cutoff).pdim()
 
 
 # -- Tor and Ext ----------------------------------------------------------

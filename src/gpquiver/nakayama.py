@@ -4,7 +4,9 @@ the projectivization endofunctor P.
 
 Coefficient modules D(C(c,-)) (right) and D(C(-,c)) (left) and their minimal
 resolutions are cached per category, so sweeping many representations of the
-same category stays cheap.
+same category stays cheap.  Both halves of the bimodule D(C) are written in
+one basis, the dual of C's own path basis: D(C)(x, y) = D(C(x, y)), with the
+left action read off precomposition and the right one off the representables.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .modules import (
     hom_coords,
     homology_of_modules,
     projective_resolution,
-    pdim,
     representable,
     tensor_induced,
     tensor_over_cat,
@@ -95,7 +96,6 @@ class NakayamaEngine:
 
     def __init__(self, cat: BoundQuiverCategory, cutoff: int = 16):
         self.cat = cat
-        self.op = cat.opposite()
         self.cutoff = cutoff
         self._coef_right: dict = {}
         self._coef_left: dict = {}
@@ -103,7 +103,6 @@ class NakayamaEngine:
         self._res_left: dict = {}
         self._u: dict = {}
         self._w: dict = {}
-        self._op_to_c: dict = {}
         self._gdim: GorensteinDimension | None = None
 
     # -- coefficient bimodule ---------------------------------------------
@@ -115,9 +114,13 @@ class NakayamaEngine:
         return self._coef_right[c]
 
     def coef_left(self, c) -> Module:
-        """D(C(-,c)): a left module, the c-th injective I(c)."""
+        """D(C(-,c)): a left module, the c-th injective I(c); a: s -> t acts
+        by the dual of precomposition, D(C(s,c)) -> D(C(t,c))."""
         if c not in self._coef_left:
-            self._coef_left[c] = dual(representable(self.op, c))
+            cat = self.cat
+            self._coef_left[c] = Module(
+                cat, {x: cat.hom_dim(x, c) for x in cat.objects},
+                {a: self.u_map(a).mats[c] for a in cat.arrow_map}, check=False)
         return self._coef_left[c]
 
     def res_right(self, c) -> Resolution:
@@ -137,26 +140,14 @@ class NakayamaEngine:
         return self._u[arrow]
 
     def w_map(self, arrow: str) -> ModuleMap:
-        """D(C(-,t)) -> D(C(-,s)) for a: s -> t (contravariant coefficient maps)."""
+        """D(C(-,t)) -> D(C(-,s)) for a: s -> t (contravariant coefficient
+        maps): at x, the action of a on the right module D(C(x,-))."""
         if arrow not in self._w:
-            self._w[arrow] = dual_map(precomposition(self.op, arrow))
+            s, t = self.cat.arrow_map[arrow]
+            self._w[arrow] = ModuleMap(
+                self.coef_left(t), self.coef_left(s),
+                {x: self.coef_right(x).mats[arrow] for x in self.cat.objects}, check=False)
         return self._w[arrow]
-
-    def op_to_c(self, x, c) -> Matrix:
-        """Change of basis from the opposite-side path basis of Hom(x, c) to
-        the direct-side one (reversal is an anti-isomorphism)."""
-        key = (x, c)
-        if key not in self._op_to_c:
-            f = self.cat.field
-            c_basis = self.cat.hom_basis_paths(x, c)
-            idx = {p: i for i, p in enumerate(c_basis)}
-            op_basis = self.op.hom_basis_paths(c, x)
-            data = [[f.zero()] * len(op_basis) for _ in c_basis]
-            for j, w in enumerate(op_basis):
-                for p, coef in self.cat.reduce_word(x, tuple(reversed(w))).items():
-                    data[idx[p]][j] = coef
-            self._op_to_c[key] = Matrix(f, data, len(c_basis), len(op_basis))
-        return self._op_to_c[key]
 
     # -- the adjoint triple ------------------------------------------------
 
@@ -258,66 +249,40 @@ class NakayamaEngine:
         mats = {}
         for name, (s, t) in cat.arrow_map.items():
             w = self.w_map(name)  # coef_left[t] -> coef_left[s]
-            cols = [hom_coords(bases[t], w.then(psi)) for psi in bases[s]]
-            acc = Matrix.zeros(cat.field, dims[t], 0)
-            for col in cols:
-                acc = acc.hstack(col)
-            mats[name] = acc
+            mats[name] = hom_coords(bases[t], [w.then(psi) for psi in bases[s]], cat.field)
         return NuMinusApplied(Module(cat, dims, mats, check=False), bases, f_mod)
 
     def nu_minus_map(self, src: NuMinusApplied, dst: NuMinusApplied, phi: ModuleMap) -> ModuleMap:
         cat = self.cat
-        mats = {}
-        for c in cat.objects:
-            cols = [hom_coords(dst.bases[c], psi.then(phi)) for psi in src.bases[c]]
-            acc = Matrix.zeros(cat.field, len(dst.bases[c]), 0)
-            for col in cols:
-                acc = acc.hstack(col)
-            mats[c] = acc
+        mats = {c: hom_coords(dst.bases[c], [psi.then(phi) for psi in src.bases[c]], cat.field)
+                for c in cat.objects}
         return ModuleMap(src.module, dst.module, mats, check=False)
 
     # -- unit and counit of nu -| nu^- -------------------------------------
 
-    def _hom_into_nu(self, c, x, nuF: NuApplied, vec: Matrix) -> Matrix:
+    def _hom_into_nu(self, c, x, nuF: NuApplied, j: int) -> Matrix:
         """Component at x of the map coef_left[c] -> nu(F) sending xi to the
-        class of xi (x) v, for a fixed v in F(c)."""
-        f = self.cat.field
-        F = nuF.source
+        class of xi (x) e_j, e_j the j-th basis vector of F(c).  The dual
+        basis of D(C(x,c)) is block c of coef_right[x], so this selects the
+        columns of the tensor projection at xi_i (x) e_j."""
         t = nuF.data[x]
-        T = self.op_to_c(x, c)
-        # columns: dual basis (opposite-side) of D(C(x,c)); convert to the
-        # direct-side dual basis, then embed xi (x) v into the ambient block c
-        conv = T.inverse().transpose() if T.rows else Matrix.zeros(f, 0, 0)
-        amb = Matrix.zeros(f, t.ambient, conv.cols)
-        for j in range(conv.cols):
-            for i in range(conv.rows):
-                coef = conv.data[i][j]
-                if coef != f.zero():
-                    for r in range(F.dims[c]):
-                        row = t.offsets[c] + i * F.dims[c] + r
-                        amb.data[row][j] = f.add(amb.data[row][j], f.mul(coef, vec.data[r][0]))
-        return t.proj @ amb
+        n = nuF.source.dims[c]
+        return t.proj.submatrix(range(t.proj.rows),
+                                [t.offsets[c] + i * n + j for i in range(self.cat.hom_dim(x, c))])
 
     def lambda_unit(self, f_mod: Module, nuF: NuApplied | None = None,
                     nm: NuMinusApplied | None = None) -> ModuleMap:
         """The unit F -> nu^- nu F."""
         cat = self.cat
-        f = cat.field
         nuF = nuF or self.nu(f_mod)
         nm = nm or self.nu_minus(nuF.module)
         mats = {}
         for c in cat.objects:
-            cols = []
-            for j in range(f_mod.dims[c]):
-                vec = Matrix.zeros(f, f_mod.dims[c], 1)
-                vec.data[j][0] = f.one()
-                comp_mats = {x: self._hom_into_nu(c, x, nuF, vec) for x in cat.objects}
-                phi = ModuleMap(self.coef_left(c), nuF.module, comp_mats, check=False)
-                cols.append(hom_coords(nm.bases[c], phi))
-            acc = Matrix.zeros(f, len(nm.bases[c]), 0)
-            for col in cols:
-                acc = acc.hstack(col)
-            mats[c] = acc
+            maps = [ModuleMap(self.coef_left(c), nuF.module,
+                              {x: self._hom_into_nu(c, x, nuF, j) for x in cat.objects},
+                              check=False)
+                    for j in range(f_mod.dims[c])]
+            mats[c] = hom_coords(nm.bases[c], maps, cat.field)
         return ModuleMap(f_mod, nm.module, mats, check=False)
 
     def sigma_counit(self, f_mod: Module, nm: NuMinusApplied | None = None,
@@ -332,17 +297,12 @@ class NakayamaEngine:
             t = nu_nm.data[c]
             V = Matrix.zeros(f, f_mod.dims[c], t.ambient)
             for y in cat.objects:
-                Tt = self.op_to_c(c, y).transpose()
                 ny = len(nm.bases[y])
-                dcy = self.cat.hom_dim(c, y)
-                for i in range(dcy):
-                    # dual-basis element i of D(C(c,y)) in opposite-side coords
-                    xi_op = Matrix(f, [[Tt.data[k][i]] for k in range(Tt.rows)], Tt.rows, 1)
-                    for m_idx, psi in enumerate(nm.bases[y]):
-                        val = psi.mats[c] @ xi_op
-                        colpos = t.offsets[y] + i * ny + m_idx
-                        for r in range(f_mod.dims[c]):
-                            V.data[r][colpos] = val.data[r][0]
+                for m_idx, psi in enumerate(nm.bases[y]):
+                    # xi_i (x) psi -> psi(xi_i), column i of psi at c
+                    for r, row in enumerate(psi.mats[c].data):
+                        for i, val in enumerate(row):
+                            V.data[r][t.offsets[y] + i * ny + m_idx] = val
             mats[c] = V @ t.section()
         return ModuleMap(nu_nm.module, f_mod, mats, check=False)
 
@@ -392,19 +352,9 @@ class NakayamaEngine:
                     for si, (k, p) in enumerate(flat):
                         c = summands[k]
                         col = t.offsets[y] + wi * len(flat) + si
-                        # functional on Hom(x, c) in direct-side dual coords
-                        direct = []
-                        for q in cat.hom_basis_paths(x, c):
-                            red = cat.reduce_word(x, q + p)
-                            direct.append(red.get(w, f.zero()))
-                        if not direct:
-                            continue
-                        vcol = Matrix(f, [[e] for e in direct], len(direct), 1)
-                        opcoords = self.op_to_c(x, c).transpose() @ vcol
-                        for r in range(opcoords.rows):
-                            V.data[offs[k] + r][col] = f.add(
-                                V.data[offs[k] + r][col], opcoords.data[r][0]
-                            )
+                        # the functional q -> xi(p after q) on the basis of Hom(x, c)
+                        for r, q in enumerate(cat.hom_basis_paths(x, c)):
+                            V.data[offs[k] + r][col] = cat.reduce_word(x, q + p).get(w, f.zero())
             mats[x] = V @ t.section()
         return ModuleMap(nuP.module, coind, mats, check=False)
 
@@ -487,8 +437,8 @@ class NakayamaEngine:
     def gorenstein_dimension(self) -> GorensteinDimension:
         """sup_c pdim of the coefficient modules, from both sides."""
         if self._gdim is None:
-            left = {c: pdim(self.coef_left(c), self.cutoff) for c in self.cat.objects}
-            right = {c: pdim(self.coef_right(c), self.cutoff) for c in self.cat.objects}
+            left = {c: self.res_left(c).pdim() for c in self.cat.objects}
+            right = {c: self.res_right(c).pdim() for c in self.cat.objects}
             if any(v is None for v in left.values()) or any(v is None for v in right.values()):
                 self._gdim = GorensteinDimension(None, "not-Iwanaga-Gorenstein-at-cutoff",
                                                 left, right, self.cutoff)

@@ -1,5 +1,7 @@
 """Shared category builders for the test suite."""
 
+from hypothesis import settings
+
 from gpquiver.category import Quiver, Relation, build_category
 from gpquiver.linalg import GF, QQ
 
@@ -127,3 +129,9 @@ def trivial(field=QQ, cutoff=2):
 
 F2 = GF(2)
 F5 = GF(5)
+
+
+# The property tests run inside the tier-1 time budget, on the same examples
+# every run; tests with their own @settings keep them.
+settings.register_profile("tier1", max_examples=25, deadline=None, derandomize=True)
+settings.load_profile("tier1")

@@ -3,7 +3,7 @@
 Every stage of the resolution is treated as an arbitrary module: Tor goes
 through the explicit tensor quotient (`tensor_over_cat` plus
 `tensor_induced`), Ext through the dense Hom system (`hom_basis` plus one
-`hom_coords` solve per basis map).  The truncation and vanishing rules are
+`hom_coords` solve per differential).  The truncation and vanishing rules are
 the same as in `gpquiver.modules`, so results compare as DerivedValues.
 """
 
@@ -69,10 +69,7 @@ def ext_from_resolution(res, n_mod, i):
     def delta(j):
         # Hom(P_j, N) -> Hom(P_{j+1}, N), phi -> phi after d_{j+1}
         d = res.diff(j + 1)
-        out = Matrix.zeros(f, len(bases[j + 1]), 0)
-        for phi in bases[j]:
-            out = out.hstack(hom_coords(bases[j + 1], d.then(phi)))
-        return out
+        return hom_coords(bases[j + 1], [d.then(phi) for phi in bases[j]], f)
 
     d_out = delta(i) if i + 1 <= n else Matrix.zeros(f, 0, len(bases[i]))
     d_in = delta(i - 1) if i >= 1 else Matrix.zeros(f, len(bases[0]), 0)

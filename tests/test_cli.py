@@ -1,9 +1,11 @@
 import json
 import os
+import time
 
 import pytest
 
 from gpquiver import cli
+from gpquiver import io as gio
 
 FIXTURES = cli.fixtures_dir()
 
@@ -212,6 +214,44 @@ def test_cutoff_below_one_is_input_error(tmp_path, capsys):
     status, out, err = run(["cat-info", str(p)], capsys)
     assert status == 1
     assert "zero.cat:3" in err and "at least 1" in err
+
+
+def test_cutoff_is_the_resolution_depth_only(capsys):
+    # the square needs paths of length 2 and a length cutoff of 3; --cutoff
+    # bounds the resolutions and leaves the file's length_cutoff = 6 alone
+    status, report = run_json(["gdim", fix("square.cat"), "--cutoff", "2"], capsys)
+    assert status == 0
+    assert report["cutoff"] == 2
+    assert report["result"]["value"] == 2
+
+
+def test_cutoff_leaves_tensor_factors_at_their_file_length(monkeypatch, capsys):
+    lengths = []
+    build = gio.build_category
+
+    def recording_build(quiver, relations, field, length_cutoff):
+        lengths.append(length_cutoff)
+        return build(quiver, relations, field, length_cutoff)
+
+    monkeypatch.setattr(gio, "build_category", recording_build)
+    start = time.perf_counter()
+    status, report = run_json(
+        ["check", "gp", fix("m322.rep"), "--factor", "left", "--cutoff", "4"], capsys)
+    # rebuilding the factors at length 4 took about 40 s
+    assert time.perf_counter() - start < 20
+    assert lengths == [2, 2]  # ex322.cat and ex322_op.cat as written
+    assert report["cutoff"] == 4 and status == 0
+
+
+def test_possibly_infinite_is_input_error_naming_the_length_cutoff(tmp_path, capsys):
+    p = tmp_path / "square2.cat"
+    with open(fix("square.cat"), encoding="utf-8") as fh:
+        p.write_text(fh.read().replace("length_cutoff = 6", "length_cutoff = 2"))
+    for argv in (["gdim", str(p)], ["gdim", str(p), "--cutoff", "8"]):
+        status, out, err = run(argv, capsys)
+        assert status == 1
+        assert out == ""
+        assert "possibly-infinite" in err and "length cutoff 2" in err
 
 
 @pytest.mark.parametrize("argv", [

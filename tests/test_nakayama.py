@@ -86,14 +86,6 @@ def test_nu_minus_functorial():
         eng.nu_minus_map(nmF, nmG, phi).validate()
 
 
-def test_exterior2_opposite_changes_basis():
-    # the only fixture here whose opposite orders its path basis differently
-    eng = NakayamaEngine(exterior2(GF(3)))
-    f = eng.cat.field
-    assert eng.op_to_c("o", "o") == Matrix.from_ints(
-        f, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
-
-
 def test_iso_nu_ishriek_and_coinduced():
     for C in (ka2(), ka3(), square(), ex322(), cyclic3(), exterior2(GF(3))):
         eng = NakayamaEngine(C)
