@@ -31,6 +31,10 @@ class PossiblyInfiniteError(CategoryError):
 
 # Guard against runaway path enumeration before the cutoff is reached.
 MAX_PATHS = 200_000
+# Guard on the dense elimination of one object pair (ideal rows x paths).
+# Lambda(k^4) at length 6 needs 8.7e7 cells and builds; at length 7 it would
+# need 1.7e9 and exhaust memory.
+MAX_DENSE_CELLS = 10**8
 
 Path = tuple  # tuple of arrow names, application order
 
@@ -114,6 +118,7 @@ class BoundQuiverCategory:
         self.max_basis_len = max_basis_len
         self._op = None
         self.tensor_info = None
+        self.source_files = ()  # the files it was parsed from, if any
 
     # -- hom space access -------------------------------------------------
 
@@ -230,20 +235,28 @@ def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) 
         for (x, u2), pres in paths_by_pair.items():
             if u2 != u:
                 continue
-            for q in pres:
+            for q in pres:  # stored by length, so the first too long ends the run
                 if len(q) + max_len > length_cutoff:
-                    continue
+                    break
                 for (v2, y), posts in paths_by_pair.items():
                     if v2 != v:
                         continue
                     for p in posts:
                         if len(q) + max_len + len(p) > length_cutoff:
-                            continue
+                            break
                         vec: dict = {}
                         for coef, term in rel.terms:
                             w = q + term + p
                             vec[w] = field.add(vec.get(w, field.zero()), coef)
                         ideal_rows.setdefault((x, y), []).append(vec)
+
+    for pair, rows in sorted(ideal_rows.items()):
+        cells = len(rows) * len(paths_by_pair[pair])
+        if cells > MAX_DENSE_CELLS:
+            raise CategoryError(
+                f"Hom{pair} needs a dense elimination of {len(rows)} x {len(paths_by_pair[pair])}"
+                f" = {cells} cells, above the bound {MAX_DENSE_CELLS}; lower length_cutoff "
+                f"(now {length_cutoff}): it only needs to exceed the longest nonzero path")
 
     basis: dict = {}
     reduction: dict = {}

@@ -58,11 +58,15 @@ def _verdict_exit(member: str) -> int:
 
 
 def _load_category(args):
-    return gio.parse_category(args.path, field_override=args.field)
+    cat = gio.parse_category(args.path, field_override=args.field)
+    args.inputs = cat.source_files
+    return cat
 
 
 def _load_module(args):
-    return gio.parse_module(args.path, field_override=args.field)
+    m = gio.parse_module(args.path, field_override=args.field)
+    args.inputs = (args.path, *m.cat.source_files)
+    return m
 
 
 def _engine_for(cat, args) -> NakayamaEngine:
@@ -332,7 +336,8 @@ def main(argv=None) -> int:
             FileNotFoundError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    inputs = [args.path] if getattr(args, "path", None) else []
+    # every file the command read: its input and the category files behind it
+    inputs = getattr(args, "inputs", ())
     report = gio.build_report(args.command, inputs, payload,
                               cutoff=cutoff, field=args.field)
     text = gio.dumps_report(report)

@@ -17,6 +17,8 @@ from .modules import (
     ModuleMap,
     ModuleError,
     _ext_from_resolution,
+    _map_columns,
+    _maps_from_columns,
     _tor_from_resolution_of_left,
     dual,
     hom_basis,
@@ -56,12 +58,14 @@ class BaseGorensteinProfile:
 def self_injective_dimension(base: BoundQuiverCategory, cutoff: int = 16) -> BaseGorensteinProfile:
     """Profile the base algebra: the two-sided projective dimension of its
     dual regular bimodule, when that settles below the cutoff."""
-    eng = NakayamaEngine(base, cutoff)
+    return _profile(NakayamaEngine(base, cutoff))
+
+
+def _profile(eng: NakayamaEngine) -> BaseGorensteinProfile:
+    """The profile of the engine's category, read off its Gorenstein dimension."""
     g = eng.gorenstein_dimension()
-    tables = {"left": g.left_pdims, "right": g.right_pdims}
-    if g.finite:
-        return BaseGorensteinProfile(base, g.value, "verified-at-cutoff", cutoff, tables)
-    return BaseGorensteinProfile(base, None, "unknown", cutoff, tables)
+    return BaseGorensteinProfile(eng.cat, g.value, "verified-at-cutoff" if g.finite else "unknown",
+                                 eng.cutoff, {"left": g.left_pdims, "right": g.right_pdims})
 
 
 def declared_profile(base: BoundQuiverCategory, g: int) -> BaseGorensteinProfile:
@@ -208,30 +212,17 @@ def is_monic(f_mod: Module) -> Verdict:
 # -- splitting of the counit P(F) -> F -------------------------------------
 
 
-def _combine_maps(basis: list, coeffs: Matrix) -> ModuleMap:
-    src, dst = basis[0].src, basis[0].dst
-    f = src.cat.field
-    mats = {}
-    for c in src.cat.objects:
-        acc = Matrix.zeros(f, dst.dims[c], src.dims[c])
-        for k, b in enumerate(basis):
-            acc = acc + b.mats[c].scale(coeffs.data[k][0])
-        mats[c] = acc
-    return ModuleMap(src, dst, mats, check=False)
-
-
 def splitting_section(eps: ModuleMap) -> ModuleMap | None:
     """A module map s with s . eps = id on the target of eps, if one exists."""
     F = eps.dst
     if F.is_zero():
-        return ModuleMap(F, eps.src, {c: Matrix.zeros(F.cat.field, eps.src.dims[c], 0)
-                                      for c in F.cat.objects}, check=False)
+        return ModuleMap(F, eps.src, {}, check=False)
     basis = hom_basis(F, eps.src)
     try:
         coeffs = hom_coords([b.then(eps) for b in basis], [ModuleMap.identity(F)], F.cat.field)
     except ModuleError:  # the identity is not in the span
         return None
-    return _combine_maps(basis, coeffs)
+    return _maps_from_columns(F, eps.src, _map_columns(basis) @ coeffs)[0]
 
 
 def is_p_projective(f_mod: Module, engine: NakayamaEngine,
@@ -446,10 +437,14 @@ def discrepancy_probe(m_mod: Module, fact_a: Factorization, fact_b: Factorizatio
     a (member, non-member) pair witnesses a nonzero discrepancy class."""
     if fact_a.total != m_mod.cat or fact_b.total != m_mod.cat:
         raise ModuleError("factorizations must present the module's category")
+    # each factor is one factorization's Nakayama direction and the other's base
+    engines = {}
+    for cat in (fact_a.cat, fact_a.base, fact_b.cat, fact_b.base):
+        if cat not in engines:
+            engines[cat] = NakayamaEngine(cat, cutoff)
     out = {}
     for tag, fact in (("first", fact_a), ("second", fact_b)):
-        # is_gp_functor profiles the base at the engine's cutoff
-        v = is_gp_functor(m_mod, NakayamaEngine(fact.cat, cutoff), None, fact)
+        v = is_gp_functor(m_mod, engines[fact.cat], _profile(engines[fact.base]), fact)
         entry = {"verdict": v,
                  "cat_side": fact.cat_side,
                  "restriction_exactness": exactness_table(fact.restrict_to_cat(m_mod))}

@@ -159,7 +159,9 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
             if not os.path.exists(sub):
                 raise ParseError(path, i, f"referenced category file {ref!r} not found")
             parts[side] = parse_category(sub, cutoff_override, field_override)
-        return tensor_category(parts["left"], parts["right"])
+        cat = tensor_category(parts["left"], parts["right"])
+        cat.source_files = (path, *parts["left"].source_files, *parts["right"].source_files)
+        return cat
 
     if pending["objects"] is None:
         raise ParseError(path, 0, "category file has no objects line")
@@ -175,7 +177,9 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
         parse_relation_expr(field, val, path, i) for i, val in raw_relations
     )
     quiver = Quiver(pending["objects"], tuple(pending["arrows"]))
-    return build_category(quiver, relations, field, cutoff)
+    cat = build_category(quiver, relations, field, cutoff)
+    cat.source_files = (path,)
+    return cat
 
 
 def serialize_category(cat: BoundQuiverCategory, name=None) -> str:

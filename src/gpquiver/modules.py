@@ -4,8 +4,10 @@ A Module is a k-linear functor C -> k-Mod: a dimension per object and a
 matrix per arrow.  Right C-modules are Modules over C.opposite(), which
 keeps one code path for both variances.  Everything downstream (duality,
 tensor, Hom, resolutions, Tor, Ext) reduces to exact linear algebra.
-Tor and Ext over a projective resolution are read off the generators of its
-free stages (Yoneda), without building tensor quotients or Hom systems.
+Hom and tensor share one naturality system: M (x)_C F is read off the Hom
+system of F -> DM, since D(M (x)_C F) = Hom_C(F, DM).  Tor and Ext over a
+projective resolution are read off the generators of its free stages
+(Yoneda), without building tensor quotients or Hom systems.
 """
 
 from __future__ import annotations
@@ -260,21 +262,23 @@ def direct_sum_modules(parts: list) -> tuple:
     return total, incls, projs
 
 
-def kernel(f: ModuleMap) -> tuple:
-    """Kernel module with its inclusion."""
-    cat = f.src.cat
-    bases = {c: f.mats[c].kernel() for c in cat.objects}
-    dims = {c: bases[c].cols for c in cat.objects}
+def _submodule(ambient: Module, bases: dict, what: str) -> tuple:
+    """The submodule of ambient spanned at each object by the columns of
+    bases[c], with its inclusion; the span must be arrow-stable."""
+    cat = ambient.cat
     mats = {}
     for name, (s, t) in cat.arrow_map.items():
-        moved = f.src.mats[name] @ bases[s]
-        coords = bases[t].solve(moved)
+        coords = bases[t].solve(ambient.mats[name] @ bases[s])
         if coords is None:
-            raise LinAlgError("kernel is not arrow-stable")
+            raise LinAlgError(f"{what} is not arrow-stable")
         mats[name] = coords
-    K = Module(cat, dims, mats, check=False)
-    incl = ModuleMap(K, f.src, bases, check=False)
-    return K, incl
+    sub = Module(cat, {c: bases[c].cols for c in cat.objects}, mats, check=False)
+    return sub, ModuleMap(sub, ambient, bases, check=False)
+
+
+def kernel(f: ModuleMap) -> tuple:
+    """Kernel module with its inclusion."""
+    return _submodule(f.src, {c: f.mats[c].kernel() for c in f.src.cat.objects}, "kernel")
 
 
 def cokernel(f: ModuleMap) -> tuple:
@@ -293,64 +297,41 @@ def cokernel(f: ModuleMap) -> tuple:
 
 def image(f: ModuleMap) -> tuple:
     """Image module with its inclusion into the target."""
-    cat = f.src.cat
-    bases = {c: f.mats[c].column_space_basis() for c in cat.objects}
-    dims = {c: bases[c].cols for c in cat.objects}
-    mats = {}
-    for name, (s, t) in cat.arrow_map.items():
-        coords = bases[t].solve(f.dst.mats[name] @ bases[s])
-        if coords is None:
-            raise LinAlgError("image is not arrow-stable")
-        mats[name] = coords
-    I = Module(cat, dims, mats, check=False)
-    incl = ModuleMap(I, f.dst, bases, check=False)
-    return I, incl
+    return _submodule(f.dst, {c: f.mats[c].column_space_basis() for c in f.src.cat.objects},
+                      "image")
 
 
 # -- Hom ------------------------------------------------------------------
 
 
-def hom_basis(m: Module, n: Module) -> list:
-    """Canonical basis of the space of module maps m -> n."""
+def _naturality_system(m: Module, n: Module) -> Matrix:
+    """The linear system of the module maps m -> n: one row per entry (a, i, j)
+    of phi_t M(a) - N(a) phi_s, a: s -> t, over the unknowns (phi_c)_c,
+    flattened as _map_columns flattens maps (object order, row-major)."""
     cat = m.cat
     f = cat.field
-    offsets = {}
-    off = 0
-    for c in cat.objects:
-        offsets[c] = off
-        off += n.dims[c] * m.dims[c]
-    unknowns = off
+    ends = list(accumulate((n.dims[c] * m.dims[c] for c in cat.objects), initial=0))
+    offsets = dict(zip(cat.objects, ends))
     rows = []
     z = f.zero()
     for name, (s, t) in cat.arrow_map.items():
         ma, na = m.mats[name], n.mats[name]
         for i in range(n.dims[t]):
             for j in range(m.dims[s]):
-                row = [z] * unknowns
+                row = [z] * ends[-1]
                 for k in range(m.dims[t]):
-                    row[offsets[t] + i * m.dims[t] + k] = f.add(
-                        row[offsets[t] + i * m.dims[t] + k], ma.data[k][j]
-                    )
+                    idx = offsets[t] + i * m.dims[t] + k
+                    row[idx] = f.add(row[idx], ma.data[k][j])
                 for k in range(n.dims[s]):
-                    row[offsets[s] + k * m.dims[s] + j] = f.sub(
-                        row[offsets[s] + k * m.dims[s] + j], na.data[i][k]
-                    )
+                    idx = offsets[s] + k * m.dims[s] + j
+                    row[idx] = f.sub(row[idx], na.data[i][k])
                 rows.append(row)
-    system = Matrix(f, rows, len(rows), unknowns)
-    ker = system.kernel()
-    maps = []
-    for col in range(ker.cols):
-        mats = {}
-        for c in cat.objects:
-            data = []
-            for i in range(n.dims[c]):
-                data.append([
-                    ker.data[offsets[c] + i * m.dims[c] + j][col]
-                    for j in range(m.dims[c])
-                ])
-            mats[c] = Matrix(f, data, n.dims[c], m.dims[c])
-        maps.append(ModuleMap(m, n, mats, check=False))
-    return maps
+    return Matrix(f, rows, len(rows), ends[-1])
+
+
+def hom_basis(m: Module, n: Module) -> list:
+    """Canonical basis of the space of module maps m -> n."""
+    return _maps_from_columns(m, n, _naturality_system(m, n).kernel())
 
 
 def hom_coords(basis: list, maps: list, field) -> Matrix:
@@ -371,6 +352,20 @@ def _map_columns(maps: list) -> Matrix:
     """Module maps flattened to columns (object order, row-major)."""
     flat = [[e for c in m.src.cat.objects for e in m.mats[c].entries_flat()] for m in maps]
     return Matrix(maps[0].src.cat.field, [list(r) for r in zip(*flat)], len(flat[0]), len(flat))
+
+
+def _maps_from_columns(m: Module, n: Module, cols: Matrix) -> list:
+    """The inverse of _map_columns: the maps m -> n flattened in the columns."""
+    f = m.cat.field
+    maps = []
+    for flat in cols.transpose().data:
+        mats, off = {}, 0
+        for c in m.cat.objects:
+            r, k = n.dims[c], m.dims[c]
+            mats[c] = Matrix(f, [flat[off + i * k:off + (i + 1) * k] for i in range(r)], r, k)
+            off += r * k
+        maps.append(ModuleMap(m, n, mats, check=False))
+    return maps
 
 
 # -- tensor over the category --------------------------------------------
@@ -407,36 +402,19 @@ class TensorResult:
 
 
 def tensor_over_cat(m: Module, f_mod: Module) -> TensorResult:
-    """Tensor of a right module (module over the opposite) with a left module."""
+    """Tensor of a right module (module over the opposite) with a left module.
+
+    Read off the Hom system: D(M (x)_C F) = Hom_C(F, DM), and a map F -> DM
+    flattened by _map_columns has the ambient coordinates of M (x)_C F, so
+    the quotient map's rows are a basis of those maps.
+    """
     cat = f_mod.cat
     if m.cat != cat.opposite():
         raise ModuleError("tensor needs a right module (over the opposite category)")
-    f = cat.field
-    offsets, block_dims = {}, {}
-    off = 0
-    for y in cat.objects:
-        offsets[y] = off
-        block_dims[y] = (m.dims[y], f_mod.dims[y])
-        off += m.dims[y] * f_mod.dims[y]
-    ambient = off
-    cols = []
-    z = f.zero()
-    for name, (s, t) in cat.arrow_map.items():
-        # arrow a: s -> t in C; m is contravariant, so m.mats[a]: M(t) -> M(s)
-        ma, fa = m.mats[name], f_mod.mats[name]
-        for i in range(m.dims[t]):
-            for j in range(f_mod.dims[s]):
-                col = [z] * ambient
-                for k in range(m.dims[s]):
-                    idx = offsets[s] + k * f_mod.dims[s] + j
-                    col[idx] = f.add(col[idx], ma.data[k][i])
-                for l in range(f_mod.dims[t]):
-                    idx = offsets[t] + i * f_mod.dims[t] + l
-                    col[idx] = f.sub(col[idx], fa.data[l][j])
-                cols.append(col)
-    rel = Matrix(f, [[c[r] for c in cols] for r in range(ambient)], ambient, len(cols))
-    proj = rel.cokernel_projection()
-    return TensorResult(f, offsets, block_dims, ambient, proj)
+    ends = list(accumulate((m.dims[y] * f_mod.dims[y] for y in cat.objects), initial=0))
+    block_dims = {y: (m.dims[y], f_mod.dims[y]) for y in cat.objects}
+    proj = _naturality_system(f_mod, dual(m)).kernel().transpose()
+    return TensorResult(cat.field, dict(zip(cat.objects, ends)), block_dims, ends[-1], proj)
 
 
 def tensor_induced(src: TensorResult, dst: TensorResult, cat, u: ModuleMap | None, v: ModuleMap | None) -> Matrix:

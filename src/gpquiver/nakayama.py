@@ -73,11 +73,10 @@ class GorensteinDimension:
         return self.status == "finite"
 
 
-def precomposition(cat: BoundQuiverCategory, arrow: str) -> ModuleMap:
-    """For a: s -> t, the map C(t,-) -> C(s,-) given by q -> q after a."""
+def precomposition(cat: BoundQuiverCategory, arrow: str) -> dict:
+    """For a: s -> t, the matrix at each object x of the map C(t,-) -> C(s,-)
+    given by q -> q after a, in the path bases."""
     s, t = cat.arrow_map[arrow]
-    src = representable(cat, t)
-    dst = representable(cat, s)
     f = cat.field
     mats = {}
     for x in cat.objects:
@@ -88,7 +87,7 @@ def precomposition(cat: BoundQuiverCategory, arrow: str) -> ModuleMap:
             for q, coef in cat.reduce_word(s, (arrow,) + p).items():
                 data[idx[q]][j] = coef
         mats[x] = Matrix(f, data, len(idx), len(cols))
-    return ModuleMap(src, dst, mats, check=False)
+    return mats
 
 
 class NakayamaEngine:
@@ -136,7 +135,11 @@ class NakayamaEngine:
     def u_map(self, arrow: str) -> ModuleMap:
         """D(C(s,-)) -> D(C(t,-)) for a: s -> t (covariant coefficient maps)."""
         if arrow not in self._u:
-            self._u[arrow] = dual_map(precomposition(self.cat, arrow))
+            s, t = self.cat.arrow_map[arrow]
+            self._u[arrow] = ModuleMap(
+                self.coef_right(s), self.coef_right(t),
+                {x: m.transpose() for x, m in precomposition(self.cat, arrow).items()},
+                check=False)
         return self._u[arrow]
 
     def w_map(self, arrow: str) -> ModuleMap:

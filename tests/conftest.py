@@ -117,7 +117,7 @@ def module322(T):
     dims = {"1|1": 0, "1|2": 0, "2|1": q2.dims["1"], "2|2": q2.dims["2"]}
     mats = {}
     for d in lam2.objects:
-        mats[f"be|{d}"] = s.mats[d]
+        mats[f"be|{d}"] = s[d]
     for b in lam2.arrow_map:
         mats[f"2|{b}"] = q2.mats[b]
     return Module(T, dims, mats)

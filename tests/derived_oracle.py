@@ -1,6 +1,10 @@
-"""Reference Tor/Ext dimensions computed without the generator shortcut.
+"""Reference routes kept apart from the production ones.
 
-Every stage of the resolution is treated as an arbitrary module: Tor goes
+`tensor_projection` builds the quotient map of M (x)_C F from the tensor
+relations m.a (x) f - m (x) a.f column by column, without the Hom system.
+
+Tor/Ext dimensions are computed without the generator shortcut: every
+stage of the resolution is treated as an arbitrary module.  Tor goes
 through the explicit tensor quotient (`tensor_over_cat` plus
 `tensor_induced`), Ext through the dense Hom system (`hom_basis` plus one
 `hom_coords` solve per differential).  The truncation and vanishing rules are
@@ -15,6 +19,33 @@ from gpquiver.modules import (
     tensor_induced,
     tensor_over_cat,
 )
+
+
+def tensor_projection(m, f_mod):
+    """The quotient map of tensor_over_cat(m, f_mod), from one relation column
+    per arrow a: s -> t and basis pair (i, j) of M(t) x F(s)."""
+    cat = f_mod.cat
+    f = cat.field
+    offsets, off = {}, 0
+    for y in cat.objects:
+        offsets[y] = off
+        off += m.dims[y] * f_mod.dims[y]
+    cols = []
+    for name, (s, t) in cat.arrow_map.items():
+        # m is contravariant, so m.mats[a]: M(t) -> M(s)
+        ma, fa = m.mats[name], f_mod.mats[name]
+        for i in range(m.dims[t]):
+            for j in range(f_mod.dims[s]):
+                col = [f.zero()] * off
+                for k in range(m.dims[s]):
+                    idx = offsets[s] + k * f_mod.dims[s] + j
+                    col[idx] = f.add(col[idx], ma.data[k][i])
+                for l in range(f_mod.dims[t]):
+                    idx = offsets[t] + i * f_mod.dims[t] + l
+                    col[idx] = f.sub(col[idx], fa.data[l][j])
+                cols.append(col)
+    rel = Matrix(f, [[c[r] for c in cols] for r in range(off)], off, len(cols))
+    return rel.cokernel_projection()
 
 
 def _out_of_range(res, i):

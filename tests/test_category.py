@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import F5, chain, cyclic3, ex322, ka2, ka3, loop_sq, square, trivial
@@ -10,7 +12,7 @@ from gpquiver.category import (
     build_category,
     tensor_category,
 )
-from gpquiver.linalg import QQ
+from gpquiver.linalg import GF, QQ
 
 
 ALL_BUILDERS = [ka2, ka3, loop_sq, square, lambda f=QQ: chain(2, f), lambda f=QQ: chain(3, f, cutoff=5), cyclic3, ex322, trivial]
@@ -107,6 +109,21 @@ def test_free_loop_is_flagged_infinite():
     with pytest.raises(PossiblyInfiniteError) as exc:
         build_category(q, (), QQ, 6)
     assert exc.value.pair == ("1", "1")
+
+
+def test_oversized_dense_elimination_is_refused():
+    # Lambda(k^4) at length 7 has 21,845 paths, below MAX_PATHS, but its
+    # elimination would be 77,370 x 21,845; it was killed for lack of memory
+    f = GF(2)
+    xs = ("x1", "x2", "x3", "x4")
+    rels = [Relation(((f.one(), (x, x)),)) for x in xs]
+    rels += [Relation(((f.one(), (x, y)), (f.one(), (y, x))))
+             for i, x in enumerate(xs) for y in xs[i + 1:]]
+    q = Quiver(("o",), tuple((x, "o", "o") for x in xs))
+    start = time.perf_counter()
+    with pytest.raises(CategoryError, match=r"77370 x 21845 .* length_cutoff \(now 7\)"):
+        build_category(q, tuple(rels), f, 7)
+    assert time.perf_counter() - start < 10
 
 
 def test_tensor_with_point_is_identity_on_dims():

@@ -1,11 +1,13 @@
 import json
 import os
+import shutil
 import time
 
 import pytest
 
 from gpquiver import cli
 from gpquiver import io as gio
+from gpquiver.nakayama import NakayamaEngine
 
 FIXTURES = cli.fixtures_dir()
 
@@ -108,8 +110,18 @@ def test_check_gp_depends_on_factorization(capsys):
     assert report["result"]["verdict"]["member"] == "no"
 
 
-def test_check_discrepancy(capsys):
+def test_check_discrepancy(monkeypatch, capsys):
+    engines = []
+    init = NakayamaEngine.__init__
+
+    def counting_init(self, cat, cutoff=16):
+        engines.append(cat)
+        init(self, cat, cutoff)
+
+    monkeypatch.setattr(NakayamaEngine, "__init__", counting_init)
     status, report = run_json(["check", "discrepancy", fix("m322.rep")], capsys)
+    # each factor is one factorization's direction and the other's base
+    assert len(engines) == 2
     assert status == 0
     r = report["result"]
     assert r["discrepancy"] is True
@@ -202,6 +214,22 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
         assert status == 0
         texts.append(dest.read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_report_digests_every_file_read(tmp_path, capsys):
+    for name in ("m322.rep", "ex322_tensor.cat", "ex322.cat", "ex322_op.cat"):
+        shutil.copy(fix(name), tmp_path / name)
+    argv = ["check", "gp", str(tmp_path / "m322.rep"), "--factor", "left"]
+    _, before = run_json(argv, capsys)
+    assert before["inputs"] == {name: gio.file_digest(tmp_path / name) for name in (
+        "m322.rep", "ex322_tensor.cat", "ex322.cat", "ex322_op.cat")}
+    with open(tmp_path / "ex322.cat", "a", encoding="utf-8") as fh:
+        fh.write("# a comment changes the bytes, not the category\n")
+    _, after = run_json(argv, capsys)
+    assert after["inputs"]["ex322.cat"] != before["inputs"]["ex322.cat"]
+    assert {k: v for k, v in after["inputs"].items() if k != "ex322.cat"} == {
+        k: v for k, v in before["inputs"].items() if k != "ex322.cat"}
+    assert after["result"] == before["result"]
 
 
 def test_cutoff_below_one_is_input_error(tmp_path, capsys):

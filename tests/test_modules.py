@@ -353,6 +353,23 @@ def test_derived_dims_match_generic_oracle(make, field):
                     assert (got.dim, got.conclusive) == (want.dim, want.conclusive)
 
 
+@pytest.mark.parametrize("make", [loop_sq, ex322, cyclic3])
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "Q"])
+def test_tensor_projection_matches_column_oracle(make, field):
+    # the quotient read off the Hom system of F -> DM equals, entry for entry,
+    # the one built from the tensor relations; loop arrows put both terms of
+    # a relation in one slot
+    C = make(field)
+    op = C.opposite()
+    rng = random.Random(41)
+    lefts = [random_module(C, rng) for _ in range(3)] + [longest_path_quotient(C)]
+    rights = [random_module(op, rng) for _ in range(3)] + [
+        dual(representable(C, c)) for c in C.objects]
+    for M in rights:
+        for F in lefts:
+            assert tensor_over_cat(M, F).proj == derived_oracle.tensor_projection(M, F)
+
+
 def test_dual_map_contravariant():
     C = ka2()
     F = a2_rep(QQ, 1, 1, [[1]])

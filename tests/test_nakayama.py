@@ -60,6 +60,17 @@ def test_nu_is_cokernel_functor_on_a2():
         nuF.module.validate()
 
 
+def test_coefficient_maps_label_with_cached_coefficients():
+    # u_map(a) for a: s -> t is the dual of precomposition, between the cached
+    # D(C(s,-)) and D(C(t,-)); no representable is rebuilt to label it
+    for C in (square(), ex322(), exterior2(GF(3))):
+        eng = NakayamaEngine(C)
+        for a, (s, t) in C.arrow_map.items():
+            u = eng.u_map(a)
+            assert u.src is eng.coef_right(s) and u.dst is eng.coef_right(t)
+            u.validate()
+
+
 def test_nu_of_zero():
     eng = NakayamaEngine(square())
     assert eng.nu(zero_module(square())).module.is_zero()

@@ -9,11 +9,20 @@ differs from the category's own; the Nakayama engine must not depend on it.
 
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import derived_oracle
 from gpquiver.category import Quiver, Relation, build_category
+from gpquiver.gorenstein import is_gproj_P
 from gpquiver.linalg import GF, QQ
-from gpquiver.modules import ModuleMap
+from gpquiver.modules import (
+    ModuleMap,
+    _tor_from_resolution_of_left,
+    _tor_from_resolution_of_right,
+    dual,
+    projective_resolution,
+    tensor_over_cat,
+)
 from gpquiver.nakayama import NakayamaEngine
 from test_modules import random_module
 
@@ -86,3 +95,33 @@ def test_one_basis_nakayama_engine(cat, seed):
         by_ext = eng.right_derived_nu_minus_dims(F, i)
         by_cores = eng.right_derived_nu_minus(F, i).dim_vector()
         assert {c: v.expect() for c, v in by_ext.items()} == by_cores
+
+
+# each example resolves every coefficient module of a fresh engine; 10 keep
+# the test inside the tier-1 time budget
+@settings(max_examples=10)
+@given(bound_quivers(), st.integers(0, 2**32))
+def test_tensor_and_derived_routes_agree(cat, seed):
+    rng = random.Random(seed)
+    eng = NakayamaEngine(cat, 8)
+    F = random_module(cat, rng, max_gens=1)
+
+    # the tensor quotient read off the Hom system against the relation columns
+    for M in [eng.coef_right(c) for c in cat.objects] + [dual(random_module(cat, rng))]:
+        assert tensor_over_cat(M, F).proj == derived_oracle.tensor_projection(M, F)
+
+    # Tor_i(D C(c,-), F) from a resolution of either side
+    res_f = projective_resolution(F, 8)
+    for c in cat.objects:
+        for i in range(3):
+            right = _tor_from_resolution_of_right(eng.res_right(c), F, i)
+            left = _tor_from_resolution_of_left(eng.coef_right(c), res_f, i)
+            assert right.conclusive and (right.dim, True) == (left.dim, left.conclusive)
+
+    # the shortcut and the full gproj-P routes give the same verdict, unless
+    # the full route stops at its cutoff
+    short = is_gproj_P(F, eng)
+    full = is_gproj_P(F, eng, force_full=True)
+    assert short.certificate["route"] == "shortcut"
+    assert full.member == short.member or (
+        full.member == "inconclusive" and "blocking_cutoff" in full.certificate)
