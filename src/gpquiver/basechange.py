@@ -3,7 +3,9 @@
 A representation of C with values in Lambda_B-Mod is stored as a single
 module over the tensor category T = Lambda_B (x) C; this layer slices such a
 module into C-fibers over base objects, restricts it to C, and pushes the
-Nakayama functor of the C-factor through the base action.
+Nakayama functor of the C-factor through the base action.  The based
+P(F) = i_! i^* F is the basis cover of each fiber, with base arrows moving
+the generators.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .category import BoundQuiverCategory
 from .linalg import Matrix, direct_sum_many, kronecker_product
-from .modules import Module, ModuleMap, ModuleError, direct_sum_modules, representable
+from .modules import Module, ModuleMap, ModuleError, basis_cover, direct_sum_modules
 from .nakayama import NakayamaEngine
 
 
@@ -120,44 +122,26 @@ class Factorization:
     def p_counit_based(self, F: Module) -> tuple:
         """P(F) = i_! i^* F as a T-module, with its counit onto F.
 
-        P(F)(d, x) = (+)_c C(c, x) (x) F(d, c); C acts on the representable
-        leg, the base acts on the coefficient leg.
+        Over each base object d this is the basis cover of the fiber:
+        P(F)(d, -) = (+)_c (+)_j C(c, -), one generator block per basis
+        vector j of F(d, c).  A base arrow b acts on the blocks at c as
+        F(b)_c (x) id, moving generators and keeping paths.
         """
         C, B, T = self.cat, self.base, self.total
         f = T.field
-        reps = {c: representable(C, c) for c in C.objects}
-        dims = {}
+        dims, mats, eps = {}, {}, {}
         for d in B.objects:
+            cov = basis_cover(self.fiber(F, d))
             for x in C.objects:
-                dims[self.pair_obj(d, x)] = sum(
-                    C.hom_dim(c, x) * F.dims[self.pair_obj(d, c)] for c in C.objects
-                )
-        mats = {}
-        for d in B.objects:
+                dims[self.pair_obj(d, x)] = cov.module.dims[x]
+                eps[self.pair_obj(d, x)] = cov.epi.mats[x]
             for a in C.arrow_map:
-                blocks = [
-                    kronecker_product(reps[c].mats[a],
-                                      Matrix.identity(f, F.dims[self.pair_obj(d, c)]))
-                    for c in C.objects
-                ]
-                mats[self.cat_arrow_at(d, a)] = direct_sum_many(f, blocks)
+                mats[self.cat_arrow_at(d, a)] = cov.module.mats[a]
         for b in B.arrow_map:
             for x in C.objects:
-                blocks = [
-                    kronecker_product(Matrix.identity(f, C.hom_dim(c, x)),
-                                      F.mats[self.base_arrow_at(b, c)])
-                    for c in C.objects
-                ]
-                mats[self.base_arrow_at(b, x)] = direct_sum_many(f, blocks)
+                mats[self.base_arrow_at(b, x)] = direct_sum_many(f, [
+                    kronecker_product(F.mats[self.base_arrow_at(b, c)],
+                                      Matrix.identity(f, C.hom_dim(c, x)))
+                    for c in C.objects])
         PF = Module(T, dims, mats, check=False)
-        eps_mats = {}
-        for d in B.objects:
-            fib = self.fiber(F, d)
-            for x in C.objects:
-                acc = Matrix.zeros(f, F.dims[self.pair_obj(d, x)], 0)
-                for c in C.objects:
-                    for p in C.hom_basis_paths(c, x):
-                        acc = acc.hstack(fib.act_path(c, p))
-                eps_mats[self.pair_obj(d, x)] = acc
-        eps = ModuleMap(PF, F, eps_mats, check=False)
-        return PF, eps
+        return PF, ModuleMap(PF, F, eps, check=False)

@@ -231,7 +231,7 @@ def cmd_enumerate(args):
 def cmd_fixtures(args):
     d = fixtures_dir()
     payload = {
-        "directory": d,
+        "directory": "gpquiver/fixtures",
         "files": {f: gio.file_digest(os.path.join(d, f)) for f in list_fixtures()},
     }
     return payload, EXIT_OK

@@ -69,6 +69,8 @@ def _profile(eng: NakayamaEngine) -> BaseGorensteinProfile:
 
 
 def declared_profile(base: BoundQuiverCategory, g: int) -> BaseGorensteinProfile:
+    if g < 0:
+        raise ModuleError(f"a self-injective dimension is at least 0, got {g}")
     return BaseGorensteinProfile(base, g, "declared")
 
 
@@ -475,6 +477,8 @@ def enumerate_representations(cat: BoundQuiverCategory, dim_bounds,
         bounds = {c: dim_bounds for c in cat.objects}
     else:
         bounds = dict(dim_bounds)
+    if any(b < 0 for b in bounds.values()):
+        raise ModuleError(f"dimension bounds must be at least 0, got {bounds}")
     arrows = sorted(cat.arrow_map)
     total = 0
     dim_choices = list(itertools.product(*(range(bounds[c] + 1) for c in cat.objects)))

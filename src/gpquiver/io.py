@@ -299,10 +299,14 @@ def file_digest(path) -> str:
 
 
 def build_report(command, input_paths, payload, cutoff=None, field=None) -> dict:
+    """The report of a command; its inputs are keyed by their paths relative
+    to the directory of the first one, the file named on the command line."""
+    root = os.path.dirname(os.path.abspath(input_paths[0])) if input_paths else ""
     return {
         "schema": REPORT_SCHEMA,
         "command": command,
-        "inputs": {os.path.basename(p): file_digest(p) for p in input_paths},
+        "inputs": {os.path.relpath(os.path.abspath(p), root): file_digest(p)
+                   for p in input_paths},
         "cutoff": cutoff,
         "field": field,
         "result": payload,

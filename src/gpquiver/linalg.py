@@ -447,18 +447,20 @@ class Matrix:
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    a._check_field(b)
-    f = a.field
-    z = f.zero()
-    out = [row + [z] * b.cols for row in a.data] + [[z] * a.cols + row for row in b.data]
-    return Matrix(f, out, a.rows + b.rows, a.cols + b.cols)
+    return direct_sum_many(a.field, [a, b])
 
 
 def direct_sum_many(field: Field, mats: list[Matrix]) -> Matrix:
-    acc = Matrix.zeros(field, 0, 0)
+    """The block-diagonal matrix of mats, built in one pass."""
+    z = field.zero()
+    cols = sum(m.cols for m in mats)
+    out, left = [], 0
     for m in mats:
-        acc = direct_sum(acc, m)
-    return acc
+        if m.field != field:
+            raise FieldMismatchError(f"{m.field!r} vs {field!r}")
+        out += [[z] * left + row + [z] * (cols - left - m.cols) for row in m.data]
+        left += m.cols
+    return Matrix(field, out, len(out), cols)
 
 
 def kronecker_product(a: Matrix, b: Matrix) -> Matrix:

@@ -8,6 +8,11 @@ Hom and tensor share one naturality system: M (x)_C F is read off the Hom
 system of F -> DM, since D(M (x)_C F) = Hom_C(F, DM).  Tor and Ext over a
 projective resolution are read off the generators of its free stages
 (Yoneda), without building tensor quotients or Hom systems.
+
+Free modules are known by their generators.  free_module lays out
+(+)_k C(c_k,-) once, block k at x spanning the basis paths of C(c_k, x)
+with the identity path first; covers, i_! and the basis cover
+P(M) = i_! i^* M all use it, and block_offsets finds generator k.
 """
 
 from __future__ import annotations
@@ -449,24 +454,51 @@ class Cover:
     summands: list          # of (object, generator column in M(object))
 
 
+def free_module(cat: BoundQuiverCategory, objs: list) -> Module:
+    """(+)_k C(c_k,-) for objs = [c_k]: block k at x spans the basis paths of
+    C(c_k, x), the identity path first, and arrows act blockwise as on the
+    representables."""
+    reps = {c: representable(cat, c) for c in dict.fromkeys(objs)}
+    dims = {x: sum(reps[c].dims[x] for c in objs) for x in cat.objects}
+    mats = {a: direct_sum_many(cat.field, [reps[c].mats[a] for c in objs])
+            for a in cat.arrow_map}
+    return Module(cat, dims, mats, check=False)
+
+
+def block_offsets(cat: BoundQuiverCategory, objs: list, x) -> list:
+    """Where block k of free_module(cat, objs) starts at x, and its end; the
+    generator of block k is row block_offsets(cat, objs, c_k)[k]."""
+    return list(accumulate((cat.hom_dim(c, x) for c in objs), initial=0))
+
+
 def free_on_generators(m: Module, summands: list) -> Cover:
-    """Direct sum of representables at the summand objects, with the action
-    map sending each generator of C(c,-) to its chosen vector in M(c)."""
+    """free_module on the summand objects, with the action map sending the
+    generator of C(c,-) to its chosen vector in M(c).  The image of a path
+    p.a is M(a) applied to the image of p, each prefix computed once."""
     cat = m.cat
-    f = cat.field
-    parts = [representable(cat, c) for c, _ in summands]
-    if parts:
-        total, _, _ = direct_sum_modules(parts)
-    else:
-        total = zero_module(cat)
-    epi_mats = {}
-    for x in cat.objects:
-        acc = Matrix.zeros(f, m.dims[x], 0)
-        for c, vec in summands:
+    rows = {x: [[] for _ in range(m.dims[x])] for x in cat.objects}
+    for c, vec in summands:
+        images = {(): vec}
+        for x in cat.objects:
             for p in cat.hom_basis_paths(c, x):
-                acc = acc.hstack(m.act_path(c, p) @ vec)
-        epi_mats[x] = acc
-    return Cover(total, ModuleMap(total, m, epi_mats, check=False), summands)
+                for k in range(1, len(p) + 1):
+                    if p[:k] not in images:
+                        images[p[:k]] = m.mats[p[k - 1]] @ images[p[:k - 1]]
+                for row, entry in zip(rows[x], images[p].data):
+                    row += entry
+    total = free_module(cat, [c for c, _ in summands])
+    epi = {x: Matrix(cat.field, rows[x], m.dims[x], total.dims[x]) for x in cat.objects}
+    return Cover(total, ModuleMap(total, m, epi, check=False), summands)
+
+
+def basis_cover(m: Module) -> Cover:
+    """P(M) = i_! i^* M: the free module on a basis of M, with its counit."""
+    f = m.cat.field
+    summands = []
+    for c in m.cat.objects:
+        unit = Matrix.identity(f, m.dims[c])
+        summands += [(c, unit.col(j)) for j in range(m.dims[c])]
+    return free_on_generators(m, summands)
 
 
 def projective_cover(m: Module, padded: bool = False) -> Cover:
@@ -474,12 +506,8 @@ def projective_cover(m: Module, padded: bool = False) -> Cover:
     f = cat.field
     summands = []
     for c in cat.objects:
-        rad = radical_inclusion_images(m, c)
-        top_proj = rad.cokernel_projection()
-        if top_proj.rows:
-            gens = top_proj.right_inverse()
-            for j in range(gens.cols):
-                summands.append((c, gens.col(j)))
+        gens = radical_inclusion_images(m, c).cokernel_projection().right_inverse()
+        summands += [(c, gens.col(j)) for j in range(gens.cols)]
     if padded and cat.objects:
         # extra non-minimal summand mapping to zero
         summands.append((cat.objects[0], Matrix.zeros(f, m.dims[cat.objects[0]], 1)))
@@ -577,13 +605,11 @@ def _applied_diff(res: Resolution, x: Module, j: int, tensor: bool) -> Matrix:
         d = res.diff(j)
         acts: dict = {}
         for l, c in enumerate(src):
-            # generator l: identity path of its block at c, as in free_on_generators
-            gen = sum(cat.hom_dim(b, c) for b in src[:l]) + cat.hom_basis_paths(c, c).index(())
-            row = 0
+            gen = block_offsets(cat, src, c)[l]
+            starts = block_offsets(cat, dst, c)
             for k, b in enumerate(dst):
-                for p in cat.hom_basis_paths(b, c):
+                for row, p in enumerate(cat.hom_basis_paths(b, c), starts[k]):
                     coef = d.mats[c].data[row][gen]
-                    row += 1
                     if coef == f.zero():
                         continue
                     key = (c, tuple(reversed(p))) if tensor else (b, p)
@@ -598,7 +624,10 @@ def _applied_diff(res: Resolution, x: Module, j: int, tensor: bool) -> Matrix:
 
 
 def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedValue:
-    """dim H_i of X applied to the resolution: Tor_i when tensor, else Ext^i."""
+    """dim H_i of X applied to the resolution: Tor_i when tensor, else Ext^i,
+    as dim ker d_out - rank d_in."""
+    if i < 0:
+        raise ModuleError("negative degree")
     n = res.length()
     if not res.completed and i > n - 1:
         return DerivedValue(None, False, "resolution truncated below requested degree")
@@ -608,7 +637,9 @@ def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedVal
         d_out, d_in = _applied_diff(res, x, i, True), _applied_diff(res, x, i + 1, True)
     else:       # X P_{i-1} -> X P_i -> X P_{i+1}
         d_out, d_in = _applied_diff(res, x, i + 1, False), _applied_diff(res, x, i, False)
-    return DerivedValue(Subquotient.homology(d_out, d_in).dim, True)
+    if not (d_out @ d_in).is_zero():
+        raise LinAlgError("homology: composite differential is nonzero")
+    return DerivedValue(d_out.cols - d_out.rank() - d_in.rank(), True)
 
 
 def _tor_from_resolution_of_right(res: Resolution, f_mod: Module, i: int) -> DerivedValue:

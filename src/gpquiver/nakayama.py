@@ -12,6 +12,7 @@ left action read off precomposition and the right one off the representables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .category import BoundQuiverCategory
 from .linalg import Matrix
@@ -25,10 +26,12 @@ from .modules import (
     _ext_from_resolution,
     _tor_from_resolution_of_left,
     _tor_from_resolution_of_right,
+    basis_cover,
+    block_offsets,
     direct_sum_modules,
     dual,
     dual_map,
-    free_on_generators,
+    free_module,
     hom_basis,
     hom_coords,
     homology_of_modules,
@@ -117,6 +120,8 @@ class NakayamaEngine:
         by the dual of precomposition, D(C(s,c)) -> D(C(t,c))."""
         if c not in self._coef_left:
             cat = self.cat
+            if c not in cat.objects:
+                raise ModuleError(f"unknown object {c!r}")
             self._coef_left[c] = Module(
                 cat, {x: cat.hom_dim(x, c) for x in cat.objects},
                 {a: self.u_map(a).mats[c] for a in cat.arrow_map}, check=False)
@@ -154,26 +159,22 @@ class NakayamaEngine:
 
     # -- the adjoint triple ------------------------------------------------
 
+    def _generator_objects(self, parts: dict) -> list:
+        """The object of each summand of i_!(parts), in object order."""
+        for c in parts:
+            if c not in self.cat.objects:
+                raise ModuleError(f"unknown object {c!r} in parts")
+        return [c for c in self.cat.objects for _ in range(int(parts.get(c, 0)))]
+
     def i_shriek(self, parts: dict) -> Cover:
-        """(+)_c C(c,-) (x) k^{n_c}.
+        """(+)_c C(c,-) (x) k^{n_c} = free_module on the generator objects.
 
         Returns a Cover whose summand list records the source object of each
         representable summand, in object order.
         """
-        cat = self.cat
-        for c in parts:
-            if c not in cat.objects:
-                raise ModuleError(f"unknown object {c!r} in parts")
-        summands = []
-        for c in cat.objects:
-            for _ in range(int(parts.get(c, 0))):
-                summands.append(c)
-        mods = [representable(cat, c) for c in summands]
-        if mods:
-            total, _, _ = direct_sum_modules(mods)
-        else:
-            total = zero_module(cat)
-        return Cover(total, ModuleMap.identity(total), [(c, None) for c in summands])
+        objs = self._generator_objects(parts)
+        total = free_module(self.cat, objs)
+        return Cover(total, ModuleMap.identity(total), [(c, None) for c in objs])
 
     def i_shriek_module(self, parts: dict) -> Module:
         return self.i_shriek(parts).module
@@ -183,48 +184,25 @@ class NakayamaEngine:
 
     def counit_P(self, f_mod: Module) -> tuple:
         """P(F) = i_! i^* F with its action epimorphism onto F."""
-        f = self.cat.field
-        gens = []
-        for c in self.cat.objects:
-            for j in range(f_mod.dims[c]):
-                col = Matrix.zeros(f, f_mod.dims[c], 1)
-                col.data[j][0] = f.one()
-                gens.append((c, col))
-        cov = free_on_generators(f_mod, gens)
+        cov = basis_cover(f_mod)
         return cov.module, cov.epi
 
     def unit_parts(self, parts: dict) -> dict:
-        """parts -> i^* i_!(parts): per-object inclusion at the identity path."""
+        """parts -> i^* i_!(parts): at c, generator k of each summand at c."""
         cat = self.cat
         f = cat.field
-        shriek = self.i_shriek(parts)
-        total = shriek.module
+        objs = self._generator_objects(parts)
         mats = {}
         for c in cat.objects:
-            n = int(parts.get(c, 0))
-            m = Matrix.zeros(f, total.dims[c], n)
-            # locate the identity-path coordinate of each summand at c
-            row = 0
-            seen = 0
-            for (obj, _) in shriek.summands:
-                paths = cat.hom_basis_paths(obj, c)
-                if obj == c:
-                    m.data[row + paths.index(())][seen] = f.one()
-                    seen += 1
-                row += len(paths)
-            mats[c] = m
+            starts = block_offsets(cat, objs, c)
+            gens = [starts[k] for k, obj in enumerate(objs) if obj == c]
+            mats[c] = Matrix.identity(f, starts[-1]).submatrix(range(starts[-1]), gens)
         return mats
 
     def i_star_coinduced(self, parts: dict) -> Module:
         """(+)_c D(C(-,c)) (x) k^{n_c}: the coinduction i_* = nu after i_!."""
-        mods = []
-        for c in self.cat.objects:
-            for _ in range(int(parts.get(c, 0))):
-                mods.append(self.coef_left(c))
-        if mods:
-            total, _, _ = direct_sum_modules(mods)
-            return total
-        return zero_module(self.cat)
+        mods = [self.coef_left(c) for c in self._generator_objects(parts)]
+        return direct_sum_modules(mods)[0] if mods else zero_module(self.cat)
 
     # -- nu and nu^- -------------------------------------------------------
 
@@ -340,24 +318,16 @@ class NakayamaEngine:
         for x in cat.objects:
             t = nuP.data[x]
             V = Matrix.zeros(f, coind.dims[x], t.ambient)
-            offs = []
-            off = 0
-            for c in summands:
-                offs.append(off)
-                off += self.coef_left(c).dims[x]
+            offs = list(accumulate((cat.hom_dim(x, c) for c in summands), initial=0))
             for y in cat.objects:
-                xy = cat.hom_basis_paths(x, y)
-                flat = []  # (summand index, generator path) coordinates of i_! at y
-                for k, c in enumerate(summands):
-                    for p in cat.hom_basis_paths(c, y):
-                        flat.append((k, p))
-                for wi, w in enumerate(xy):
-                    for si, (k, p) in enumerate(flat):
-                        c = summands[k]
-                        col = t.offsets[y] + wi * len(flat) + si
-                        # the functional q -> xi(p after q) on the basis of Hom(x, c)
-                        for r, q in enumerate(cat.hom_basis_paths(x, c)):
-                            V.data[offs[k] + r][col] = cat.reduce_word(x, q + p).get(w, f.zero())
+                starts = block_offsets(cat, summands, y)  # i_! at y
+                for wi, w in enumerate(cat.hom_basis_paths(x, y)):
+                    for k, c in enumerate(summands):
+                        for si, p in enumerate(cat.hom_basis_paths(c, y), starts[k]):
+                            col = t.offsets[y] + wi * starts[-1] + si
+                            # the functional q -> xi(p after q) on the basis of Hom(x, c)
+                            for r, q in enumerate(cat.hom_basis_paths(x, c), offs[k]):
+                                V.data[r][col] = cat.reduce_word(x, q + p).get(w, f.zero())
             mats[x] = V @ t.section()
         return ModuleMap(nuP.module, coind, mats, check=False)
 

@@ -9,16 +9,74 @@ through the explicit tensor quotient (`tensor_over_cat` plus
 `tensor_induced`), Ext through the dense Hom system (`hom_basis` plus one
 `hom_coords` solve per differential).  The truncation and vanishing rules are
 the same as in `gpquiver.modules`, so results compare as DerivedValues.
+
+`free_cover_by_paths` and `p_counit_kronecker` build free modules the long
+way: direct sums of representables, a whole path matrix M(p) per generator
+image, and P(F) over a base as Kronecker products of representables with
+the coefficients.
 """
 
-from gpquiver.linalg import Matrix, Subquotient
+from gpquiver.linalg import Matrix, Subquotient, direct_sum_many, kronecker_product
 from gpquiver.modules import (
     DerivedValue,
+    Module,
+    ModuleMap,
+    direct_sum_modules,
     hom_basis,
     hom_coords,
+    representable,
     tensor_induced,
     tensor_over_cat,
+    zero_module,
 )
+
+
+def free_cover_by_paths(m, summands):
+    """The module and epi matrices of free_on_generators(m, summands): the
+    direct sum of the representables C(c,-), with M(p) @ vec for each basis
+    path p of C(c, x) as the columns at x."""
+    cat = m.cat
+    parts = [representable(cat, c) for c, _ in summands]
+    total = direct_sum_modules(parts)[0] if parts else zero_module(cat)
+    epi = {}
+    for x in cat.objects:
+        acc = Matrix.zeros(cat.field, m.dims[x], 0)
+        for c, vec in summands:
+            for p in cat.hom_basis_paths(c, x):
+                acc = acc.hstack(m.act_path(c, p) @ vec)
+        epi[x] = acc
+    return total, epi
+
+
+def p_counit_kronecker(fact, F):
+    """The based counit P(F) -> F with P(F)(d, x) = (+)_c C(c, x) (x) F(d, c),
+    coordinates in (c, p, j) order: C acts on the representable leg, the base
+    on the coefficient leg."""
+    C, B, T = fact.cat, fact.base, fact.total
+    f = T.field
+    reps = {c: representable(C, c) for c in C.objects}
+    dims, mats, eps = {}, {}, {}
+    for d in B.objects:
+        fib = fact.fiber(F, d)
+        for x in C.objects:
+            dims[fact.pair_obj(d, x)] = sum(C.hom_dim(c, x) * fib.dims[c] for c in C.objects)
+            acc = Matrix.zeros(f, fib.dims[x], 0)
+            for c in C.objects:
+                for p in C.hom_basis_paths(c, x):
+                    acc = acc.hstack(fib.act_path(c, p))
+            eps[fact.pair_obj(d, x)] = acc
+        for a in C.arrow_map:
+            mats[fact.cat_arrow_at(d, a)] = direct_sum_many(f, [
+                kronecker_product(reps[c].mats[a], Matrix.identity(f, fib.dims[c]))
+                for c in C.objects])
+    for b in B.arrow_map:
+        for x in C.objects:
+            mats[fact.base_arrow_at(b, x)] = direct_sum_many(f, [
+                kronecker_product(Matrix.identity(f, C.hom_dim(c, x)),
+                                  F.mats[fact.base_arrow_at(b, c)])
+                for c in C.objects])
+    PF = Module(T, dims, mats, check=False)
+    return PF, ModuleMap(PF, F, eps, check=False)
 
 
 def tensor_projection(m, f_mod):

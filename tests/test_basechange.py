@@ -1,7 +1,9 @@
 """Slicing tensor-category modules into fibers and pushing nu through."""
 
+import derived_oracle
 from conftest import module322, tensor322
 from gpquiver.basechange import Factorization
+from gpquiver.gorenstein import splitting_section
 from gpquiver.modules import dual, representable
 from gpquiver.nakayama import NakayamaEngine
 
@@ -80,19 +82,26 @@ def test_i_star_nu_components(setup322):
 
 
 def test_p_counit_based_epi_and_natural(setup322):
+    # against the Kronecker oracle (representables (x) coefficients): one
+    # P(F) in two coordinate orders, so the same p_dims and the same
+    # splitting verdict, "no" on M and "yes" on P(M)
     T, M = setup322
     for side in ("left", "right"):
         fact = Factorization(T, side)
-        PF, eps = fact.p_counit_based(M)
-        PF.validate()
-        eps.validate()
-        assert eps.is_surjective()
+        PM, _ = fact.p_counit_based(M)
+        for F, splits in ((M, False), (PM, True)):
+            PF, eps = fact.p_counit_based(F)
+            PF.validate()
+            eps.validate()
+            assert eps.is_surjective()
+            PF_k, eps_k = derived_oracle.p_counit_kronecker(fact, F)
+            assert PF.dims == PF_k.dims
+            assert (splitting_section(eps) is not None) == splits
+            assert (splitting_section(eps_k) is not None) == splits
 
 
 def test_p_counit_splits_on_p_projectives(setup322):
     # P(F) is itself P-projective, so its own counit admits a section
-    from gpquiver.gorenstein import splitting_section
-
     T, M = setup322
     fact = Factorization(T, "left")
     PF, _ = fact.p_counit_based(M)

@@ -181,6 +181,13 @@ def test_fixtures_listing(capsys):
     assert all(len(d) == 64 for d in files.values())
 
 
+def test_fixtures_report_names_no_checkout_directory(capsys):
+    # two checkouts of one commit give the same bytes
+    _, out, _ = run(["fixtures"], capsys)
+    assert os.path.dirname(FIXTURES) not in out
+    assert json.loads(out)["result"]["directory"] == "gpquiver/fixtures"
+
+
 def test_parse_error_exit_code_and_message(tmp_path, capsys):
     p = tmp_path / "broken.cat"
     p.write_text("[category]\nobjects = 1\narrow = oops\n")
@@ -230,6 +237,25 @@ def test_report_digests_every_file_read(tmp_path, capsys):
     assert {k: v for k, v in after["inputs"].items() if k != "ex322.cat"} == {
         k: v for k, v in before["inputs"].items() if k != "ex322.cat"}
     assert after["result"] == before["result"]
+
+
+def test_report_inputs_are_keyed_relative_to_the_named_file(tmp_path, capsys):
+    # both factor files are called f.cat; each keeps its own digest
+    for side, name in (("left", "ex322.cat"), ("right", "ex322_op.cat")):
+        (tmp_path / side).mkdir()
+        shutil.copy(fix(name), tmp_path / side / "f.cat")
+    (tmp_path / "t.cat").write_text("[tensor]\nleft = left/f.cat\nright = right/f.cat\n")
+    (tmp_path / "reps").mkdir()
+    with open(fix("m322.rep"), encoding="utf-8") as fh:
+        rep = fh.read().replace("ex322_tensor.cat", "../t.cat")
+    (tmp_path / "reps" / "m.rep").write_text(rep)
+    _, report = run_json(["cat-info", str(tmp_path / "t.cat")], capsys)
+    assert report["inputs"] == {
+        "t.cat": gio.file_digest(tmp_path / "t.cat"),
+        "left/f.cat": gio.file_digest(fix("ex322.cat")),
+        "right/f.cat": gio.file_digest(fix("ex322_op.cat"))}
+    _, report = run_json(["check", "p-proj", str(tmp_path / "reps" / "m.rep")], capsys)
+    assert sorted(report["inputs"]) == ["../left/f.cat", "../right/f.cat", "../t.cat", "m.rep"]
 
 
 def test_cutoff_below_one_is_input_error(tmp_path, capsys):
@@ -292,6 +318,19 @@ def test_usage_errors_exit_one(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", fix("a2_zero.rep"), "--object", "9", "--degree", "1"],
+    ["derived", fix("a2_zero.rep"), "--functor", "l_nu", "--degree", "-1"],
+    ["check", "gp", fix("m322.rep"), "--factor", "left", "--declared-g", "-3"],
+    ["enumerate", fix("ka2.cat"), "--dims", "-1", "--field", "F2"],
+], ids=["ext-unknown-object", "derived-negative-degree", "negative-declared-g",
+        "enumerate-negative-dims"])
+def test_bad_inputs_exit_one_with_an_error_line(argv, capsys):
+    status, out, err = run(argv, capsys)
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

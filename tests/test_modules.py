@@ -18,7 +18,9 @@ from gpquiver.modules import (
     direct_sum_modules,
     dual,
     dual_map,
+    basis_cover,
     ext_dim,
+    free_module,
     free_on_generators,
     hom_basis,
     image,
@@ -368,6 +370,26 @@ def test_tensor_projection_matches_column_oracle(make, field):
     for M in rights:
         for F in lefts:
             assert tensor_over_cat(M, F).proj == derived_oracle.tensor_projection(M, F)
+
+
+@pytest.mark.parametrize("make", [loop_sq, square, cyclic3, ex322])
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "Q"])
+def test_free_covers_match_path_oracle(make, field):
+    # generator images propagated arrow by arrow against whole path matrices,
+    # on minimal, padded and basis covers, zero generators and no generators
+    C = make(field)
+    rng = random.Random(43)
+    assert free_module(C, []) == zero_module(C)
+    for M in [random_module(C, rng) for _ in range(3)] + [longest_path_quotient(C)]:
+        zeros = [(c, Matrix.zeros(field, M.dims[c], 1)) for c in C.objects]
+        minimal = projective_cover(M).summands
+        for summands in (minimal, projective_cover(M, padded=True).summands,
+                         basis_cover(M).summands, zeros + minimal, []):
+            cov = free_on_generators(M, summands)
+            total, epi = derived_oracle.free_cover_by_paths(M, summands)
+            assert cov.module == total
+            assert cov.epi.mats == epi
+            cov.epi.validate()
 
 
 def test_dual_map_contravariant():

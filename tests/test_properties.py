@@ -13,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 import derived_oracle
 from gpquiver.category import Quiver, Relation, build_category
-from gpquiver.gorenstein import is_gproj_P
+from gpquiver.gorenstein import is_gproj_P, is_p_projective, splitting_section
 from gpquiver.linalg import GF, QQ
 from gpquiver.modules import (
     ModuleMap,
     _tor_from_resolution_of_left,
     _tor_from_resolution_of_right,
     dual,
+    free_module,
     projective_resolution,
     tensor_over_cat,
 )
@@ -125,3 +126,17 @@ def test_tensor_and_derived_routes_agree(cat, seed):
     assert short.certificate["route"] == "shortcut"
     assert full.member == short.member or (
         full.member == "inconclusive" and "blocking_cutoff" in full.certificate)
+
+
+# a splitting search per example; 8 keep the test inside the tier-1 budget
+@settings(max_examples=8)
+@given(bound_quivers(), st.integers(0, 2**32))
+def test_unbased_p_projective_is_counit_splitting(cat, seed):
+    # the projective cover decides the verdict, the basis counit P(F) -> F
+    # splits exactly on the same modules
+    rng = random.Random(seed)
+    eng = NakayamaEngine(cat, 8)
+    objs = [rng.choice(cat.objects) for _ in range(rng.randrange(1, 3))]
+    for F in (random_module(cat, rng, max_gens=1), free_module(cat, objs)):
+        split = splitting_section(eng.counit_P(F)[1]) is not None
+        assert (is_p_projective(F, eng).member == "yes") == split
