@@ -154,7 +154,7 @@ class BoundQuiverCategory:
         for bp, coef in self.reduce_word(c, head).items():
             for q, c2 in self.reduce_word(c, bp + tail).items():
                 acc = f.add(out.get(q, f.zero()), f.mul(coef, c2))
-                if acc == f.zero():
+                if not acc:
                     out.pop(q, None)
                 else:
                     out[q] = acc
@@ -169,7 +169,7 @@ class BoundQuiverCategory:
                 coef = f.mul(cp, cq)
                 for r, cr in self.reduce_word(c, p + q).items():
                     acc = f.add(out.get(r, f.zero()), f.mul(coef, cr))
-                    if acc == f.zero():
+                    if not acc:
                         out.pop(r, None)
                     else:
                         out[r] = acc
@@ -280,7 +280,7 @@ def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) 
             for i, pc in enumerate(pivots):
                 expr = {}
                 for j in range(len(cols_desc)):
-                    if j != pc and R.data[i][j] != z:
+                    if j != pc and R.data[i][j]:
                         expr[cols_desc[j]] = field.neg(R.data[i][j])
                 table[cols_desc[pc]] = expr
             surviving = [p for j, p in enumerate(cols_desc) if j not in pivot_set]

@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Scalars are plain Python objects: Fraction over QQ, canonical ints in
-range(p) over GF(p).  All eliminations use a fixed pivot order (leftmost
-nonzero, topmost row), so every derived basis and projection is
-deterministic for a given input.
+range(p) over GF(p).  Matrices are stored densely, but elimination and
+products skip zero entries, which both fields make falsy.  All
+eliminations use a fixed pivot order (leftmost nonzero, topmost row), so
+every derived basis and projection is deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ class FieldMismatchError(LinAlgError):
 
 
 class Field:
-    """Arithmetic interface shared by QQ and GF(p)."""
+    """Arithmetic interface shared by QQ and GF(p).
+
+    Contract: a scalar is zero exactly when it is falsy, so `bool(x)` is
+    the zero test of the kernels below.
+    """
 
     def zero(self):
         raise NotImplementedError
@@ -263,8 +268,7 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.data})"
 
     def is_zero(self) -> bool:
-        z = self.field.zero()
-        return all(x == z for row in self.data for x in row)
+        return not any(any(row) for row in self.data)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -299,22 +303,22 @@ class Matrix:
         return Matrix(f, [[f.mul(c, x) for x in row] for row in self.data], self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Product, summing only the nonzero terms, in increasing k."""
         self._check_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"product shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
+        add, mul = f.add, f.mul
         z = f.zero()
-        ot = list(zip(*other.data)) if other.data else [()] * other.cols
+        nonzero = [(k, terms) for k, row in enumerate(other.data)
+                   if (terms := [(j, b) for j, b in enumerate(row) if b])]
         out = []
         for row in self.data:
-            new = []
-            for j in range(other.cols):
-                col = ot[j] if other.rows else ()
-                acc = z
-                for a, b in zip(row, col):
-                    if a != z and b != z:
-                        acc = f.add(acc, f.mul(a, b))
-                new.append(acc)
+            new = [z] * other.cols
+            for k, terms in nonzero:
+                if a := row[k]:
+                    for j, b in terms:
+                        new[j] = add(new[j], mul(a, b))
             out.append(new)
         return Matrix(f, out, self.rows, other.cols)
 
@@ -347,29 +351,33 @@ class Matrix:
         return Matrix(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx], len(row_idx), len(col_idx))
 
     def rref(self) -> tuple["Matrix", list[int]]:
-        """Reduced row echelon form with leftmost-pivot, topmost-row order."""
+        """Reduced row echelon form with leftmost-pivot, topmost-row order.
+
+        Each row update touches only the nonzero entries of the pivot row,
+        all of which lie at or right of the pivot column.
+        """
         f = self.field
-        z = f.zero()
+        sub, mul = f.sub, f.mul
         m = [row[:] for row in self.data]
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
-            if r == self.rows:
-                break
-            sel = None
-            for i in range(r, self.rows):
-                if m[i][c] != z:
-                    sel = i
+            for sel in range(r, self.rows):
+                if m[sel][c]:
                     break
-            if sel is None:
+            else:
                 continue
-            m[r], m[sel] = m[sel], m[r]
-            inv = f.inv(m[r][c])
-            m[r] = [f.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != z:
-                    factor = m[i][c]
-                    m[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(m[i], m[r])]
+            prow = m[sel]
+            m[r], m[sel] = prow, m[r]
+            inv = f.inv(prow[c])
+            support = [j for j in range(c, self.cols) if prow[j]]
+            for j in support:
+                prow[j] = mul(inv, prow[j])
+            for row in m:
+                factor = row[c]
+                if factor and row is not prow:
+                    for j in support:
+                        row[j] = sub(row[j], mul(factor, prow[j]))
             pivots.append(c)
             r += 1
         return Matrix(f, m, self.rows, self.cols), pivots
@@ -385,18 +393,15 @@ class Matrix:
         """
         f = self.field
         R, pivots = self.rref()
-        rank = len(pivots)
-        free = [j for j in range(self.cols) if j not in pivots]
+        pivot_set = set(pivots)
+        free = [j for j in range(self.cols) if j not in pivot_set]
         z, o = f.zero(), f.one()
-        basis_cols = []
-        for fc in free:
-            v = [z] * self.cols
-            v[fc] = o
+        data = [[z] * len(free) for _ in range(self.cols)]
+        for k, fc in enumerate(free):
+            data[fc][k] = o
             for i, pc in enumerate(pivots):
-                v[pc] = f.neg(R.data[i][fc])
-            basis_cols.append(v)
-        data = [[basis_cols[k][i] for k in range(len(free))] for i in range(self.cols)]
-        return rank, Matrix(f, data, self.cols, len(free))
+                data[pc][k] = f.neg(R.data[i][fc])
+        return len(pivots), Matrix(f, data, self.cols, len(free))
 
     def kernel(self) -> "Matrix":
         return self.rank_and_kernel()[1]
@@ -423,20 +428,15 @@ class Matrix:
         self._check_field(b)
         if b.rows != self.rows:
             raise ShapeError("solve: rhs row mismatch")
-        f = self.field
-        z = f.zero()
-        aug = self.hstack(b)
-        R, pivots = aug.rref()
+        R, pivots = self.hstack(b).rref()
         n = self.cols
-        eff_pivots = [p for p in pivots if p < n]
-        for p in pivots:
-            if p >= n:
-                return None
+        if pivots and pivots[-1] >= n:
+            return None
+        z = self.field.zero()
         sol = [[z] * b.cols for _ in range(n)]
-        for i, p in enumerate(eff_pivots):
-            for j in range(b.cols):
-                sol[p][j] = R.data[i][n + j]
-        return Matrix(f, sol, n, b.cols)
+        for i, p in enumerate(pivots):
+            sol[p] = R.data[i][n:]
+        return Matrix(self.field, sol, n, b.cols)
 
     def right_inverse(self) -> "Matrix":
         """A section s with self @ s == identity; requires full row rank."""

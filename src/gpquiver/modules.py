@@ -610,7 +610,7 @@ def _applied_diff(res: Resolution, x: Module, j: int, tensor: bool) -> Matrix:
             for k, b in enumerate(dst):
                 for row, p in enumerate(cat.hom_basis_paths(b, c), starts[k]):
                     coef = d.mats[c].data[row][gen]
-                    if coef == f.zero():
+                    if not coef:
                         continue
                     key = (c, tuple(reversed(p))) if tensor else (b, p)
                     if key not in acts:

@@ -223,6 +223,21 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+def test_q_report_of_derived_l_nu_on_m322_is_pinned(tmp_path, capsys):
+    """Over Q, L_1 nu of the witness module on ex322 (x) ex322_op runs its
+    coefficient resolutions to the default cutoff with Fraction elimination.
+    The expected bytes were recorded at commit df77480, whose `rref` and
+    `@` still visited every cell; the zero-skipping kernels must reproduce
+    them exactly."""
+    dest = tmp_path / "r.json"
+    status, _, _ = run(["derived", fix("m322.rep"), "--functor", "l_nu", "--degree", "1",
+                        "--out", str(dest)], capsys)
+    assert status == 0
+    pinned = os.path.join(os.path.dirname(__file__), "pinned_derived_l_nu_1.json")
+    with open(pinned, "rb") as fh:
+        assert dest.read_bytes() == fh.read()
+
+
 def test_report_digests_every_file_read(tmp_path, capsys):
     for name in ("m322.rep", "ex322_tensor.cat", "ex322.cat", "ex322_op.cat"):
         shutil.copy(fix(name), tmp_path / name)

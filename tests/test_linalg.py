@@ -4,7 +4,9 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from dense_kernels import dense_kernels
 
 from gpquiver.linalg import (
     GF,
@@ -206,3 +208,56 @@ def test_prime_field_modulus_check():
             PrimeField(n)
     with pytest.raises(ValueError, match="supported bound"):
         PrimeField(MAX_PRIME_MODULUS)
+
+
+# QQ, the smallest primes (where many small integers vanish) and a large one
+FIELDS = (QQ, GF(2), GF(3), GF(7), GF(2**61 - 1))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_zero_is_exactly_falsy(field):
+    p = getattr(field, "p", 7)
+    ints = [0, 1, -1, p - 1, p, -p, p + 1, 3 * p, p * 10**20]
+    texts = ["0", "-0", "0/11", f"{p}/11", f"-{3 * p}/13", "1/11", f"{p + 1}/13", "22/11"]
+    values = [field.of(v) for v in ints] + [field.of(Fraction(v, 11)) for v in ints]
+    values += [field.parse(t) for t in texts]
+    for v in values:
+        assert bool(v) == (v != field.zero())
+    assert not field.zero() and field.one()
+
+
+def sparse_matrix(rng, field, rows, cols, density):
+    """Each entry is nonzero with probability `density` before reduction:
+    a small fraction over QQ, a small integer (possibly a multiple of p)
+    over GF(p)."""
+    def entry():
+        if rng.random() >= density:
+            return field.zero()
+        if field is QQ:
+            return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10), rng.randrange(1, 5))
+        return field.of(rng.randrange(1, 10))
+    return Matrix(field, [[entry() for _ in range(cols)] for _ in range(rows)], rows, cols)
+
+
+@given(st.sampled_from(FIELDS), st.integers(0, 6), st.integers(0, 6),
+       st.sampled_from((0.0, 0.15, 0.4, 0.7, 1.0)), st.integers(0, 2**32))
+@example(QQ, 0, 4, 1.0, 0)
+@example(GF(3), 4, 0, 1.0, 0)
+@example(GF(7), 0, 0, 1.0, 0)
+@settings(max_examples=150)
+def test_kernels_agree_with_dense_reference(field, rows, cols, density, seed):
+    rng = random.Random(seed)
+    a = sparse_matrix(rng, field, rows, cols, density)
+    b = sparse_matrix(rng, field, cols, rng.randrange(4), density)
+    consistent = a @ sparse_matrix(rng, field, cols, 2, density)
+    arbitrary = sparse_matrix(rng, field, rows, 2, density)
+
+    def results():
+        return (a.rref(), a @ b, a.rank_and_kernel(), a.solve(consistent),
+                a.solve(arbitrary), a.cokernel_projection())
+
+    got = results()
+    with dense_kernels():
+        want = results()
+    # repr also tells a Fraction zero from an int one
+    assert repr(got) == repr(want)
