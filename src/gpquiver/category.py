@@ -1,7 +1,10 @@
 """Finite k-linear categories presented by a quiver with relations.
 
 Hom spaces are path spans modulo the two-sided ideal generated by the
-relations, computed by spanning-set reduction over increasing path length.
+relations. For each pair of objects, the relation translates q*r*p inside the
+length cutoff are reduced as sparse rows over the paths of the pair, largest
+path in (length, lex) order first; the reduced row echelon form gives the
+basis (the paths without a pivot) and the rewrite of every other path.
 Paths are stored in application order: the tuple ("a", "b") means "a then b",
 which in function-composition notation is written b*a.
 """
@@ -9,8 +12,9 @@ which in function-composition notation is written b*a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .linalg import Field, FieldMismatchError, Matrix
+from .linalg import Field, FieldMismatchError
 
 
 class CategoryError(Exception):
@@ -29,12 +33,11 @@ class PossiblyInfiniteError(CategoryError):
         )
 
 
-# Guard against runaway path enumeration before the cutoff is reached.
+# Guard against runaway path enumeration before the cutoff is reached, and on
+# the relation translates of one object pair, counted before any is built.
+# Lambda(k^4) has 77,370 translates at length 7 and builds in about a second;
+# at length 8 it has 364,090 and is refused.
 MAX_PATHS = 200_000
-# Guard on the dense elimination of one object pair (ideal rows x paths).
-# Lambda(k^4) at length 6 needs 8.7e7 cells and builds; at length 7 it would
-# need 1.7e9 and exhaust memory.
-MAX_DENSE_CELLS = 10**8
 
 Path = tuple  # tuple of arrow names, application order
 
@@ -198,12 +201,51 @@ class BoundQuiverCategory:
         return hash((self.quiver, self.field, tuple(sorted(self._basis))))
 
 
+def _eliminate(row: dict, prow: dict, factor, field) -> None:
+    """row -= factor * prow, in place, dropping the entries that cancel."""
+    sub, mul = field.sub, field.mul
+    for j, c in prow.items():
+        if j in row:
+            new = sub(row[j], mul(factor, c))
+            if new:
+                row[j] = new
+            else:
+                del row[j]
+        else:
+            row[j] = field.neg(mul(factor, c))
+
+
+def _add_row(pivots: dict, row: dict, field) -> None:
+    """Reduce a sparse row (column -> nonzero scalar) against the pivot rows,
+    each keyed by its lead (smallest) column and normalized to 1 there; keep
+    what is left as a new pivot row."""
+    while row:
+        lead = min(row)
+        prow = pivots.get(lead)
+        if prow is None:
+            inv = field.inv(row[lead])
+            pivots[lead] = {j: field.mul(inv, c) for j, c in row.items()}
+            return
+        _eliminate(row, prow, row[lead], field)
+
+
+def _back_substitute(pivots: dict, field) -> None:
+    """Clear every pivot column from the other pivot rows, rightmost pivot
+    first: a reduced row holds its lead and free columns only, so one pass
+    over each row's pivot columns leaves the reduced row echelon form."""
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for j in [j for j in row if j != lead and j in pivots]:
+            _eliminate(row, pivots[j], row[j], field)
+
+
 def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) -> BoundQuiverCategory:
     if length_cutoff < 1:
         raise CategoryError("length_cutoff must be at least 1")
     arrow_map = quiver.arrow_map()
     relations = tuple(relations)
     rel_ends = [r.endpoints(arrow_map) for r in relations]
+    spans = [max(len(p) for _, p in r.terms) for r in relations]
 
     # enumerate composable paths by length, per (source, target) pair
     by_level: list[list[tuple]] = [[(c, c, ()) for c in quiver.vertices]]
@@ -227,66 +269,59 @@ def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) 
         for c, d, p in level:
             paths_by_pair.setdefault((c, d), []).append(p)
 
-    # relation translates q * r * p with every term inside the cutoff
-    ideal_rows: dict = {}
-    for rel, (u, v) in zip(relations, rel_ends):
-        min_len = min(len(p) for _, p in rel.terms)
-        max_len = max(len(p) for _, p in rel.terms)
-        for (x, u2), pres in paths_by_pair.items():
-            if u2 != u:
-                continue
-            for q in pres:  # stored by length, so the first too long ends the run
-                if len(q) + max_len > length_cutoff:
-                    break
-                for (v2, y), posts in paths_by_pair.items():
-                    if v2 != v:
-                        continue
-                    for p in posts:
-                        if len(q) + max_len + len(p) > length_cutoff:
-                            break
-                        vec: dict = {}
-                        for coef, term in rel.terms:
-                            w = q + term + p
-                            vec[w] = field.add(vec.get(w, field.zero()), coef)
-                        ideal_rows.setdefault((x, y), []).append(vec)
-
-    for pair, rows in sorted(ideal_rows.items()):
-        cells = len(rows) * len(paths_by_pair[pair])
-        if cells > MAX_DENSE_CELLS:
+    # count the relation translates q * r * p of each pair before building any
+    into: dict = {}    # u -> (x, number of paths x -> u of each length)
+    out_of: dict = {}  # v -> (y, number of paths v -> y of each length or less)
+    for (c, d), paths in paths_by_pair.items():
+        lengths = [0] * (length_cutoff + 1)
+        for p in paths:
+            lengths[len(p)] += 1
+        into.setdefault(d, []).append((c, lengths))
+        out_of.setdefault(c, []).append((d, list(accumulate(lengths))))
+    translates: dict = {}
+    for (u, v), span in zip(rel_ends, spans):
+        room = length_cutoff - span
+        for x, pre in into.get(u, ()):
+            for y, upto in out_of.get(v, ()):
+                n = sum(pre[k] * upto[room - k] for k in range(room + 1))
+                translates[(x, y)] = translates.get((x, y), 0) + n
+    for pair, n in sorted(translates.items()):
+        if n > MAX_PATHS:
             raise CategoryError(
-                f"Hom{pair} needs a dense elimination of {len(rows)} x {len(paths_by_pair[pair])}"
-                f" = {cells} cells, above the bound {MAX_DENSE_CELLS}; lower length_cutoff "
-                f"(now {length_cutoff}): it only needs to exceed the longest nonzero path")
+                f"Hom{pair} has {n} relation translates, above the bound {MAX_PATHS}; "
+                f"lower length_cutoff (now {length_cutoff}): it only needs to exceed "
+                f"the longest nonzero path")
 
     basis: dict = {}
     reduction: dict = {}
     max_basis_len = 0
     witness = None
+    add, zero = field.add, field.zero()
     for pair, paths in sorted(paths_by_pair.items()):
+        x, y = pair
         cols_desc = sorted(paths, key=_path_key, reverse=True)
         col_idx = {p: j for j, p in enumerate(cols_desc)}
-        rows = ideal_rows.get(pair, [])
-        if rows:
-            data = []
-            z = field.zero()
-            for vec in rows:
-                row = [z] * len(cols_desc)
-                for p, coef in vec.items():
-                    row[col_idx[p]] = coef
-                data.append(row)
-            R, pivots = Matrix(field, data, len(rows), len(cols_desc)).rref()
-            pivot_set = set(pivots)
-            table = {}
-            for i, pc in enumerate(pivots):
-                expr = {}
-                for j in range(len(cols_desc)):
-                    if j != pc and R.data[i][j]:
-                        expr[cols_desc[j]] = field.neg(R.data[i][j])
-                table[cols_desc[pc]] = expr
-            surviving = [p for j, p in enumerate(cols_desc) if j not in pivot_set]
-        else:
-            table = {}
-            surviving = list(cols_desc)
+        # stream each translate, as a row over col_idx, into the reduction
+        pivots: dict = {}
+        for rel, (u, v), span in zip(relations, rel_ends, spans):
+            posts = paths_by_pair.get((v, y), ())
+            for q in paths_by_pair.get((x, u), ()):  # stored by length
+                if len(q) + span > length_cutoff:
+                    break
+                for p in posts:
+                    if len(q) + span + len(p) > length_cutoff:
+                        break
+                    row: dict = {}
+                    for coef, term in rel.terms:
+                        j = col_idx[q + term + p]
+                        row[j] = add(row.get(j, zero), coef)
+                    _add_row(pivots, {j: c for j, c in row.items() if c}, field)
+        _back_substitute(pivots, field)
+        table = {}
+        for lead in sorted(pivots):
+            table[cols_desc[lead]] = {cols_desc[j]: field.neg(c)
+                                      for j, c in sorted(pivots[lead].items()) if j != lead}
+        surviving = [p for j, p in enumerate(cols_desc) if j not in pivots]
         surviving.sort(key=_path_key)
         basis[pair] = tuple(surviving)
         reduction[pair] = table

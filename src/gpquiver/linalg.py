@@ -229,15 +229,23 @@ class Matrix:
         self.cols = cols
         self.data = data
 
+    @classmethod
+    def _adopt(cls, field: Field, data: list, rows: int, cols: int) -> "Matrix":
+        """A matrix that takes row lists just built by its caller as they are,
+        without the copy and the shape check of the public constructor."""
+        m = cls.__new__(cls)
+        m.field, m.data, m.rows, m.cols = field, data, rows, cols
+        return m
+
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
         z = field.zero()
-        return Matrix(field, [[z] * cols for _ in range(rows)], rows, cols)
+        return Matrix._adopt(field, [[z] * cols for _ in range(rows)], rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         z, o = field.zero(), field.one()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
+        return Matrix._adopt(field, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
 
     @staticmethod
     def from_ints(field: Field, data) -> "Matrix":
@@ -320,14 +328,14 @@ class Matrix:
                     for j, b in terms:
                         new[j] = add(new[j], mul(a, b))
             out.append(new)
-        return Matrix(f, out, self.rows, other.cols)
+        return Matrix._adopt(f, out, self.rows, other.cols)
 
     def transpose(self) -> "Matrix":
         if self.rows == 0:
             data = [[] for _ in range(self.cols)]
         else:
             data = [list(col) for col in zip(*self.data)]
-        return Matrix(self.field, data, self.cols, self.rows)
+        return Matrix._adopt(self.field, data, self.cols, self.rows)
 
     def col(self, j: int) -> "Matrix":
         return Matrix(self.field, [[row[j]] for row in self.data], self.rows, 1)
@@ -339,7 +347,8 @@ class Matrix:
         self._check_field(other)
         if self.rows != other.rows:
             raise ShapeError("hstack row mismatch")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)], self.rows, self.cols + other.cols)
+        return Matrix._adopt(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)],
+                             self.rows, self.cols + other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -348,7 +357,8 @@ class Matrix:
         return Matrix(self.field, self.data + other.data, self.rows + other.rows, self.cols)
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx], len(row_idx), len(col_idx))
+        return Matrix._adopt(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx],
+                             len(row_idx), len(col_idx))
 
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form with leftmost-pivot, topmost-row order.
@@ -380,7 +390,7 @@ class Matrix:
                         row[j] = sub(row[j], mul(factor, prow[j]))
             pivots.append(c)
             r += 1
-        return Matrix(f, m, self.rows, self.cols), pivots
+        return Matrix._adopt(f, m, self.rows, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -436,7 +446,7 @@ class Matrix:
         sol = [[z] * b.cols for _ in range(n)]
         for i, p in enumerate(pivots):
             sol[p] = R.data[i][n:]
-        return Matrix(self.field, sol, n, b.cols)
+        return Matrix._adopt(self.field, sol, n, b.cols)
 
     def right_inverse(self) -> "Matrix":
         """A section s with self @ s == identity; requires full row rank."""

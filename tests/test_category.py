@@ -111,19 +111,32 @@ def test_free_loop_is_flagged_infinite():
     assert exc.value.pair == ("1", "1")
 
 
-def test_oversized_dense_elimination_is_refused():
-    # Lambda(k^4) at length 7 has 21,845 paths, below MAX_PATHS, but its
-    # elimination would be 77,370 x 21,845; it was killed for lack of memory
-    f = GF(2)
+def exterior4(f):
+    """Lambda(k^4) as a one-object quiver with relations."""
     xs = ("x1", "x2", "x3", "x4")
     rels = [Relation(((f.one(), (x, x)),)) for x in xs]
     rels += [Relation(((f.one(), (x, y)), (f.one(), (y, x))))
              for i, x in enumerate(xs) for y in xs[i + 1:]]
-    q = Quiver(("o",), tuple((x, "o", "o") for x in xs))
+    return Quiver(("o",), tuple((x, "o", "o") for x in xs)), tuple(rels)
+
+
+def test_lambda_k4_at_length_7_builds_quickly():
+    # 21,845 paths and 77,370 relation translates; as one dense elimination
+    # of 77,370 x 21,845 cells it was killed for lack of memory
     start = time.perf_counter()
-    with pytest.raises(CategoryError, match=r"77370 x 21845 .* length_cutoff \(now 7\)"):
-        build_category(q, tuple(rels), f, 7)
+    C = build_category(*exterior4(GF(2)), GF(2), 7)
     assert time.perf_counter() - start < 10
+    assert C.total_dim() == 16
+    assert C.max_basis_len == 4
+
+
+def test_too_many_relation_translates_are_refused():
+    # Lambda(k^4) at length 8 has 87,381 paths, below MAX_PATHS, but
+    # 364,090 relation translates, counted before any row is built
+    start = time.perf_counter()
+    with pytest.raises(CategoryError, match=r"364090 relation translates, .* length_cutoff \(now 8\)"):
+        build_category(*exterior4(GF(2)), GF(2), 8)
+    assert time.perf_counter() - start < 5
 
 
 def test_tensor_with_point_is_identity_on_dims():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from dense_builder import dense_builder
 from gpquiver import cli
 from gpquiver import io as gio
 from gpquiver.nakayama import NakayamaEngine
@@ -321,6 +322,49 @@ def test_possibly_infinite_is_input_error_naming_the_length_cutoff(tmp_path, cap
         assert status == 1
         assert out == ""
         assert "possibly-infinite" in err and "length cutoff 2" in err
+
+
+def exterior_text(n, field, length_cutoff):
+    """Lambda(k^n): one object, loops x1..xn, x*x = 0 and x*y + y*x = 0."""
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    lines = ["[category]", f"field = {field}", f"length_cutoff = {length_cutoff}", "objects = o"]
+    lines += [f"arrow = {x}: o -> o" for x in xs]
+    lines += [f"relation = 1 {x}*{x}" for x in xs]
+    lines += [f"relation = 1 {xs[j]}*{xs[i]} + 1 {xs[i]}*{xs[j]}"
+              for i in range(n) for j in range(i + 1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_too_many_relation_translates_is_input_error(tmp_path, capsys):
+    p = tmp_path / "l4.cat"
+    p.write_text(exterior_text(4, "F2", 8))
+    start = time.perf_counter()
+    status, out, err = run(["cat-info", str(p)], capsys)
+    assert time.perf_counter() - start < 5
+    assert (status, out) == (1, "")
+    assert "364090 relation translates" in err and "length_cutoff (now 8)" in err
+
+
+def generated_categories(tmp_path):
+    (tmp_path / "l3.cat").write_text(exterior_text(3, "Q", 5))
+    (tmp_path / "l4.cat").write_text(exterior_text(4, "F5", 5))
+    with open(fix("square.cat"), encoding="utf-8") as fh:
+        (tmp_path / "square3.cat").write_text(
+            fh.read().replace("length_cutoff = 6", "length_cutoff = 3"))
+    (tmp_path / "sqsq.cat").write_text("[tensor]\nleft = square3.cat\nright = square3.cat\n")
+    return [str(tmp_path / n) for n in ("l3.cat", "l4.cat", "sqsq.cat")]
+
+
+def test_cat_info_agrees_with_dense_builder(tmp_path, capsys):
+    # every fixture, Lambda(k^3) over Q and Lambda(k^4) over F5 at length 5,
+    # and square (x) square give byte-identical reports on both builders
+    paths = [fix(n) for n in cli.list_fixtures() if n.endswith(".cat")]
+    paths += generated_categories(tmp_path)
+    for path in paths:
+        sparse = run(["cat-info", path], capsys)
+        with dense_builder():
+            dense = run(["cat-info", path], capsys)
+        assert sparse == dense and sparse[0] == 0, path
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,14 +5,18 @@ p + lambda q between parallel paths, lambda a random nonzero scalar.  The
 (length, lex) order on paths then often keeps a different representative of
 p and q than the order on their reversals, so the opposite category's basis
 differs from the category's own; the Nakayama engine must not depend on it.
+The category builder is also compared with its dense oracle on small
+presentations with loops and cycles.
 """
 
+import itertools
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import derived_oracle
-from gpquiver.category import Quiver, Relation, build_category
+from dense_builder import dense_build_category, dense_builder
+from gpquiver.category import PossiblyInfiniteError, Quiver, Relation, build_category
 from gpquiver.gorenstein import is_gproj_P, is_p_projective, splitting_section
 from gpquiver.linalg import GF, QQ
 from gpquiver.modules import (
@@ -64,6 +68,82 @@ def bound_quivers(draw):
     quiver = Quiver(tuple(f"v{i}" for i in range(n)), arrows)
     # an acyclic quiver has no path of length n, so the cutoff n is exact
     return build_category(quiver, tuple(relations), field, n)
+
+
+@st.composite
+def presentations(draw):
+    """Quiver, relations, field and length cutoff of a small presentation
+    with a loop at v0 and one or two random arrows, loops and cycles
+    allowed: two to four relations, each a random combination of two or
+    three parallel paths of length 2 or 3, and in about half the examples
+    every path of length cutoff - 1 set to zero.  The others may still grow
+    at the cutoff."""
+    field = draw(st.sampled_from([GF(2), GF(3), QQ]))
+    n = draw(st.integers(1, 2))
+    ends = [(0, 0)] + draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=2))
+    arrows = tuple((f"a{k}", f"v{s}", f"v{t}") for k, (s, t) in enumerate(ends))
+    by_len = {1: [((name,), s, t) for name, s, t in arrows]}
+    for k in (2, 3, 4):
+        by_len[k] = [(p + (name,), s, t2) for p, s, t in by_len[k - 1]
+                     for name, s2, t2 in arrows if s2 == t]
+    parallel = {}
+    for p, s, t in by_len[2] + by_len[3]:
+        parallel.setdefault((s, t), []).append(p)
+    relations = []
+    for _ in range(draw(st.integers(2, 4))):
+        paths = draw(st.sampled_from(sorted(g for g in parallel.values() if len(g) > 1)))
+        terms = draw(st.lists(st.sampled_from(paths), min_size=2, max_size=3, unique=True))
+        top = 3 if field == QQ else field.p - 1
+        relations.append(Relation(tuple(
+            (field.of(draw(st.integers(1, top))), p) for p in terms)))
+    cutoff = draw(st.integers(4, 5))
+    if draw(st.booleans()):
+        relations += [Relation(((field.one(), p),)) for p, _, _ in by_len[cutoff - 1]]
+    quiver = Quiver(tuple(f"v{i}" for i in range(n)), arrows)
+    return quiver, tuple(relations), field, cutoff
+
+
+def _tables(cat):
+    op = cat.opposite()
+    return repr((cat._basis, cat._reduction, cat.max_basis_len, op._basis, op._reduction))
+
+
+@given(bound_quivers())
+def test_builder_agrees_with_dense_oracle(cat):
+    # the reduced row echelon form is unique, so the sparse builder keeps
+    # the dense one's bases, reduction tables and their order
+    with dense_builder():
+        oracle = dense_build_category(cat.quiver, cat.relations, cat.field, cat.length_cutoff)
+        expected = _tables(oracle)
+    assert _tables(cat) == expected
+
+
+def _trinomial():
+    """k<x, y, z>/(xx + yy + zz, all words of length 3): the table entry
+    of zz has two terms, so its order is checked as well."""
+    quiver = Quiver(("o",), tuple((a, "o", "o") for a in "xyz"))
+    one = QQ.one()
+    rels = [Relation(((one, ("x", "x")), (one, ("y", "y")), (one, ("z", "z"))))]
+    rels += [Relation(((one, w),)) for w in itertools.product("xyz", repeat=3)]
+    return quiver, tuple(rels), QQ, 4
+
+
+# 50 examples take under a second
+@settings(max_examples=50)
+@given(presentations())
+@example(_trinomial())
+def test_builder_agrees_with_dense_oracle_on_cyclic_quivers(presentation):
+    # the same, also on the witness of a category still growing at its cutoff
+    def build(builder):
+        try:
+            return _tables(builder(*presentation))
+        except PossiblyInfiniteError as exc:
+            return exc.pair, exc.cutoff
+
+    with dense_builder():
+        expected = build(dense_build_category)
+    assert build(build_category) == expected
 
 
 @given(bound_quivers(), st.integers(0, 2**32))
