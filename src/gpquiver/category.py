@@ -36,7 +36,8 @@ class PossiblyInfiniteError(CategoryError):
 # Guard against runaway path enumeration before the cutoff is reached, and on
 # the relation translates of one object pair, counted before any is built.
 # Lambda(k^4) has 77,370 translates at length 7 and builds in about a second;
-# at length 8 it has 364,090 and is refused.
+# at length 8 it has 364,090 and is refused, and at length 9 its 349,525
+# paths are.  Both refusals ask for a lower length_cutoff.
 MAX_PATHS = 200_000
 
 Path = tuple  # tuple of arrow names, application order
@@ -260,8 +261,10 @@ def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) 
                 level.append((c, t, p + (name,)))
         total += len(level)
         if total > MAX_PATHS:
-            c, d, _ = level[-1]
-            raise PossiblyInfiniteError((c, d), length_cutoff)
+            raise CategoryError(
+                f"{total} paths up to length {len(by_level)}, above the bound {MAX_PATHS}; "
+                f"lower length_cutoff (now {length_cutoff}): it only needs to exceed "
+                f"the longest nonzero path")
         by_level.append(level)
 
     paths_by_pair: dict = {}
@@ -347,8 +350,6 @@ class TensorInfo:
     left: BoundQuiverCategory
     right: BoundQuiverCategory
     obj_name: dict      # (c, d) -> object of the product
-    obj_pair: dict      # inverse of obj_name
-    arrow_origin: dict  # arrow -> ("left", a, d) | ("right", c, b)
     left_arrow: dict    # (a, d) -> arrow name
     right_arrow: dict   # (c, b) -> arrow name
 
@@ -360,20 +361,17 @@ def tensor_category(C1: BoundQuiverCategory, C2: BoundQuiverCategory) -> BoundQu
     if len(set(obj_name.values())) != len(obj_name):
         raise CategoryError("object name clash in tensor product")
     arrows = []
-    arrow_origin = {}
     left_arrow = {}
     right_arrow = {}
     for name, s, t in C1.quiver.arrows:
         for d in C2.objects:
             an = f"{name}|{d}"
             arrows.append((an, obj_name[(s, d)], obj_name[(t, d)]))
-            arrow_origin[an] = ("left", name, d)
             left_arrow[(name, d)] = an
     for c in C1.objects:
         for name, s, t in C2.quiver.arrows:
             an = f"{c}|{name}"
             arrows.append((an, obj_name[(c, s)], obj_name[(c, t)]))
-            arrow_origin[an] = ("right", c, name)
             right_arrow[(c, name)] = an
     if len(set(a[0] for a in arrows)) != len(arrows):
         raise CategoryError("arrow name clash in tensor product")
@@ -400,8 +398,5 @@ def tensor_category(C1: BoundQuiverCategory, C2: BoundQuiverCategory) -> BoundQu
             )))
 
     T = build_category(quiver, tuple(relations), f, C1.length_cutoff + C2.length_cutoff)
-    T.tensor_info = TensorInfo(
-        C1, C2, obj_name, {v: k for k, v in obj_name.items()},
-        arrow_origin, left_arrow, right_arrow,
-    )
+    T.tensor_info = TensorInfo(C1, C2, obj_name, left_arrow, right_arrow)
     return T

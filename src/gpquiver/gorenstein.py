@@ -16,10 +16,9 @@ from .modules import (
     Module,
     ModuleMap,
     ModuleError,
-    _ext_from_resolution,
+    _derived_dim,
     _map_columns,
     _maps_from_columns,
-    _tor_from_resolution_of_left,
     dual,
     hom_basis,
     hom_coords,
@@ -136,7 +135,7 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
     res_f = projective_resolution(f_mod, cutoff)
     a = _vanishing_scan(
         cert, "l_nu_dims", degrees(res_f), cat.objects,
-        lambda i: lambda c: _tor_from_resolution_of_left(engine.coef_right(c), res_f, i),
+        lambda i: lambda c: _derived_dim(res_f, engine.coef_right(c), i, tensor=True),
         l_nu)
     if a == "no":
         return Verdict("no", cert, hyp)
@@ -147,8 +146,9 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
     res_dual = projective_resolution(dual(nuF), cutoff)
 
     def r_nu_minus(i, c):
-        v = _ext_from_resolution(engine.res_left(c), nuF, i)
-        return v if v.conclusive else _ext_from_resolution(res_dual, dual(engine.coef_left(c)), i)
+        v = _derived_dim(engine.res_left(c), nuF, i, tensor=False)
+        return v if v.conclusive else _derived_dim(res_dual, dual(engine.coef_left(c)), i,
+                                                   tensor=False)
 
     b = _vanishing_scan(cert, "r_nu_minus_dims", degrees(res_dual), cat.objects,
                         lambda i: lambda c: r_nu_minus(i, c), {"functor": "R_nu_minus"})
@@ -284,7 +284,7 @@ def base_gp(n_mod: Module, profile: BaseGorensteinProfile, cutoff: int = 16) -> 
     cert = {}
     member = _vanishing_scan(
         cert, "ext_dims", range(1, profile.g + 1 if known else cutoff), base.objects,
-        lambda i: lambda c: _ext_from_resolution(res, representable(base, c), i), {})
+        lambda i: lambda c: _derived_dim(res, representable(base, c), i, tensor=False), {})
     if member == "no" or (known and member == "yes"):
         return Verdict(member, cert, hyp)
     cert["blocking_cutoff"] = cutoff

@@ -487,54 +487,3 @@ def kronecker_product(a: Matrix, b: Matrix) -> Matrix:
             out.append(row)
     return Matrix(f, out, a.rows * b.rows, a.cols * b.cols)
 
-
-class Subquotient:
-    """Homology presentation ker(d_out) / im(d_in) inside a fixed ambient space.
-
-    kernel_basis has ambient-dim rows; proj maps kernel coordinates onto
-    homology coordinates.  Both come from canonical eliminations.
-    """
-
-    __slots__ = ("field", "ambient", "kernel_basis", "proj", "_section")
-
-    def __init__(self, field: Field, ambient: int, kernel_basis: Matrix, proj: Matrix):
-        self.field = field
-        self.ambient = ambient
-        self.kernel_basis = kernel_basis
-        self.proj = proj
-        self._section = None
-
-    @property
-    def dim(self) -> int:
-        return self.proj.rows
-
-    @staticmethod
-    def homology(d_out: Matrix, d_in: Matrix) -> "Subquotient":
-        """Homology at the middle of d_in followed by d_out (composite zero)."""
-        if d_out.cols != d_in.rows:
-            raise ShapeError("homology: middle dimensions disagree")
-        if not (d_out @ d_in).is_zero():
-            raise LinAlgError("homology: composite differential is nonzero")
-        K = d_out.kernel()
-        incoming = K.solve(d_in)
-        if incoming is None:
-            raise LinAlgError("homology: image does not land in kernel")
-        proj = incoming.cokernel_projection()
-        return Subquotient(d_out.field, d_out.cols, K, proj)
-
-    def classes_of(self, vectors: Matrix) -> Matrix:
-        """Homology classes of ambient vectors known to lie in the kernel."""
-        coords = self.kernel_basis.solve(vectors)
-        if coords is None:
-            raise LinAlgError("vector outside the kernel subspace")
-        return self.proj @ coords
-
-    def section(self) -> Matrix:
-        """Ambient representatives of the homology basis."""
-        if self._section is None:
-            self._section = self.kernel_basis @ self.proj.right_inverse()
-        return self._section
-
-    def induced_map(self, target: "Subquotient", ambient_map: Matrix) -> Matrix:
-        """Matrix of the map induced on homology by a chain map."""
-        return target.classes_of(ambient_map @ self.section())

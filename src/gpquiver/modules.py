@@ -7,7 +7,9 @@ tensor, Hom, resolutions, Tor, Ext) reduces to exact linear algebra.
 Hom and tensor share one naturality system: M (x)_C F is read off the Hom
 system of F -> DM, since D(M (x)_C F) = Hom_C(F, DM).  Tor and Ext over a
 projective resolution are read off the generators of its free stages
-(Yoneda), without building tensor quotients or Hom systems.
+(Yoneda), without building tensor quotients or Hom systems.  Homology
+modules are built from kernel and cokernel alone: the incoming differential
+lifted into the kernel of the outgoing one, then its cokernel.
 
 Free modules are known by their generators.  free_module lays out
 (+)_k C(c_k,-) once, block k at x spanning the basis paths of C(c_k, x)
@@ -25,7 +27,6 @@ from .linalg import (
     LinAlgError,
     Matrix,
     ShapeError,
-    Subquotient,
     direct_sum_many,
     kronecker_product,
 )
@@ -501,16 +502,11 @@ def basis_cover(m: Module) -> Cover:
     return free_on_generators(m, summands)
 
 
-def projective_cover(m: Module, padded: bool = False) -> Cover:
-    cat = m.cat
-    f = cat.field
+def projective_cover(m: Module) -> Cover:
     summands = []
-    for c in cat.objects:
+    for c in m.cat.objects:
         gens = radical_inclusion_images(m, c).cokernel_projection().right_inverse()
         summands += [(c, gens.col(j)) for j in range(gens.cols)]
-    if padded and cat.objects:
-        # extra non-minimal summand mapping to zero
-        summands.append((cat.objects[0], Matrix.zeros(f, m.dims[cat.objects[0]], 1)))
     cov = free_on_generators(m, summands)
     if not cov.epi.is_surjective():
         raise ModuleError("projective cover failed to surject (radical not nilpotent?)")
@@ -547,10 +543,10 @@ class Resolution:
         return ModuleMap(self.stage_module(i), self.stage_module(i - 1), {}, check=False)
 
 
-def projective_resolution(m: Module, cutoff: int, padded: bool = False) -> Resolution:
+def projective_resolution(m: Module, cutoff: int) -> Resolution:
     if cutoff < 0:
         raise ModuleError("cutoff must be nonnegative")
-    cover0 = projective_cover(m, padded=padded)
+    cover0 = projective_cover(m)
     stages = [cover0]
     diffs = []
     current_epi = cover0.epi
@@ -560,7 +556,7 @@ def projective_resolution(m: Module, cutoff: int, padded: bool = False) -> Resol
         if k.is_zero():
             completed = True
             break
-        cov = projective_cover(k, padded=padded)
+        cov = projective_cover(k)
         stages.append(cov)
         diffs.append(cov.epi.then(incl))
         current_epi = cov.epi
@@ -642,14 +638,6 @@ def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedVal
     return DerivedValue(d_out.cols - d_out.rank() - d_in.rank(), True)
 
 
-def _tor_from_resolution_of_right(res: Resolution, f_mod: Module, i: int) -> DerivedValue:
-    return _derived_dim(res, f_mod, i, tensor=True)
-
-
-def _tor_from_resolution_of_left(m_right: Module, res_f: Resolution, i: int) -> DerivedValue:
-    return _derived_dim(res_f, m_right, i, tensor=True)
-
-
 def tor_dim(m_right: Module, f_mod: Module, i: int, cutoff: int,
             resolution: Resolution | None = None) -> DerivedValue:
     """dim Tor_i(M, F) for a right module M and left module F.
@@ -660,17 +648,13 @@ def tor_dim(m_right: Module, f_mod: Module, i: int, cutoff: int,
     if i < 0:
         raise ModuleError("negative homological degree")
     res = resolution or projective_resolution(m_right, cutoff)
-    out = _tor_from_resolution_of_right(res, f_mod, i)
+    out = _derived_dim(res, f_mod, i, tensor=True)
     if out.conclusive or resolution is not None:
         return out
-    out2 = _tor_from_resolution_of_left(m_right, projective_resolution(f_mod, cutoff), i)
+    out2 = _derived_dim(projective_resolution(f_mod, cutoff), m_right, i, tensor=True)
     if out2.conclusive:
         return out2
     return DerivedValue(None, False, "both tensor-side resolutions truncated")
-
-
-def _ext_from_resolution(res: Resolution, n_mod: Module, i: int) -> DerivedValue:
-    return _derived_dim(res, n_mod, i, tensor=False)
 
 
 def ext_dim(m: Module, n_mod: Module, i: int, cutoff: int,
@@ -679,29 +663,22 @@ def ext_dim(m: Module, n_mod: Module, i: int, cutoff: int,
     if i < 0:
         raise ModuleError("negative cohomological degree")
     res = resolution or projective_resolution(m, cutoff)
-    out = _ext_from_resolution(res, n_mod, i)
+    out = _derived_dim(res, n_mod, i, tensor=False)
     if out.conclusive or resolution is not None:
         return out
-    res_dual = projective_resolution(dual(n_mod), cutoff)
-    out2 = _ext_from_resolution(res_dual, dual(m), i)
+    out2 = _derived_dim(projective_resolution(dual(n_mod), cutoff), dual(m), i, tensor=False)
     if out2.conclusive:
         return out2
     return DerivedValue(None, False, "both Ext routes truncated at cutoff")
 
 
-def homology_of_modules(d_out: ModuleMap, d_in: ModuleMap) -> tuple:
-    """Objectwise homology of a three-term complex of modules.
-
-    Returns the homology Module together with the per-object subquotient
-    presentations (for mapping into or out of the homology).
-    """
-    cat = d_out.src.cat
-    mid = d_out.src
-    if d_in.dst != mid:
-        raise ModuleError("homology: differentials do not share the middle module")
-    sq = {c: Subquotient.homology(d_out.mats[c], d_in.mats[c]) for c in cat.objects}
-    dims = {c: sq[c].dim for c in cat.objects}
-    mats = {}
-    for name, (s, t) in cat.arrow_map.items():
-        mats[name] = sq[s].induced_map(sq[t], mid.mats[name])
-    return Module(cat, dims, mats, check=False), sq
+def homology_of_modules(d_out: ModuleMap, d_in: ModuleMap) -> Module:
+    """Homology ker(d_out) / im(d_in) at the middle of a complex of modules:
+    the cokernel of d_in lifted into the kernel of d_out, one solve per object."""
+    K, incl = kernel(d_out)
+    lift = {}
+    for c in K.cat.objects:
+        lift[c] = incl.mats[c].solve(d_in.mats[c])
+        if lift[c] is None:
+            raise LinAlgError("homology: composite differential is nonzero")
+    return cokernel(ModuleMap(d_in.src, K, lift, check=False))[0]

@@ -7,6 +7,12 @@ resolutions are cached per category, so sweeping many representations of the
 same category stays cheap.  Both halves of the bimodule D(C) are written in
 one basis, the dual of C's own path basis: D(C)(x, y) = D(C(x, y)), with the
 left action read off precomposition and the right one off the representables.
+
+The derived functors have one shape.  Their dimension counts are Tor and Ext
+over the cached coefficient resolutions.  As modules, L_i nu (F) and
+R^i nu^- (F) are the homology at stage i of nu applied to a projective
+resolution of F, and of nu^- applied to the injective coresolution D(P_j) of
+F, P a projective resolution of D(F); only stages i-1, i and i+1 are built.
 """
 
 from __future__ import annotations
@@ -23,9 +29,7 @@ from .modules import (
     ModuleMap,
     ModuleError,
     Resolution,
-    _ext_from_resolution,
-    _tor_from_resolution_of_left,
-    _tor_from_resolution_of_right,
+    _derived_dim,
     basis_cover,
     block_offsets,
     direct_sum_modules,
@@ -338,11 +342,11 @@ class NakayamaEngine:
         out = {}
         res_f = None
         for c in self.cat.objects:
-            v = _tor_from_resolution_of_right(self.res_right(c), f_mod, i)
+            v = _derived_dim(self.res_right(c), f_mod, i, tensor=True)
             if not v.conclusive:
                 if res_f is None:
                     res_f = projective_resolution(f_mod, self.cutoff)
-                v = _tor_from_resolution_of_left(self.coef_right(c), res_f, i)
+                v = _derived_dim(res_f, self.coef_right(c), i, tensor=True)
             out[c] = v
         return out
 
@@ -352,58 +356,33 @@ class NakayamaEngine:
         out = {}
         res_dual = None
         for c in self.cat.objects:
-            v = _ext_from_resolution(self.res_left(c), f_mod, i)
+            v = _derived_dim(self.res_left(c), f_mod, i, tensor=False)
             if not v.conclusive:
                 if res_dual is None:
                     res_dual = projective_resolution(dual(f_mod), self.cutoff)
-                v = _ext_from_resolution(res_dual, dual(self.coef_left(c)), i)
+                v = _derived_dim(res_dual, dual(self.coef_left(c)), i, tensor=False)
             out[c] = v
         return out
 
     def left_derived_nu(self, f_mod: Module, i: int) -> Module:
-        """L_i nu (F) as a representation: homology of nu of a resolution."""
-        if i < 1:
-            raise ModuleError("left derived functor needs degree >= 1")
+        """L_i nu (F) as a representation: homology of nu applied to a
+        projective resolution P of F, at P_i."""
         res = projective_resolution(f_mod, self.cutoff)
-        n = res.length()
-        if not res.completed and i > n - 1:
-            raise InconclusiveError(f"resolution of F truncated at {n} < degree {i}+1")
-        if i > n:
+        if _past_end(res, i):
             return zero_module(self.cat)
-        nus = [self.nu(res.stage_module(j)) for j in range(min(i + 1, n) + 1)]
-        d_out = self.nu_map(nus[i], nus[i - 1], res.diff(i))
-        if i + 1 <= n:
-            d_in = self.nu_map(nus[i + 1], nus[i], res.diff(i + 1))
-        else:
-            d_in = ModuleMap(zero_module(self.cat), nus[i].module, {}, check=False)
-        return homology_of_modules(d_out, d_in)[0]
-
-    def injective_coresolution(self, f_mod: Module) -> tuple:
-        """Dualized projective resolution of D(F): modules I^0, I^1, ... and
-        maps F -> I^0, I^j -> I^{j+1}."""
-        res = projective_resolution(dual(f_mod), self.cutoff)
-        stages = [dual(res.stage_module(j)) for j in range(res.length() + 1)]
-        aug = dual_map(res.stages[0].epi)      # F -> I^0 (via F = D(D(F)))
-        diffs = [dual_map(res.diff(j)) for j in range(1, res.length() + 1)]
-        return stages, aug, diffs, res.completed
+        nus = [self.nu(res.stage_module(j)) for j in (i - 1, i, i + 1)]
+        return homology_of_modules(self.nu_map(nus[1], nus[0], res.diff(i)),
+                                   self.nu_map(nus[2], nus[1], res.diff(i + 1)))
 
     def right_derived_nu_minus(self, f_mod: Module, i: int) -> Module:
-        """R^i nu^- (F) as a representation, via an injective coresolution."""
-        if i < 1:
-            raise ModuleError("right derived functor needs degree >= 1")
-        stages, aug, diffs, completed = self.injective_coresolution(f_mod)
-        n = len(stages) - 1
-        if not completed and i > n - 1:
-            raise InconclusiveError(f"coresolution of F truncated at {n} < degree {i}+1")
-        if i > n:
+        """R^i nu^- (F) as a representation: homology of nu^- applied to the
+        injective coresolution D(P_j) of F, P a projective resolution of D(F)."""
+        res = projective_resolution(dual(f_mod), self.cutoff)
+        if _past_end(res, i):
             return zero_module(self.cat)
-        nms = [self.nu_minus(stages[j]) for j in range(min(i + 1, n) + 1)]
-        d_in = self.nu_minus_map(nms[i - 1], nms[i], diffs[i - 1])
-        if i + 1 <= n:
-            d_out = self.nu_minus_map(nms[i], nms[i + 1], diffs[i])
-        else:
-            d_out = ModuleMap(nms[i].module, zero_module(self.cat), {}, check=False)
-        return homology_of_modules(d_out, d_in)[0]
+        nms = [self.nu_minus(dual(res.stage_module(j))) for j in (i - 1, i, i + 1)]
+        return homology_of_modules(self.nu_minus_map(nms[1], nms[2], dual_map(res.diff(i + 1))),
+                                   self.nu_minus_map(nms[0], nms[1], dual_map(res.diff(i))))
 
     # -- Gorenstein dimension of P ----------------------------------------
 
@@ -424,6 +403,18 @@ class NakayamaEngine:
                     )
                 self._gdim = GorensteinDimension(s1, "finite", left, right, self.cutoff)
         return self._gdim
+
+
+def _past_end(res: Resolution, i: int) -> bool:
+    """Whether degree i of a derived functor lies past the end of the completed
+    resolution res; raises below degree 1 and where res is truncated too
+    early to settle degree i."""
+    if i < 1:
+        raise ModuleError("derived functor needs degree >= 1")
+    n = res.length()
+    if not res.completed and i > n - 1:
+        raise InconclusiveError(f"resolution truncated at {n} < degree {i}+1")
+    return i > n
 
 
 def gorenstein_dimension_of_P(cat: BoundQuiverCategory, cutoff: int = 16) -> GorensteinDimension:

@@ -43,8 +43,10 @@ def dense_build_category(quiver, relations, field, length_cutoff):
                 level.append((c, t, p + (name,)))
         total += len(level)
         if total > MAX_PATHS:
-            c, d, _ = level[-1]
-            raise PossiblyInfiniteError((c, d), length_cutoff)
+            raise CategoryError(
+                f"{total} paths up to length {len(by_level)}, above the bound {MAX_PATHS}; "
+                f"lower length_cutoff (now {length_cutoff}): it only needs to exceed "
+                f"the longest nonzero path")
         by_level.append(level)
 
     paths_by_pair = {}

@@ -10,20 +10,31 @@ through the explicit tensor quotient (`tensor_over_cat` plus
 `hom_coords` solve per differential).  The truncation and vanishing rules are
 the same as in `gpquiver.modules`, so results compare as DerivedValues.
 
+Homology dimensions come from a kernel basis, the lift of the incoming
+differential into it, and the cokernel of that lift, not from the rank
+formula the production route uses.
+
 `free_cover_by_paths` and `p_counit_kronecker` build free modules the long
 way: direct sums of representables, a whole path matrix M(p) per generator
 image, and P(F) over a base as Kronecker products of representables with
 the coefficients.
+
+`padded_resolution` is a non-minimal resolution: every cover carries one
+more generator, sent to zero.
 """
 
-from gpquiver.linalg import Matrix, Subquotient, direct_sum_many, kronecker_product
+from gpquiver.linalg import LinAlgError, Matrix, direct_sum_many, kronecker_product
 from gpquiver.modules import (
     DerivedValue,
     Module,
     ModuleMap,
+    Resolution,
     direct_sum_modules,
+    free_on_generators,
     hom_basis,
     hom_coords,
+    kernel,
+    projective_cover,
     representable,
     tensor_induced,
     tensor_over_cat,
@@ -46,6 +57,25 @@ def free_cover_by_paths(m, summands):
                 acc = acc.hstack(m.act_path(c, p) @ vec)
         epi[x] = acc
     return total, epi
+
+
+def padded_cover(m):
+    """The minimal cover of m with one more generator, at the first object,
+    sent to zero."""
+    c = m.cat.objects[0]
+    return free_on_generators(
+        m, projective_cover(m).summands + [(c, Matrix.zeros(m.cat.field, m.dims[c], 1))])
+
+
+def padded_resolution(m, cutoff):
+    """A resolution of m by padded covers, cutoff stages past P_0; it never
+    completes, since every cover kernel contains the padding summand."""
+    stages, diffs = [padded_cover(m)], []
+    for _ in range(cutoff):
+        k, incl = kernel(stages[-1].epi)
+        stages.append(padded_cover(k))
+        diffs.append(stages[-1].epi.then(incl))
+    return Resolution(m, stages, diffs, False, cutoff)
 
 
 def p_counit_kronecker(fact, F):
@@ -106,6 +136,15 @@ def tensor_projection(m, f_mod):
     return rel.cokernel_projection()
 
 
+def _homology_dim(d_out, d_in):
+    """dim ker d_out / im d_in: d_in lifted into a kernel basis of d_out, then
+    the dimension of the cokernel of the lift."""
+    incoming = d_out.kernel().solve(d_in)
+    if incoming is None:
+        raise LinAlgError("homology: composite differential is nonzero")
+    return incoming.cokernel_projection().rows
+
+
 def _out_of_range(res, i):
     n = res.length()
     if not res.completed and i > n - 1:
@@ -119,7 +158,7 @@ def _tor(res, tens, cat, i, induced):
     n = res.length()
     d_out = Matrix.zeros(cat.field, 0, tens[0].dim) if i == 0 else induced(i)
     d_in = Matrix.zeros(cat.field, tens[i].dim, 0) if i + 1 > n else induced(i + 1)
-    return DerivedValue(Subquotient.homology(d_out, d_in).dim, True)
+    return DerivedValue(_homology_dim(d_out, d_in), True)
 
 
 def tor_from_resolution_of_right(res, f_mod, i):
@@ -162,4 +201,4 @@ def ext_from_resolution(res, n_mod, i):
 
     d_out = delta(i) if i + 1 <= n else Matrix.zeros(f, 0, len(bases[i]))
     d_in = delta(i - 1) if i >= 1 else Matrix.zeros(f, len(bases[0]), 0)
-    return DerivedValue(Subquotient.homology(d_out, d_in).dim, True)
+    return DerivedValue(_homology_dim(d_out, d_in), True)

@@ -5,6 +5,7 @@ import json
 import random
 import time
 
+import derived_oracle
 from conftest import F2, F5, chain, cyclic3, ka2, ka3, square, tensor322, module322
 
 from gpquiver import cli
@@ -27,7 +28,7 @@ from gpquiver.modules import (
     projective_resolution,
     representable,
     zero_module,
-    _tor_from_resolution_of_left,
+    _derived_dim,
 )
 from gpquiver.nakayama import NakayamaEngine
 
@@ -152,10 +153,10 @@ def test_acceptance_06_tor_independent_of_resolution_padding():
         M = random_module(Cop, rng)
         F = random_rep(C, rng, 3, 5)
         res_min = projective_resolution(F, 16)
-        res_pad = projective_resolution(F, 16, padded=True)
+        res_pad = derived_oracle.padded_resolution(F, 16)
         for i in range(5):
-            a = _tor_from_resolution_of_left(M, res_min, i)
-            b = _tor_from_resolution_of_left(M, res_pad, i)
+            a = _derived_dim(res_min, M, i, tensor=True)
+            b = _derived_dim(res_pad, M, i, tensor=True)
             assert a.conclusive and b.conclusive
             assert a.dim == b.dim
 

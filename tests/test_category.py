@@ -139,6 +139,16 @@ def test_too_many_relation_translates_are_refused():
     assert time.perf_counter() - start < 5
 
 
+def test_too_many_paths_are_refused_as_too_long_a_cutoff():
+    # Lambda(k^4) at length 9 has 349,525 paths, above MAX_PATHS, but is
+    # finite of dimension 16: the refusal asks for a lower cutoff, and is
+    # not a claim of infinite dimension
+    msg = r"349525 paths up to length 9, .* lower length_cutoff \(now 9\)"
+    with pytest.raises(CategoryError, match=msg) as exc:
+        build_category(*exterior4(GF(2)), GF(2), 9)
+    assert not isinstance(exc.value, PossiblyInfiniteError)
+
+
 def test_tensor_with_point_is_identity_on_dims():
     C = ex322()
     T = tensor_category(trivial(), C)

@@ -345,6 +345,15 @@ def test_too_many_relation_translates_is_input_error(tmp_path, capsys):
     assert "364090 relation translates" in err and "length_cutoff (now 8)" in err
 
 
+def test_too_many_paths_is_input_error_asking_for_a_lower_cutoff(tmp_path, capsys):
+    p = tmp_path / "l4.cat"
+    p.write_text(exterior_text(4, "F5", 9))
+    status, out, err = run(["cat-info", str(p)], capsys)
+    assert (status, out) == (1, "")
+    assert "349525 paths up to length 9" in err and "lower length_cutoff (now 9)" in err
+    assert "possibly-infinite" not in err
+
+
 def generated_categories(tmp_path):
     (tmp_path / "l3.cat").write_text(exterior_text(3, "Q", 5))
     (tmp_path / "l4.cat").write_text(exterior_text(4, "F5", 5))

@@ -15,7 +15,6 @@ from gpquiver.linalg import (
     Matrix,
     PrimeField,
     ShapeError,
-    Subquotient,
     direct_sum,
     field_from_name,
     kronecker_product,
@@ -171,29 +170,6 @@ def test_right_inverse():
     m = mat([[1, 0, 2], [0, 1, 3]])
     s = m.right_inverse()
     assert m @ s == Matrix.identity(QQ, 2)
-
-
-def test_subquotient_homology():
-    # complex k --(0 1)^T--> k^2 --(1 0)--> k: homology 0 in the middle
-    d_in = mat([[0], [1]])
-    d_out = mat([[1, 0]])
-    h = Subquotient.homology(d_out, d_in)
-    assert h.dim == 0
-    # zero differentials: homology is everything
-    h2 = Subquotient.homology(Matrix.zeros(QQ, 0, 2), Matrix.zeros(QQ, 2, 0))
-    assert h2.dim == 2
-
-
-def test_subquotient_induced_map():
-    # middle space k^2, kill the span of e1, identity chain map
-    d_in = mat([[1], [0]])
-    d_out = Matrix.zeros(QQ, 0, 2)
-    h = Subquotient.homology(d_out, d_in)
-    assert h.dim == 1
-    ind = h.induced_map(h, Matrix.identity(QQ, 2))
-    assert ind == Matrix.identity(QQ, 1)
-    killed = h.classes_of(mat([[2], [0]]))
-    assert killed.is_zero()
 
 
 def test_prime_field_modulus_check():

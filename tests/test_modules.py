@@ -6,14 +6,12 @@ import pytest
 import derived_oracle
 from conftest import F5, chain, cyclic3, ex322, ka2, ka3, loop_sq, square, trivial
 
-from gpquiver.linalg import GF, QQ, Matrix
+from gpquiver.linalg import GF, QQ, LinAlgError, Matrix
 from gpquiver.modules import (
     DerivedValue,
     Module,
     ModuleMap,
-    _ext_from_resolution,
-    _tor_from_resolution_of_left,
-    _tor_from_resolution_of_right,
+    _derived_dim,
     cokernel,
     direct_sum_modules,
     dual,
@@ -23,6 +21,7 @@ from gpquiver.modules import (
     free_module,
     free_on_generators,
     hom_basis,
+    homology_of_modules,
     image,
     kernel,
     pdim,
@@ -134,6 +133,29 @@ def test_kernel_of_identity_and_zero():
     zmap = ModuleMap(F, Z, {})
     K, _ = kernel(zmap)
     assert K.dims == F.dims
+
+
+def test_homology_of_modules():
+    M = a2_rep(QQ, 2, 2, [[1, 2], [3, 4]])
+    Z = zero_module(M.cat)
+    # 0 -> M -> 0 gives M back, arrow matrices included
+    assert homology_of_modules(ModuleMap(M, Z, {}), ModuleMap(Z, M, {})) == M
+    assert homology_of_modules(ModuleMap(M, Z, {}), ModuleMap.identity(M)).is_zero()
+    # N = k^3 -> k^3 by diag(1, 2, 1); d_in spans e3, d_out reads the e1
+    # coordinate, so the homology is spanned by e2 and its arrow acts by 2
+    N = a2_rep(QQ, 3, 3, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+    T = a2_rep(QQ, 1, 1, [[1]])
+    e1 = mat(QQ, [[1, 0, 0]])
+    d_out = ModuleMap(N, T, {"1": e1, "2": e1})
+    e3 = mat(QQ, [[0], [0], [1]])
+    d_in = ModuleMap(T, N, {"1": e3, "2": e3})
+    H = homology_of_modules(d_out, d_in)
+    H.validate()
+    assert H.dims == {"1": 1, "2": 1}
+    assert H.mats["a"] == mat(QQ, [[2]])
+    # a nonzero composite has no homology
+    with pytest.raises(LinAlgError, match="composite"):
+        homology_of_modules(d_out, ModuleMap.identity(N))
 
 
 def test_tensor_representable_is_evaluation():
@@ -319,7 +341,7 @@ def test_tor_agrees_on_both_sides():
         for i in range(3):
             a = tor_dim(M, F, i, 6, resolution=res)
             assert a.conclusive
-            b = _tor_from_resolution_of_left(M, res_f, i)
+            b = _derived_dim(res_f, M, i, tensor=True)
             assert b.conclusive and b.dim == a.dim
 
 
@@ -338,17 +360,17 @@ def test_derived_dims_match_generic_oracle(make, field):
     cases.append((longest_path_quotient(op), longest_path_quotient(C),
                   longest_path_quotient(C), random_module(C, rng)))
     for M, F, N, F2 in cases:
-        for padded in (False, True):
-            res_m = projective_resolution(M, 3, padded=padded)
-            res_f = projective_resolution(F, 3, padded=padded)
-            res_n = projective_resolution(N, 3, padded=padded)
+        for resolve in (projective_resolution, derived_oracle.padded_resolution):
+            res_m = resolve(M, 3)
+            res_f = resolve(F, 3)
+            res_n = resolve(N, 3)
             for i in range(4):
                 pairs = [
-                    (_tor_from_resolution_of_right(res_m, F, i),
+                    (_derived_dim(res_m, F, i, tensor=True),
                      derived_oracle.tor_from_resolution_of_right(res_m, F, i)),
-                    (_tor_from_resolution_of_left(M, res_f, i),
+                    (_derived_dim(res_f, M, i, tensor=True),
                      derived_oracle.tor_from_resolution_of_left(M, res_f, i)),
-                    (_ext_from_resolution(res_n, F2, i),
+                    (_derived_dim(res_n, F2, i, tensor=False),
                      derived_oracle.ext_from_resolution(res_n, F2, i)),
                 ]
                 for got, want in pairs:
@@ -383,7 +405,7 @@ def test_free_covers_match_path_oracle(make, field):
     for M in [random_module(C, rng) for _ in range(3)] + [longest_path_quotient(C)]:
         zeros = [(c, Matrix.zeros(field, M.dims[c], 1)) for c in C.objects]
         minimal = projective_cover(M).summands
-        for summands in (minimal, projective_cover(M, padded=True).summands,
+        for summands in (minimal, derived_oracle.padded_cover(M).summands,
                          basis_cover(M).summands, zeros + minimal, []):
             cov = free_on_generators(M, summands)
             total, epi = derived_oracle.free_cover_by_paths(M, summands)

@@ -21,8 +21,7 @@ from gpquiver.gorenstein import is_gproj_P, is_p_projective, splitting_section
 from gpquiver.linalg import GF, QQ
 from gpquiver.modules import (
     ModuleMap,
-    _tor_from_resolution_of_left,
-    _tor_from_resolution_of_right,
+    _derived_dim,
     dual,
     free_module,
     projective_resolution,
@@ -171,11 +170,16 @@ def test_one_basis_nakayama_engine(cat, seed):
     iso.validate()
     assert iso.is_iso()
 
-    # R^i nu^-: Ext from the coefficient injectives against the coresolution
+    # L_i nu and R^i nu^-: the dimension counts against the homology modules
     for i in (1, 2):
+        by_tor = eng.left_derived_nu_dims(F, i)
+        by_homology = eng.left_derived_nu(F, i)
+        by_homology.validate()
+        assert {c: v.expect() for c, v in by_tor.items()} == by_homology.dim_vector()
         by_ext = eng.right_derived_nu_minus_dims(F, i)
-        by_cores = eng.right_derived_nu_minus(F, i).dim_vector()
-        assert {c: v.expect() for c, v in by_ext.items()} == by_cores
+        by_cores = eng.right_derived_nu_minus(F, i)
+        by_cores.validate()
+        assert {c: v.expect() for c, v in by_ext.items()} == by_cores.dim_vector()
 
 
 # each example resolves every coefficient module of a fresh engine; 10 keep
@@ -195,8 +199,8 @@ def test_tensor_and_derived_routes_agree(cat, seed):
     res_f = projective_resolution(F, 8)
     for c in cat.objects:
         for i in range(3):
-            right = _tor_from_resolution_of_right(eng.res_right(c), F, i)
-            left = _tor_from_resolution_of_left(eng.coef_right(c), res_f, i)
+            right = _derived_dim(eng.res_right(c), F, i, tensor=True)
+            left = _derived_dim(res_f, eng.coef_right(c), i, tensor=True)
             assert right.conclusive and (right.dim, True) == (left.dim, left.conclusive)
 
     # the shortcut and the full gproj-P routes give the same verdict, unless
