@@ -5,11 +5,18 @@ range(p) over GF(p).  Matrices are stored densely, but elimination and
 products skip zero entries, which both fields make falsy.  All
 eliminations use a fixed pivot order (leftmost nonzero, topmost row), so
 every derived basis and projection is deterministic for a given input.
+
+`Matrix.rref` is one Gauss-Jordan loop over rows of Python ints for both
+fields, so it does no Fraction arithmetic: over QQ each row is kept as a
+primitive integer multiple of its scalar row, and Fractions are made only
+for the result.  The field supplies the row steps that differ (`Field`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 
 
 class LinAlgError(Exception):
@@ -29,6 +36,18 @@ class Field:
 
     Contract: a scalar is zero exactly when it is falsy, so `bool(x)` is
     the zero test of the kernels below.
+
+    The underscored methods are the row steps of `Matrix.rref`, which works
+    on lists of Python ints: `_encode_rows` gives integer rows spanning the
+    same lines as the scalar rows, `_pivot_unit(pc)` the unit that
+    normalizes a pivot row, `_tidy_row(row, support)` normalizes in place a
+    row just changed at `support`, and `_decode_rows(m, pivots)` gives the
+    scalar rows of the RREF (row i of m holds pivot i, later rows are zero).
+    Over QQ a row is a primitive integer multiple of the scalar row
+    (denominators cleared by their lcm, divided by the content gcd after
+    every update), a pivot is made positive, and an entry x decodes to
+    x / pivot.  Over GF(p) a row is its residues, a pivot row is scaled to
+    pivot 1, changed entries are reduced mod p, and the rows are the result.
     """
 
     def zero(self):
@@ -96,6 +115,38 @@ class RationalField(Field):
 
     def fmt(self, a):
         return str(a)
+
+    def _encode_rows(self, rows):
+        """Primitive integer multiples: denominators cleared by their lcm,
+        reading only the nonzero entries."""
+        out = []
+        for row in rows:
+            new = [0] * len(row)
+            if nz := list(compress(range(len(row)), row)):
+                den = lcm(*[row[j].denominator for j in nz])
+                for j in nz:
+                    new[j] = row[j].numerator * (den // row[j].denominator)
+                self._tidy_row(new, nz)
+            out.append(new)
+        return out
+
+    def _pivot_unit(self, pc):
+        return -1 if pc < 0 else 1
+
+    def _tidy_row(self, row, support):
+        """Divide by the content, so rows stay primitive."""
+        if (g := gcd(*row)) > 1:
+            row[:] = [x // g for x in row]
+
+    def _decode_rows(self, m, pivots):
+        z = Fraction(0)
+        out = []
+        for row, c in zip(m, pivots):
+            if (pc := row[c]) == 1:
+                out.append([Fraction(x) if x else z for x in row])
+            else:
+                out.append([Fraction(x, pc) if x else z for x in row])
+        return out + [[z] * len(row) for row in m[len(pivots):]]
 
     def __repr__(self):
         return "QQ"
@@ -180,6 +231,22 @@ class PrimeField(Field):
 
     def fmt(self, a):
         return str(a % self.p)
+
+    def _encode_rows(self, rows):
+        return [*map(list.copy, rows)]
+
+    def _pivot_unit(self, pc):
+        return pow(pc, -1, self.p)
+
+    def _tidy_row(self, row, support):
+        """Reduce mod p where the row changed; pivots are 1, so an update
+        never scales the whole row."""
+        p = self.p
+        for j in support:
+            row[j] %= p
+
+    def _decode_rows(self, m, pivots):
+        return m
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -363,12 +430,16 @@ class Matrix:
     def rref(self) -> tuple["Matrix", list[int]]:
         """Reduced row echelon form with leftmost-pivot, topmost-row order.
 
-        Each row update touches only the nonzero entries of the pivot row,
-        all of which lie at or right of the pivot column.
+        One Gauss-Jordan loop over integer rows for both fields; the field
+        encodes the rows, gives the unit that normalizes each pivot row,
+        tidies every changed row and decodes the result.
+        A row update is row <- (pc/g) row - (a/g) prow with g = gcd(pc, a),
+        at the nonzero columns of the pivot row, all at or right of the
+        pivot column c; only when pc/g != 1 is the whole row scaled.
         """
         f = self.field
-        sub, mul = f.sub, f.mul
-        m = [row[:] for row in self.data]
+        tidy = f._tidy_row
+        m = f._encode_rows(self.data)
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
@@ -379,18 +450,24 @@ class Matrix:
                 continue
             prow = m[sel]
             m[r], m[sel] = prow, m[r]
-            inv = f.inv(prow[c])
-            support = [j for j in range(c, self.cols) if prow[j]]
-            for j in support:
-                prow[j] = mul(inv, prow[j])
+            support = list(compress(range(c, self.cols), prow[c:]))
+            if (unit := f._pivot_unit(prow[c])) != 1:
+                for j in support:
+                    prow[j] *= unit
+                tidy(prow, support)
+            pc = prow[c]
             for row in m:
-                factor = row[c]
-                if factor and row is not prow:
+                if (a := row[c]) and row is not prow:
+                    g = gcd(pc, a)
+                    if (s := pc // g) != 1:
+                        row[:] = [s * x for x in row]
+                    a //= g
                     for j in support:
-                        row[j] = sub(row[j], mul(factor, prow[j]))
+                        row[j] -= a * prow[j]
+                    tidy(row, support)
             pivots.append(c)
             r += 1
-        return Matrix._adopt(f, m, self.rows, self.cols), pivots
+        return Matrix._adopt(f, f._decode_rows(m, pivots), self.rows, self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -411,7 +488,7 @@ class Matrix:
             data[fc][k] = o
             for i, pc in enumerate(pivots):
                 data[pc][k] = f.neg(R.data[i][fc])
-        return len(pivots), Matrix(f, data, self.cols, len(free))
+        return len(pivots), Matrix._adopt(f, data, self.cols, len(free))
 
     def kernel(self) -> "Matrix":
         return self.rank_and_kernel()[1]
@@ -470,7 +547,7 @@ def direct_sum_many(field: Field, mats: list[Matrix]) -> Matrix:
             raise FieldMismatchError(f"{m.field!r} vs {field!r}")
         out += [[z] * left + row + [z] * (cols - left - m.cols) for row in m.data]
         left += m.cols
-    return Matrix(field, out, len(out), cols)
+    return Matrix._adopt(field, out, len(out), cols)
 
 
 def kronecker_product(a: Matrix, b: Matrix) -> Matrix:
@@ -485,5 +562,5 @@ def kronecker_product(a: Matrix, b: Matrix) -> Matrix:
                 c = a.data[i][j]
                 row.extend(f.mul(c, x) for x in b.data[k])
             out.append(row)
-    return Matrix(f, out, a.rows * b.rows, a.cols * b.cols)
+    return Matrix._adopt(f, out, a.rows * b.rows, a.cols * b.cols)
 

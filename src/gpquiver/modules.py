@@ -219,7 +219,7 @@ def representable(cat: BoundQuiverCategory, c) -> Module:
         for j, red in enumerate(cols):
             for p, coef in red.items():
                 data[idx[p]][j] = coef
-        mats[name] = Matrix(f, data, len(idx), len(src_paths))
+        mats[name] = Matrix._adopt(f, data, len(idx), len(src_paths))
     return Module(cat, dims, mats, check=False)
 
 
@@ -332,7 +332,7 @@ def _naturality_system(m: Module, n: Module) -> Matrix:
                     idx = offsets[s] + k * m.dims[s] + j
                     row[idx] = f.sub(row[idx], na.data[i][k])
                 rows.append(row)
-    return Matrix(f, rows, len(rows), ends[-1])
+    return Matrix._adopt(f, rows, len(rows), ends[-1])
 
 
 def hom_basis(m: Module, n: Module) -> list:
@@ -368,7 +368,7 @@ def _maps_from_columns(m: Module, n: Module, cols: Matrix) -> list:
         mats, off = {}, 0
         for c in m.cat.objects:
             r, k = n.dims[c], m.dims[c]
-            mats[c] = Matrix(f, [flat[off + i * k:off + (i + 1) * k] for i in range(r)], r, k)
+            mats[c] = Matrix._adopt(f, [flat[off + i * k:off + (i + 1) * k] for i in range(r)], r, k)
             off += r * k
         maps.append(ModuleMap(m, n, mats, check=False))
     return maps
@@ -488,7 +488,7 @@ def free_on_generators(m: Module, summands: list) -> Cover:
                 for row, entry in zip(rows[x], images[p].data):
                     row += entry
     total = free_module(cat, [c for c, _ in summands])
-    epi = {x: Matrix(cat.field, rows[x], m.dims[x], total.dims[x]) for x in cat.objects}
+    epi = {x: Matrix._adopt(cat.field, rows[x], m.dims[x], total.dims[x]) for x in cat.objects}
     return Cover(total, ModuleMap(total, m, epi, check=False), summands)
 
 
@@ -616,7 +616,7 @@ def _applied_diff(res: Resolution, x: Module, j: int, tensor: bool) -> Matrix:
                         out = data[r0 + r]
                         for s, v in enumerate(block_row):
                             out[c0 + s] = f.add(out[c0 + s], f.mul(coef, v))
-    return Matrix(f, data, rows, cols)
+    return Matrix._adopt(f, data, rows, cols)
 
 
 def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedValue:

@@ -93,7 +93,7 @@ def precomposition(cat: BoundQuiverCategory, arrow: str) -> dict:
         for j, p in enumerate(cols):
             for q, coef in cat.reduce_word(s, (arrow,) + p).items():
                 data[idx[q]][j] = coef
-        mats[x] = Matrix(f, data, len(idx), len(cols))
+        mats[x] = Matrix._adopt(f, data, len(idx), len(cols))
     return mats
 
 

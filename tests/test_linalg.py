@@ -237,3 +237,98 @@ def test_kernels_agree_with_dense_reference(field, rows, cols, density, seed):
         want = results()
     # repr also tells a Fraction zero from an int one
     assert repr(got) == repr(want)
+
+
+BIG = GF(2**61 - 1)
+
+
+@st.composite
+def eliminations(draw):
+    """A matrix of up to 12 x 12 over QQ or GF(2^61 - 1) for the integer-row
+    elimination: rational entries with denominators up to 97, all-integer
+    rows, or a rank-deficient product of thin factors; in half the examples
+    every row's leading entry is negative."""
+    field = draw(st.sampled_from((QQ, BIG)))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(("rational", "integer", "thin")))
+    density = draw(st.sampled_from((0.3, 0.7, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        den = 1 if kind == "integer" else rng.randrange(1, 98)
+        return Fraction(rng.randrange(-99, 100), den)
+
+    def dense(r, c):
+        return [[entry() for _ in range(c)] for _ in range(r)]
+
+    if kind == "thin":
+        inner = rng.randrange(1, 4)
+        a = Matrix(QQ, dense(rows, inner), rows, inner) @ Matrix(QQ, dense(inner, cols), inner, cols)
+        data = a.data
+    else:
+        data = dense(rows, cols)
+    if draw(st.booleans()):
+        data = [[-x for x in row] if next((x for x in row if x), 0) > 0 else row
+                for row in data]
+    return Matrix(field, [[field.of(x) for x in row] for row in data], rows, cols)
+
+
+@given(eliminations(), st.integers(0, 2**32))
+@example(mat([[Fraction(-1, 97), Fraction(2, 89)], [Fraction(-3, 2), 0]]), 0)
+@settings(max_examples=60)
+def test_integer_rows_agree_with_dense_reference(a, seed):
+    rng = random.Random(seed)
+    f = a.field
+    rhs = Matrix(f, [[f.of(rng.randrange(-9, 10)) for _ in range(2)] for _ in range(a.rows)],
+                 a.rows, 2)
+    consistent = a @ Matrix(f, [[f.of(rng.randrange(-9, 10)) for _ in range(2)]
+                                for _ in range(a.cols)], a.cols, 2)
+
+    def results():
+        return (a.rref(), a.rank_and_kernel(), a.solve(consistent), a.solve(rhs),
+                a.cokernel_projection())
+
+    got = results()
+    with dense_kernels():
+        want = results()
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("n", (8, 12))
+def test_hilbert_inverse_closed_form(n):
+    from math import comb
+
+    h = Matrix(QQ, [[Fraction(1, i + j - 1) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    inverse = [[(-1) ** (i + j) * (i + j - 1) * comb(n + i - 1, n - j) * comb(n + j - 1, n - i)
+                * comb(i + j - 2, i - 1) ** 2 for j in range(1, n + 1)] for i in range(1, n + 1)]
+    assert h.right_inverse() == Matrix.from_ints(QQ, inverse)
+
+
+class NoArithmetic(Fraction):
+    """A Fraction whose arithmetic raises, so a kernel may only read its
+    numerator, denominator and truth value."""
+
+    def _refuse(self, *args):
+        raise AssertionError("Fraction arithmetic in an exact kernel")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _refuse
+    __truediv__ = __rtruediv__ = __neg__ = _refuse
+
+
+def test_elimination_over_q_does_no_fraction_arithmetic():
+    rng = random.Random(5)
+    rows = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 12)) if rng.random() < 0.7 else 0
+             for _ in range(7)] for _ in range(6)]
+    rows[4] = [x + y for x, y in zip(rows[0], rows[1])]
+    plain = Matrix(QQ, rows)
+    guarded = Matrix(QQ, [[NoArithmetic(x) for x in row] for row in rows])
+    b = Matrix(QQ, [[Fraction(k, 3)] for k in range(6)])
+    guarded_b = Matrix(QQ, [[NoArithmetic(x) for x in row] for row in b.data])
+    with pytest.raises(AssertionError):
+        guarded.data[0][0] * 2
+    # repr tells a NoArithmetic entry that went through from a Fraction
+    assert repr(guarded.rref()) == repr(plain.rref())
+    assert repr(guarded.rank_and_kernel()) == repr(plain.rank_and_kernel())
+    assert repr(guarded.solve(guarded_b)) == repr(plain.solve(b))

@@ -224,3 +224,15 @@ def test_unbased_p_projective_is_counit_splitting(cat, seed):
     for F in (random_module(cat, rng, max_gens=1), free_module(cat, objs)):
         split = splitting_section(eng.counit_P(F)[1]) is not None
         assert (is_p_projective(F, eng).member == "yes") == split
+
+
+# D(C(c,-)) is the same C^op-module whether read as C's right coefficient
+# module or as C^op's left one; two engines per example, 10 keep the test
+# inside the tier-1 budget
+@settings(max_examples=10)
+@given(bound_quivers())
+def test_left_and_right_gdim_agree(cat):
+    g = NakayamaEngine(cat, 8).gorenstein_dimension()
+    g_op = NakayamaEngine(cat.opposite(), 8).gorenstein_dimension()
+    assert g.right_pdims == g_op.left_pdims
+    assert g.left_pdims == g_op.right_pdims
