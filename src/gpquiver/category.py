@@ -104,6 +104,9 @@ class BoundQuiverCategory:
 
     Basis labels are surviving paths; every path of length up to the cutoff
     has a stored rewrite into basis paths of smaller (length, lex) order.
+    Values that depend on the category alone (its representables, its
+    Nakayama engines) are made once and kept in `cached`; that is safe
+    because the category never changes.
     """
 
     def __init__(self, quiver, relations, field, length_cutoff, objects, arrow_map,
@@ -121,6 +124,7 @@ class BoundQuiverCategory:
         self._reduction = reduction
         self.max_basis_len = max_basis_len
         self._op = None
+        self._memo: dict = {}
         self.tensor_info = None
         self.source_files = ()  # the files it was parsed from, if any
 
@@ -179,6 +183,13 @@ class BoundQuiverCategory:
                         out[r] = acc
         return out
 
+    def cached(self, key, make):
+        """make(), called once per category and key; later calls return the
+        same object, which callers must not change."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
     # -- derived categories ----------------------------------------------
 
     def opposite(self) -> "BoundQuiverCategory":
@@ -190,7 +201,7 @@ class BoundQuiverCategory:
         return self._op
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, BoundQuiverCategory)
             and self.quiver == other.quiver
             and self.relations == other.relations

@@ -30,7 +30,7 @@ from .gorenstein import (
 )
 from .linalg import LinAlgError
 from .modules import ModuleError, projective_resolution, tor_dim, ext_dim
-from .nakayama import NakayamaEngine
+from .nakayama import NakayamaEngine, shared_engine
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -70,7 +70,7 @@ def _load_module(args):
 
 
 def _engine_for(cat, args) -> NakayamaEngine:
-    return NakayamaEngine(cat, gio.effective_cutoff(args.cutoff))
+    return shared_engine(cat, gio.effective_cutoff(args.cutoff))
 
 
 def _factorization(cat, side):

@@ -27,7 +27,7 @@ from .modules import (
     projective_resolution,
     representable,
 )
-from .nakayama import NakayamaEngine
+from .nakayama import NakayamaEngine, shared_engine
 
 
 @dataclass
@@ -57,7 +57,7 @@ class BaseGorensteinProfile:
 def self_injective_dimension(base: BoundQuiverCategory, cutoff: int = 16) -> BaseGorensteinProfile:
     """Profile the base algebra: the two-sided projective dimension of its
     dual regular bimodule, when that settles below the cutoff."""
-    return _profile(NakayamaEngine(base, cutoff))
+    return _profile(shared_engine(base, cutoff))
 
 
 def _profile(eng: NakayamaEngine) -> BaseGorensteinProfile:
@@ -142,7 +142,8 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
 
     # (b) vanishing of the right derived inverse on nu F, falling back to the
     # dual side where the coefficient resolution is truncated
-    nuF = engine.nu(f_mod).module
+    nu_applied = engine.nu(f_mod)
+    nuF = nu_applied.module
     res_dual = projective_resolution(dual(nuF), cutoff)
 
     def r_nu_minus(i, c):
@@ -156,7 +157,7 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
         return Verdict("no", cert, hyp)
 
     # (c) the unit is an isomorphism
-    lam = engine.lambda_unit(f_mod)
+    lam = engine.lambda_unit(f_mod, nu_applied)
     lam_table = {
         c: {"rank": lam.mats[c].rank(), "src_dim": f_mod.dims[c],
             "dst_dim": lam.dst.dims[c]}
@@ -439,14 +440,12 @@ def discrepancy_probe(m_mod: Module, fact_a: Factorization, fact_b: Factorizatio
     a (member, non-member) pair witnesses a nonzero discrepancy class."""
     if fact_a.total != m_mod.cat or fact_b.total != m_mod.cat:
         raise ModuleError("factorizations must present the module's category")
-    # each factor is one factorization's Nakayama direction and the other's base
-    engines = {}
-    for cat in (fact_a.cat, fact_a.base, fact_b.cat, fact_b.base):
-        if cat not in engines:
-            engines[cat] = NakayamaEngine(cat, cutoff)
+    # each factor is one factorization's Nakayama direction and the other's
+    # base, and both sides use its shared engine
     out = {}
     for tag, fact in (("first", fact_a), ("second", fact_b)):
-        v = is_gp_functor(m_mod, engines[fact.cat], _profile(engines[fact.base]), fact)
+        v = is_gp_functor(m_mod, shared_engine(fact.cat, cutoff),
+                          _profile(shared_engine(fact.base, cutoff)), fact)
         entry = {"verdict": v,
                  "cat_side": fact.cat_side,
                  "restriction_exactness": exactness_table(fact.restrict_to_cat(m_mod))}

@@ -19,7 +19,14 @@ import json
 import os
 import re
 
-from .category import BoundQuiverCategory, Quiver, Relation, build_category, tensor_category
+from .category import (
+    BoundQuiverCategory,
+    CategoryError,
+    Quiver,
+    Relation,
+    build_category,
+    tensor_category,
+)
 from .linalg import Matrix, PrimeField, field_from_name
 from .modules import Module
 
@@ -130,11 +137,13 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
             continue
         if key == "objects":
             pending["objects"] = tuple(o.strip() for o in val.split(",") if o.strip())
+            if len(set(pending["objects"])) != len(pending["objects"]):
+                raise ParseError(path, i, "duplicate object names")
         elif key == "arrow":
             m = re.match(r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$", val)
             if not m:
                 raise ParseError(path, i, f"arrow must be 'name: src -> tgt', got {val!r}")
-            pending["arrows"].append((m.group(1), m.group(2), m.group(3)))
+            pending["arrows"].append((i, m.groups()))
         elif key == "relation":
             raw_relations.append((i, val))
         elif key == "field":
@@ -156,7 +165,7 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
         parts = {}
         for side, (i, ref) in pending["tensor"].items():
             sub = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-            if not os.path.exists(sub):
+            if not os.path.isfile(sub):
                 raise ParseError(path, i, f"referenced category file {ref!r} not found")
             parts[side] = parse_category(sub, cutoff_override, field_override)
         cat = tensor_category(parts["left"], parts["right"])
@@ -173,10 +182,26 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
     except Exception as exc:
         raise ParseError(path, fi, f"bad field {fval!r}: {exc}") from exc
     cutoff = effective_cutoff(cutoff_override, pending["cutoff"])
-    relations = tuple(
-        parse_relation_expr(field, val, path, i) for i, val in raw_relations
-    )
-    quiver = Quiver(pending["objects"], tuple(pending["arrows"]))
+    arrow_map = {}
+    for i, (name, s, t) in pending["arrows"]:
+        if name in arrow_map:
+            raise ParseError(path, i, f"duplicate arrow name {name!r}")
+        for end in (s, t):
+            if end not in pending["objects"]:
+                raise ParseError(path, i, f"arrow {name} has unknown endpoint {end!r}")
+        arrow_map[name] = (s, t)
+    relations = []
+    for i, val in raw_relations:
+        rel = parse_relation_expr(field, val, path, i)
+        unknown = sorted({a for _, p in rel.terms for a in p}.difference(arrow_map))
+        if unknown:
+            raise ParseError(path, i, f"unknown arrow {unknown[0]!r} in relation")
+        try:
+            rel.endpoints(arrow_map)
+        except CategoryError as exc:
+            raise ParseError(path, i, str(exc)) from exc
+        relations.append(rel)
+    quiver = Quiver(pending["objects"], tuple(a for _, a in pending["arrows"]))
     cat = build_category(quiver, relations, field, cutoff)
     cat.source_files = (path,)
     return cat
@@ -241,9 +266,11 @@ def parse_module(path, field_override=None, category=None) -> Module:
         elif key.startswith("dim "):
             obj = key[4:].strip()
             try:
-                dims[obj] = int(val)
+                dims[obj] = (i, int(val))
             except ValueError:
                 raise ParseError(path, i, f"dimension must be an integer, got {val!r}")
+            if dims[obj][1] < 0:
+                raise ParseError(path, i, f"dimension must be at least 0, got {val!r}")
         elif key.startswith("mat "):
             raw_mats.append((i, key[4:].strip(), val))
         else:
@@ -254,13 +281,13 @@ def parse_module(path, field_override=None, category=None) -> Module:
         i, ref = cat_ref
         base_dir = os.path.dirname(os.path.abspath(path))
         sub = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-        if not os.path.exists(sub):
+        if not os.path.isfile(sub):
             raise ParseError(path, i, f"referenced category file {ref!r} not found")
         category = parse_category(sub, field_override=field_override)
-    for obj in dims:
+    for obj, (i, _) in dims.items():
         if obj not in category.objects:
-            raise ParseError(path, 0, f"unknown object {obj!r} in dim line")
-    full_dims = {c: dims.get(c, 0) for c in category.objects}
+            raise ParseError(path, i, f"unknown object {obj!r} in dim line")
+    full_dims = {c: dims[c][1] if c in dims else 0 for c in category.objects}
     mats = {}
     for i, a, val in raw_mats:
         if a not in category.arrow_map:

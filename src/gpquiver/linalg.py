@@ -324,7 +324,7 @@ class Matrix:
         return Matrix(field, [[e] for e in entries], len(entries), 1)
 
     def _check_field(self, other: "Matrix"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(f"{self.field!r} vs {other.field!r}")
 
     def __eq__(self, other):

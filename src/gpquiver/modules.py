@@ -14,7 +14,9 @@ lifted into the kernel of the outgoing one, then its cokernel.
 Free modules are known by their generators.  free_module lays out
 (+)_k C(c_k,-) once, block k at x spanning the basis paths of C(c_k, x)
 with the identity path first; covers, i_! and the basis cover
-P(M) = i_! i^* M all use it, and block_offsets finds generator k.
+P(M) = i_! i^* M all use it, and block_offsets finds generator k.  Each
+representable C(c,-) is made once per category (BoundQuiverCategory.cached):
+a category never changes, and modules are not changed after they are made.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .category import BoundQuiverCategory
-from .linalg import (
-    LinAlgError,
-    Matrix,
-    ShapeError,
-    direct_sum_many,
-    kronecker_product,
-)
+from .linalg import LinAlgError, Matrix, ShapeError, direct_sum_many
 
 
 class ModuleError(Exception):
@@ -202,9 +198,14 @@ def zero_module(cat: BoundQuiverCategory) -> Module:
 
 
 def representable(cat: BoundQuiverCategory, c) -> Module:
-    """The covariant representable at c: value Hom(c, x) at x."""
+    """The covariant representable at c: value Hom(c, x) at x.  Made once
+    per category and object; callers must not change its matrices."""
     if c not in cat.objects:
         raise ModuleError(f"unknown object {c!r}")
+    return cat.cached(("representable", c), lambda: _representable(cat, c))
+
+
+def _representable(cat: BoundQuiverCategory, c) -> Module:
     dims = {x: cat.hom_dim(c, x) for x in cat.objects}
     f = cat.field
     mats = {}
@@ -423,16 +424,30 @@ def tensor_over_cat(m: Module, f_mod: Module) -> TensorResult:
     return TensorResult(cat.field, dict(zip(cat.objects, ends)), block_dims, ends[-1], proj)
 
 
-def tensor_induced(src: TensorResult, dst: TensorResult, cat, u: ModuleMap | None, v: ModuleMap | None) -> Matrix:
-    u_mats = {y: u.mats[y] for y in cat.objects} if u is not None else None
-    v_mats = {y: v.mats[y] for y in cat.objects} if v is not None else None
-    if u_mats is None:
-        u_mats = {y: Matrix.identity(src.field, src.block_dims[y][0]) for y in cat.objects}
-    if v_mats is None:
-        v_mats = {y: Matrix.identity(src.field, src.block_dims[y][1]) for y in cat.objects}
-    # block-diagonal ambient matrix of u (x) v
-    amb = direct_sum_many(src.field, [kronecker_product(u_mats[y], v_mats[y]) for y in cat.objects])
-    return src.induced(dst, amb)
+def tensor_induced(src: TensorResult, dst: TensorResult, cat, u: ModuleMap | None,
+                   v: ModuleMap | None) -> Matrix:
+    """The map src -> dst induced by u (x) v, u on the right-module side and
+    v on the left one, a missing factor being the identity.  Its ambient
+    matrix is block-diagonal over the objects y, with u_y[i][j] v_y[k][l] at
+    row i * n2 + k and column j * n + l of block y, where v_y is n2 x n;
+    it is written entry by entry, skipping zeros."""
+    f = src.field
+    z, one, mul = f.zero(), f.one(), f.mul
+    amb = [[z] * src.ambient for _ in range(dst.ambient)]
+    for y in cat.objects:
+        (m, n), (_, n2) = src.block_dims[y], dst.block_dims[y]
+        u_terms = _entries(u.mats[y]) if u is not None else [(i, i, one) for i in range(m)]
+        v_terms = _entries(v.mats[y]) if v is not None else [(k, k, one) for k in range(n)]
+        r0, c0 = dst.offsets[y], src.offsets[y]
+        for i, j, a in u_terms:
+            for k, l, b in v_terms:
+                amb[r0 + i * n2 + k][c0 + j * n + l] = mul(a, b)
+    return src.induced(dst, Matrix._adopt(f, amb, dst.ambient, src.ambient))
+
+
+def _entries(mat: Matrix) -> list:
+    """The nonzero entries of mat as (row, column, value)."""
+    return [(i, j, a) for i, row in enumerate(mat.data) for j, a in enumerate(row) if a]
 
 
 # -- projective covers and resolutions ------------------------------------

@@ -3,10 +3,14 @@ triple around evaluation, derived functors, and the Gorenstein dimension of
 the projectivization endofunctor P.
 
 Coefficient modules D(C(c,-)) (right) and D(C(-,c)) (left) and their minimal
-resolutions are cached per category, so sweeping many representations of the
-same category stays cheap.  Both halves of the bimodule D(C) are written in
-one basis, the dual of C's own path basis: D(C)(x, y) = D(C(x, y)), with the
-left action read off precomposition and the right one off the representables.
+resolutions are cached in an engine, and `shared_engine` gives one engine per
+category and resolution cutoff, so every verdict over the same category, and
+every sweep of its representations, reuses them.  Sharing is safe because a
+category never changes and an engine holds nothing but these caches.
+
+Both halves of the bimodule D(C) are written in one basis, the dual of C's
+own path basis: D(C)(x, y) = D(C(x, y)), with the left action read off
+precomposition and the right one off the representables.
 
 The derived functors have one shape.  Their dimension counts are Tor and Ext
 over the cached coefficient resolutions.  As modules, L_i nu (F) and
@@ -417,5 +421,10 @@ def _past_end(res: Resolution, i: int) -> bool:
     return i > n
 
 
+def shared_engine(cat: BoundQuiverCategory, cutoff: int = 16) -> NakayamaEngine:
+    """The one engine of cat at this cutoff, made on first use."""
+    return cat.cached(("nakayama", cutoff), lambda: NakayamaEngine(cat, cutoff))
+
+
 def gorenstein_dimension_of_P(cat: BoundQuiverCategory, cutoff: int = 16) -> GorensteinDimension:
-    return NakayamaEngine(cat, cutoff).gorenstein_dimension()
+    return shared_engine(cat, cutoff).gorenstein_dimension()

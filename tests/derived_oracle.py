@@ -19,6 +19,10 @@ way: direct sums of representables, a whole path matrix M(p) per generator
 image, and P(F) over a base as Kronecker products of representables with
 the coefficients.
 
+`tensor_induced_kronecker` is the map of tensor quotients induced by
+u (x) v, its ambient matrix assembled from Kronecker products, with
+identity matrices for a missing factor.
+
 `padded_resolution` is a non-minimal resolution: every cover carries one
 more generator, sent to zero.
 """
@@ -107,6 +111,18 @@ def p_counit_kronecker(fact, F):
                 for c in C.objects])
     PF = Module(T, dims, mats, check=False)
     return PF, ModuleMap(PF, F, eps, check=False)
+
+
+def tensor_induced_kronecker(src, dst, cat, u, v):
+    """tensor_induced(src, dst, cat, u, v), with the block-diagonal ambient
+    matrix of u (x) v a direct sum of Kronecker products over the objects."""
+    u_mats = {y: u.mats[y] if u is not None else Matrix.identity(src.field, src.block_dims[y][0])
+              for y in cat.objects}
+    v_mats = {y: v.mats[y] if v is not None else Matrix.identity(src.field, src.block_dims[y][1])
+              for y in cat.objects}
+    amb = direct_sum_many(src.field, [kronecker_product(u_mats[y], v_mats[y])
+                                      for y in cat.objects])
+    return src.induced(dst, amb)
 
 
 def tensor_projection(m, f_mod):

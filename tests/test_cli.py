@@ -197,6 +197,65 @@ def test_parse_error_exit_code_and_message(tmp_path, capsys):
     assert "broken.cat:3" in err
 
 
+def _fixture_lines(name):
+    with open(fix(name), encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def _bad_input(tmp_path, name, lines):
+    """Fixtures copied into tmp_path, with name replaced by lines."""
+    for f in ("ka2.cat", "cyclic3.cat"):
+        shutil.copy(fix(f), tmp_path / f)
+    (tmp_path / name).write_text("\n".join(lines) + "\n")
+    return str(tmp_path / name)
+
+
+def _assert_error_at(argv, where, capsys):
+    status, out, err = run(argv, capsys)
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_relation_naming_an_undeclared_arrow_is_a_parse_error(tmp_path, capsys):
+    lines = _fixture_lines("cyclic3.cat")
+    del lines[6]  # arrow = d0: c0 -> c2
+    path = _bad_input(tmp_path, "cyclic3.cat", lines)
+    _assert_error_at(["cat-info", path], f"{path}:9", capsys)
+
+
+def test_relation_that_does_not_compose_is_a_parse_error(tmp_path, capsys):
+    lines = _fixture_lines("cyclic3.cat")
+    at = lines.index("relation = 1 d1*d2")
+    lines[at] = "relation = 1 d0*d2"  # d2 ends at c1, d0 starts at c0
+    path = _bad_input(tmp_path, "cyclic3.cat", lines)
+    _assert_error_at(["cat-info", path], f"{path}:{at + 1}", capsys)
+
+
+# an arrow with an unknown endpoint, a second arrow a, a second object 1
+@pytest.mark.parametrize("bad", ["arrow = x: 1 -> c", "arrow = a: 1 -> 2", "objects = 1, 1"])
+def test_bad_arrow_or_objects_line_is_a_parse_error_at_its_line(bad, tmp_path, capsys):
+    lines = _fixture_lines("ka2.cat")
+    at = next(i for i, line in enumerate(lines) if line.startswith("arrow")) + 1
+    lines.insert(at, bad)
+    path = _bad_input(tmp_path, "ka2.cat", lines)
+    _assert_error_at(["cat-info", path], f"{path}:{at + 1}", capsys)
+
+
+def test_empty_file_reference_is_a_parse_error(tmp_path, capsys):
+    path = _bad_input(tmp_path, "t.cat", ["[tensor]", "left =", "right = ka2.cat"])
+    _assert_error_at(["cat-info", path], f"{path}:2", capsys)
+
+
+@pytest.mark.parametrize("dim_line", ["dim 9 = 1", "dim 1 = -1"])
+def test_bad_dim_line_is_a_parse_error_at_its_line(dim_line, tmp_path, capsys):
+    lines = _fixture_lines("a2_mono.rep")
+    at = next(i for i, line in enumerate(lines) if line.startswith("dim 1"))
+    lines[at] = dim_line
+    path = _bad_input(tmp_path, "bad.rep", lines)
+    _assert_error_at(["resolve", path], f"{path}:{at + 1}", capsys)
+
+
 def test_missing_file_exit_code(capsys):
     status, out, err = run(["gdim", "/no/such/file.cat"], capsys)
     assert status == 1

@@ -1,0 +1,141 @@
+"""What is made once per category: shared Nakayama engines and representables,
+nu(F) once per full-route verdict, and the entrywise u (x) v of
+tensor_induced against its Kronecker oracle."""
+
+import os
+import random
+
+import pytest
+
+import derived_oracle
+from conftest import cyclic3, ex322, loop_sq, square, tensor322, module322
+from gpquiver import cli, modules, nakayama
+from gpquiver import io as gio
+from gpquiver.basechange import Factorization
+from gpquiver.gorenstein import discrepancy_probe, is_gproj_P
+from gpquiver.linalg import GF, QQ
+from gpquiver.modules import (
+    hom_basis,
+    projective_cover,
+    projective_resolution,
+    representable,
+    simple,
+    zero_module,
+)
+from gpquiver.nakayama import NakayamaEngine, shared_engine
+from test_modules import random_module
+
+F3 = GF(3)
+
+
+def _mats(m):
+    return {a: repr(x) for a, x in m.mats.items()}
+
+
+def _nu_reprs(eng, mods):
+    """repr of nu on each module and of nu on its cover and on hom basis maps."""
+    out = []
+    nus = [eng.nu(F) for F in mods]
+    for F, nuF in zip(mods, nus):
+        out.append(_mats(nuF.module))
+        cov = projective_cover(F)
+        out.append(_mats(eng.nu_map(eng.nu(cov.module), nuF, cov.epi)))
+    for (F, nuF), (G, nuG) in zip(zip(mods, nus), zip(mods[1:], nus[1:])):
+        out += [_mats(eng.nu_map(nuF, nuG, phi)) for phi in hom_basis(F, G)[:2]]
+    return out
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+@pytest.mark.parametrize("build", [loop_sq, ex322, cyclic3, square])
+def test_tensor_induced_matches_kronecker_oracle(build, field, monkeypatch):
+    cat = build(field)
+    eng = NakayamaEngine(cat, 4)
+    rng = random.Random(f"{build.__name__}:{field!r}")
+    # zero-dimensional blocks: the zero module, a simple, and the random
+    # modules' zero objects
+    mods = [random_module(cat, rng) for _ in range(3)]
+    mods += [zero_module(cat), simple(cat, cat.objects[-1])]
+    got = _nu_reprs(eng, mods)
+    monkeypatch.setattr(nakayama, "tensor_induced", derived_oracle.tensor_induced_kronecker)
+    assert _nu_reprs(eng, mods) == got
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+def test_nu_based_matches_kronecker_oracle(field, monkeypatch):
+    T = tensor322(field)
+    mods = [module322(T), random_module(T, random.Random(5), max_gens=1)]
+
+    def based():
+        out = []
+        for side in ("left", "right"):
+            fact = Factorization(T, side)
+            eng = NakayamaEngine(fact.cat, 4)
+            out += [_mats(fact.nu_based(F, eng)[0]) for F in mods]
+        return out
+
+    got = based()
+    monkeypatch.setattr(nakayama, "tensor_induced", derived_oracle.tensor_induced_kronecker)
+    assert based() == got
+
+
+def test_discrepancy_probe_reuses_engines(monkeypatch):
+    m = gio.parse_module(os.path.join(cli.fixtures_dir(), "m322.rep"))
+    facts = Factorization(m.cat, "right"), Factorization(m.cat, "left")
+    made = []
+    init = NakayamaEngine.__init__
+
+    def counting_init(self, cat, cutoff=16):
+        made.append((cat, cutoff))
+        init(self, cat, cutoff)
+
+    monkeypatch.setattr(NakayamaEngine, "__init__", counting_init)
+    first = discrepancy_probe(m, *facts, 4)
+    assert len(made) == 2  # ex322 and ex322_op, each a direction and a base
+    made.clear()
+    for _ in range(2):
+        again = discrepancy_probe(m, *facts, 4)
+        assert again["discrepancy"] == first["discrepancy"]
+    assert made == []
+
+
+def test_one_engine_per_category_and_cutoff():
+    cat = square(F3)
+    assert shared_engine(cat, 4) is shared_engine(cat, 4)
+    assert shared_engine(cat, 4) is not shared_engine(cat, 8)
+    assert (shared_engine(cat, 4).cutoff, shared_engine(cat, 8).cutoff) == (4, 8)
+    assert shared_engine(square(F3), 4) is not shared_engine(cat, 4)
+
+
+def test_representables_are_made_once(monkeypatch):
+    cat = cyclic3(F3)
+    assert representable(cat, "c0") is representable(cat, "c0")
+    made = []
+    build = modules._representable
+
+    def counting(cat, c):
+        made.append(c)
+        return build(cat, c)
+
+    monkeypatch.setattr(modules, "_representable", counting)
+    cat = square(F3)
+    rng = random.Random(2)
+    for _ in range(4):
+        projective_resolution(random_module(cat, rng), 4)
+    assert made and len(made) == len(set(made)) <= len(cat.objects)
+
+
+def test_full_route_computes_nu_once(monkeypatch):
+    cat = square(F3)
+    eng = NakayamaEngine(cat, 8)
+    calls = []
+    nu = NakayamaEngine.nu
+
+    def counting_nu(self, f_mod):
+        calls.append(f_mod)
+        return nu(self, f_mod)
+
+    monkeypatch.setattr(NakayamaEngine, "nu", counting_nu)
+    v = is_gproj_P(representable(cat, "c1"), eng, force_full=True)
+    assert (v.member, v.certificate["route"]) == ("yes", "full")
+    assert "lambda_ranks" in v.certificate
+    assert len(calls) == 1
