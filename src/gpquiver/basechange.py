@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .category import BoundQuiverCategory
 from .linalg import Matrix, direct_sum_many, kronecker_product
-from .modules import Module, ModuleMap, ModuleError, basis_cover, direct_sum_modules
+from .modules import Module, ModuleMap, ModuleError, basis_cover, block_sum
 from .nakayama import NakayamaEngine
 
 
@@ -81,14 +81,12 @@ class Factorization:
 
     def restrict_to_cat(self, F: Module) -> Module:
         """Underlying C-module: direct sum of all fibers, base order."""
-        fibs = [self.fiber(F, d) for d in self.base.objects]
-        total, _, _ = direct_sum_modules(fibs)
-        return total
+        return block_sum(self.cat, [self.fiber(F, d) for d in self.base.objects])
 
     # -- pushing nu through the base action --------------------------------
 
     def nu_based(self, F: Module, engine: NakayamaEngine) -> tuple:
-        """nu applied fiberwise, returning (T-module, per-fiber NuApplied)."""
+        """nu applied fiberwise, returning (T-module, per-fiber nu(F(d,-)))."""
         if engine.cat != self.cat:
             raise ModuleError("engine category does not match the factorization")
         fibs = self.fibers(F)

@@ -40,7 +40,8 @@ class ParseError(Exception):
     def __init__(self, path, line_no, message):
         self.path = path
         self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+        at = "" if line_no is None else f":{line_no}"  # None: the file as a whole
+        super().__init__(f"{path}{at}: {message}")
 
 
 def effective_cutoff(*given) -> int:
@@ -77,7 +78,7 @@ def _keyvals(path):
         yield i, section, key.strip(), val.strip()
 
 
-def parse_scalar(field, text, path="<string>", line_no=0):
+def parse_scalar(field, text, path="<string>", line_no=None):
     text = text.strip()
     if not RATIONAL_RE.match(text):
         raise ParseError(path, line_no, f"bad scalar literal {text!r}")
@@ -87,7 +88,7 @@ def parse_scalar(field, text, path="<string>", line_no=0):
         raise ParseError(path, line_no, f"bad scalar {text!r}: {exc}") from exc
 
 
-def parse_path_expr(text, path="<string>", line_no=0):
+def parse_path_expr(text, path="<string>", line_no=None):
     """`b*a` (function-composition order) -> application-order tuple (a, b)."""
     names = [p.strip() for p in text.split("*")]
     if any(not n for n in names):
@@ -99,7 +100,7 @@ def format_path(p) -> str:
     return "*".join(reversed(p))
 
 
-def parse_relation_expr(field, text, path="<string>", line_no=0) -> Relation:
+def parse_relation_expr(field, text, path="<string>", line_no=None) -> Relation:
     terms = []
     for chunk in text.split("+"):
         parts = chunk.strip().split()
@@ -117,6 +118,7 @@ def format_relation(field, rel: Relation) -> str:
 
 def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiverCategory:
     section = None
+    headers = {}  # section -> line of its first header
     pending = {"objects": None, "arrows": [], "relations": [],
                "field": None, "cutoff": None, "tensor": {}}
     raw_relations = []
@@ -125,6 +127,7 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
             section = sec
             if section not in ("category", "tensor"):
                 raise ParseError(path, i, f"unknown section [{section}]")
+            headers.setdefault(section, i)
             continue
         if section is None:
             raise ParseError(path, i, "content before any section header")
@@ -157,10 +160,12 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
         else:
             raise ParseError(path, i, f"unknown category key {key!r}")
 
-    if pending["tensor"]:
+    if not headers:
+        raise ParseError(path, None, "no [category] or [tensor] section")
+    if pending["tensor"] or "category" not in headers:
         for side in ("left", "right"):
             if side not in pending["tensor"]:
-                raise ParseError(path, 0, f"tensor section missing {side!r}")
+                raise ParseError(path, headers["tensor"], f"tensor section missing {side!r}")
         base_dir = os.path.dirname(os.path.abspath(path))
         parts = {}
         for side, (i, ref) in pending["tensor"].items():
@@ -173,9 +178,9 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
         return cat
 
     if pending["objects"] is None:
-        raise ParseError(path, 0, "category file has no objects line")
+        raise ParseError(path, headers["category"], "category file has no objects line")
     if pending["field"] is None:
-        raise ParseError(path, 0, "category file has no field line")
+        raise ParseError(path, headers["category"], "category file has no field line")
     fi, fval = pending["field"]
     try:
         field = field_from_name(field_override or fval)
@@ -223,7 +228,7 @@ def serialize_category(cat: BoundQuiverCategory, name=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(field, text, rows, cols, path="<string>", line_no=0) -> Matrix:
+def parse_matrix(field, text, rows, cols, path="<string>", line_no=None) -> Matrix:
     row_chunks = [r.strip() for r in text.split(";")] if text.strip() else []
     if rows == 0 or cols == 0:
         if any(row_chunks):
@@ -248,6 +253,7 @@ def format_matrix(field, m: Matrix) -> str:
 
 def parse_module(path, field_override=None, category=None) -> Module:
     section = None
+    header = None
     cat_ref = None
     dims = {}
     raw_mats = []
@@ -256,6 +262,7 @@ def parse_module(path, field_override=None, category=None) -> Module:
             section = sec
             if section != "representation":
                 raise ParseError(path, i, f"unknown section [{section}]")
+            header = header or i
             continue
         if section is None:
             raise ParseError(path, i, "content before any section header")
@@ -275,9 +282,11 @@ def parse_module(path, field_override=None, category=None) -> Module:
             raw_mats.append((i, key[4:].strip(), val))
         else:
             raise ParseError(path, i, f"unknown representation key {key!r}")
+    if header is None:
+        raise ParseError(path, None, "no [representation] section")
     if category is None:
         if cat_ref is None:
-            raise ParseError(path, 0, "representation file has no category line")
+            raise ParseError(path, header, "representation file has no category line")
         i, ref = cat_ref
         base_dir = os.path.dirname(os.path.abspath(path))
         sub = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
@@ -288,16 +297,21 @@ def parse_module(path, field_override=None, category=None) -> Module:
         if obj not in category.objects:
             raise ParseError(path, i, f"unknown object {obj!r} in dim line")
     full_dims = {c: dims[c][1] if c in dims else 0 for c in category.objects}
-    mats = {}
+    mats, mat_lines = {}, {}
     for i, a, val in raw_mats:
         if a not in category.arrow_map:
             raise ParseError(path, i, f"unknown arrow {a!r} in mat line")
         s, t = category.arrow_map[a]
         mats[a] = parse_matrix(category.field, val, full_dims[t], full_dims[s], path, i)
-    try:
-        return Module(category, full_dims, mats)
-    except Exception as exc:
-        raise ParseError(path, 0, f"representation invalid: {exc}") from exc
+        mat_lines[a] = i
+    m = Module(category, full_dims, mats, check=False)
+    rel = m.violated_relation()
+    if rel is not None:
+        # an arrow without a mat line acts by zero, so some arrow of rel has one
+        i = min(mat_lines[a] for _, p in rel.terms for a in p if a in mat_lines)
+        raise ParseError(path, i, "representation invalid: relation "
+                         f"{format_relation(category.field, rel)} violated")
+    return m
 
 
 def serialize_module(m: Module, category_ref: str, name=None) -> str:

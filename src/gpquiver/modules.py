@@ -4,12 +4,14 @@ A Module is a k-linear functor C -> k-Mod: a dimension per object and a
 matrix per arrow.  Right C-modules are Modules over C.opposite(), which
 keeps one code path for both variances.  Everything downstream (duality,
 tensor, Hom, resolutions, Tor, Ext) reduces to exact linear algebra.
-Hom and tensor share one naturality system: M (x)_C F is read off the Hom
-system of F -> DM, since D(M (x)_C F) = Hom_C(F, DM).  Tor and Ext over a
-projective resolution are read off the generators of its free stages
-(Yoneda), without building tensor quotients or Hom systems.  Homology
-modules are built from kernel and cokernel alone: the incoming differential
-lifted into the kernel of the outgoing one, then its cokernel.
+Hom and tensor share one naturality system: tensor_over_cat reads M (x)_C F
+off the Hom system of F -> DM, since D(M (x)_C F) = Hom_C(F, DM); the
+Nakayama functor nu(F) = D Hom(F, C) is read off hom bases without it, as
+nu^- is.  Tor and Ext over a projective resolution are read off the
+generators of its free stages (Yoneda), without building tensor quotients
+or Hom systems.  Homology modules are built from kernel and cokernel alone:
+the incoming differential lifted into the kernel of the outgoing one, then
+its cokernel.
 
 Free modules are known by their generators.  free_module lays out
 (+)_k C(c_k,-) once, block k at x spanning the basis paths of C(c_k, x)
@@ -78,14 +80,21 @@ class Module:
                                  f"vs dims {self.dims[t]}x{self.dims[s]}")
             if m.field != f:
                 raise ModuleError(f"arrow {name}: wrong field")
+        rel = self.violated_relation()
+        if rel is not None:
+            raise ModuleError(f"relation {rel.terms} violated")
+
+    def violated_relation(self):
+        """The first relation of the category that the matrices break, or None."""
         for rel in self.cat.relations:
             src = self.cat.arrow_map[rel.terms[0][1][0]][0]
             tgt = self.cat.arrow_map[rel.terms[0][1][-1]][1]
-            acc = Matrix.zeros(f, self.dims[tgt], self.dims[src])
+            acc = Matrix.zeros(self.cat.field, self.dims[tgt], self.dims[src])
             for coef, path in rel.terms:
                 acc = acc + self.act_path(src, path).scale(coef)
             if not acc.is_zero():
-                raise ModuleError(f"relation {rel.terms} violated")
+                return rel
+        return None
 
     def act_path(self, c, path) -> Matrix:
         m = Matrix.identity(self.cat.field, self.dims[c])
@@ -206,22 +215,20 @@ def representable(cat: BoundQuiverCategory, c) -> Module:
 
 
 def _representable(cat: BoundQuiverCategory, c) -> Module:
-    dims = {x: cat.hom_dim(c, x) for x in cat.objects}
-    f = cat.field
-    mats = {}
-    for name, (s, t) in cat.arrow_map.items():
-        src_paths = cat.hom_basis_paths(c, s)
-        cols = []
-        for p in src_paths:
-            red = cat.reduce_word(c, p + (name,))
-            cols.append(red)
-        idx = {p: i for i, p in enumerate(cat.hom_basis_paths(c, t))}
-        data = [[f.zero()] * len(src_paths) for _ in idx] if idx else []
-        for j, red in enumerate(cols):
-            for p, coef in red.items():
-                data[idx[p]][j] = coef
-        mats[name] = Matrix._adopt(f, data, len(idx), len(src_paths))
-    return Module(cat, dims, mats, check=False)
+    mats = {name: path_matrix(cat, c, [p + (name,) for p in cat.hom_basis_paths(c, s)],
+                              cat.hom_basis_paths(c, t))
+            for name, (s, t) in cat.arrow_map.items()}
+    return Module(cat, {x: cat.hom_dim(c, x) for x in cat.objects}, mats, check=False)
+
+
+def path_matrix(cat: BoundQuiverCategory, start, words: list, basis: list) -> Matrix:
+    """Column j: the reduced word words[j] from start, in the basis paths."""
+    idx = {p: i for i, p in enumerate(basis)}
+    data = [[cat.field.zero()] * len(words) for _ in basis]
+    for j, word in enumerate(words):
+        for p, coef in cat.reduce_word(start, word).items():
+            data[idx[p]][j] = coef
+    return Matrix._adopt(cat.field, data, len(basis), len(words))
 
 
 def simple(cat: BoundQuiverCategory, c) -> Module:
@@ -242,30 +249,28 @@ def dual_map(f: ModuleMap) -> ModuleMap:
                      check=False)
 
 
+def block_sum(cat: BoundQuiverCategory, parts: list) -> Module:
+    """The direct sum of parts, block-diagonal in list order."""
+    dims = {x: sum(p.dims[x] for p in parts) for x in cat.objects}
+    mats = {a: direct_sum_many(cat.field, [p.mats[a] for p in parts]) for a in cat.arrow_map}
+    return Module(cat, dims, mats, check=False)
+
+
 def direct_sum_modules(parts: list) -> tuple:
     """Direct sum with the canonical inclusions and projections."""
     if not parts:
         raise ModuleError("direct sum needs an ambient category; pass at least a zero module")
     cat = parts[0].cat
-    f = cat.field
-    dims = {c: sum(p.dims[c] for p in parts) for c in cat.objects}
-    mats = {}
-    for name in cat.arrow_map:
-        mats[name] = direct_sum_many(f, [p.mats[name] for p in parts])
-    total = Module(cat, dims, mats, check=False)
+    total = block_sum(cat, parts)
     incls, projs = [], []
     for i, p in enumerate(parts):
-        inc, prj = {}, {}
+        inc = {}
         for c in cat.objects:
             before = sum(q.dims[c] for q in parts[:i])
-            rows = []
-            z, o = f.zero(), f.one()
-            for r in range(dims[c]):
-                rows.append([o if r == before + j else z for j in range(p.dims[c])])
-            inc[c] = Matrix(f, rows, dims[c], p.dims[c])
-            prj[c] = inc[c].transpose()
+            inc[c] = Matrix.identity(cat.field, total.dims[c]).submatrix(
+                range(total.dims[c]), range(before, before + p.dims[c]))
         incls.append(ModuleMap(p, total, inc, check=False))
-        projs.append(ModuleMap(total, p, prj, check=False))
+        projs.append(ModuleMap(total, p, {c: m.transpose() for c, m in inc.items()}, check=False))
     return total, incls, projs
 
 
@@ -385,7 +390,7 @@ class TensorResult:
     i * dim F(y) + j inside a block for basis tensors m_i (x) f_j.
     """
 
-    __slots__ = ("field", "offsets", "block_dims", "ambient", "proj", "_section")
+    __slots__ = ("field", "offsets", "block_dims", "ambient", "proj")
 
     def __init__(self, field, offsets, block_dims, ambient, proj):
         self.field = field
@@ -393,19 +398,10 @@ class TensorResult:
         self.block_dims = block_dims
         self.ambient = ambient
         self.proj = proj
-        self._section = None
 
     @property
     def dim(self) -> int:
         return self.proj.rows
-
-    def section(self) -> Matrix:
-        if self._section is None:
-            self._section = self.proj.right_inverse()
-        return self._section
-
-    def induced(self, target: "TensorResult", ambient_map: Matrix) -> Matrix:
-        return target.proj @ (ambient_map @ self.section())
 
 
 def tensor_over_cat(m: Module, f_mod: Module) -> TensorResult:
@@ -422,32 +418,6 @@ def tensor_over_cat(m: Module, f_mod: Module) -> TensorResult:
     block_dims = {y: (m.dims[y], f_mod.dims[y]) for y in cat.objects}
     proj = _naturality_system(f_mod, dual(m)).kernel().transpose()
     return TensorResult(cat.field, dict(zip(cat.objects, ends)), block_dims, ends[-1], proj)
-
-
-def tensor_induced(src: TensorResult, dst: TensorResult, cat, u: ModuleMap | None,
-                   v: ModuleMap | None) -> Matrix:
-    """The map src -> dst induced by u (x) v, u on the right-module side and
-    v on the left one, a missing factor being the identity.  Its ambient
-    matrix is block-diagonal over the objects y, with u_y[i][j] v_y[k][l] at
-    row i * n2 + k and column j * n + l of block y, where v_y is n2 x n;
-    it is written entry by entry, skipping zeros."""
-    f = src.field
-    z, one, mul = f.zero(), f.one(), f.mul
-    amb = [[z] * src.ambient for _ in range(dst.ambient)]
-    for y in cat.objects:
-        (m, n), (_, n2) = src.block_dims[y], dst.block_dims[y]
-        u_terms = _entries(u.mats[y]) if u is not None else [(i, i, one) for i in range(m)]
-        v_terms = _entries(v.mats[y]) if v is not None else [(k, k, one) for k in range(n)]
-        r0, c0 = dst.offsets[y], src.offsets[y]
-        for i, j, a in u_terms:
-            for k, l, b in v_terms:
-                amb[r0 + i * n2 + k][c0 + j * n + l] = mul(a, b)
-    return src.induced(dst, Matrix._adopt(f, amb, dst.ambient, src.ambient))
-
-
-def _entries(mat: Matrix) -> list:
-    """The nonzero entries of mat as (row, column, value)."""
-    return [(i, j, a) for i, row in enumerate(mat.data) for j, a in enumerate(row) if a]
 
 
 # -- projective covers and resolutions ------------------------------------
@@ -474,11 +444,7 @@ def free_module(cat: BoundQuiverCategory, objs: list) -> Module:
     """(+)_k C(c_k,-) for objs = [c_k]: block k at x spans the basis paths of
     C(c_k, x), the identity path first, and arrows act blockwise as on the
     representables."""
-    reps = {c: representable(cat, c) for c in dict.fromkeys(objs)}
-    dims = {x: sum(reps[c].dims[x] for c in objs) for x in cat.objects}
-    mats = {a: direct_sum_many(cat.field, [reps[c].mats[a] for c in objs])
-            for a in cat.arrow_map}
-    return Module(cat, dims, mats, check=False)
+    return block_sum(cat, [representable(cat, c) for c in objs])
 
 
 def block_offsets(cat: BoundQuiverCategory, objs: list, x) -> list:

@@ -8,9 +8,11 @@ category and resolution cutoff, so every verdict over the same category, and
 every sweep of its representations, reuses them.  Sharing is safe because a
 category never changes and an engine holds nothing but these caches.
 
-Both halves of the bimodule D(C) are written in one basis, the dual of C's
-own path basis: D(C)(x, y) = D(C(x, y)), with the left action read off
-precomposition and the right one off the representables.
+nu and nu^- are Hom functors and are read off hom bases alike: nu(F)(c) =
+D Hom(F, C(c,-)) and nu^-(F)(c) = Hom(D C(-,c), F), one hom basis per object
+and one solve per arrow or map; the unit and counit are one solve each.  The
+tensor D(C) (x)_C F itself stays in modules as tensor_over_cat.  Both halves
+of the bimodule D(C) are written in the dual of C's path basis.
 
 The derived functors have one shape.  Their dimension counts are Tor and Ext
 over the cached coefficient resolutions.  As modules, L_i nu (F) and
@@ -22,7 +24,6 @@ F, P a projective resolution of D(F); only stages i-1, i and i+1 are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .category import BoundQuiverCategory
 from .linalg import Matrix
@@ -36,36 +37,28 @@ from .modules import (
     _derived_dim,
     basis_cover,
     block_offsets,
-    direct_sum_modules,
+    block_sum,
     dual,
     dual_map,
     free_module,
+    free_on_generators,
     hom_basis,
     hom_coords,
     homology_of_modules,
+    path_matrix,
     projective_resolution,
     representable,
-    tensor_induced,
-    tensor_over_cat,
     zero_module,
 )
 
 
 @dataclass
-class NuApplied:
-    """nu(F) together with the tensor presentations used at each object."""
+class Applied:
+    """nu(F) or nu^-(F) with the hom basis it is read off at each object:
+    maps F -> C(c,-) for nu, maps D C(-,c) -> F for nu^-."""
 
     module: Module
-    data: dict  # object -> TensorResult
-    source: Module
-
-
-@dataclass
-class NuMinusApplied:
-    """nu^-(F) together with the hom bases used at each object."""
-
-    module: Module
-    bases: dict  # object -> list of ModuleMap coef_left[c] -> F
+    bases: dict  # object -> list of ModuleMap
     source: Module
 
 
@@ -88,17 +81,9 @@ def precomposition(cat: BoundQuiverCategory, arrow: str) -> dict:
     """For a: s -> t, the matrix at each object x of the map C(t,-) -> C(s,-)
     given by q -> q after a, in the path bases."""
     s, t = cat.arrow_map[arrow]
-    f = cat.field
-    mats = {}
-    for x in cat.objects:
-        idx = {p: i for i, p in enumerate(cat.hom_basis_paths(s, x))}
-        cols = cat.hom_basis_paths(t, x)
-        data = [[f.zero()] * len(cols) for _ in idx]
-        for j, p in enumerate(cols):
-            for q, coef in cat.reduce_word(s, (arrow,) + p).items():
-                data[idx[q]][j] = coef
-        mats[x] = Matrix._adopt(f, data, len(idx), len(cols))
-    return mats
+    return {x: path_matrix(cat, s, [(arrow,) + q for q in cat.hom_basis_paths(t, x)],
+                           cat.hom_basis_paths(s, x))
+            for x in cat.objects}
 
 
 class NakayamaEngine:
@@ -111,6 +96,7 @@ class NakayamaEngine:
         self._coef_left: dict = {}
         self._res_right: dict = {}
         self._res_left: dict = {}
+        self._pre: dict = {}
         self._u: dict = {}
         self._w: dict = {}
         self._gdim: GorensteinDimension | None = None
@@ -145,14 +131,22 @@ class NakayamaEngine:
             self._res_left[c] = projective_resolution(self.coef_left(c), self.cutoff)
         return self._res_left[c]
 
+    def pre_map(self, arrow: str) -> ModuleMap:
+        """C(t,-) -> C(s,-), q -> q after a, for a: s -> t."""
+        if arrow not in self._pre:
+            s, t = self.cat.arrow_map[arrow]
+            self._pre[arrow] = ModuleMap(representable(self.cat, t), representable(self.cat, s),
+                                         precomposition(self.cat, arrow), check=False)
+        return self._pre[arrow]
+
     def u_map(self, arrow: str) -> ModuleMap:
-        """D(C(s,-)) -> D(C(t,-)) for a: s -> t (covariant coefficient maps)."""
+        """D(C(s,-)) -> D(C(t,-)) for a: s -> t (covariant coefficient maps),
+        the dual of pre_map."""
         if arrow not in self._u:
             s, t = self.cat.arrow_map[arrow]
             self._u[arrow] = ModuleMap(
                 self.coef_right(s), self.coef_right(t),
-                {x: m.transpose() for x, m in precomposition(self.cat, arrow).items()},
-                check=False)
+                {x: m.transpose() for x, m in self.pre_map(arrow).mats.items()}, check=False)
         return self._u[arrow]
 
     def w_map(self, arrow: str) -> ModuleMap:
@@ -209,39 +203,42 @@ class NakayamaEngine:
 
     def i_star_coinduced(self, parts: dict) -> Module:
         """(+)_c D(C(-,c)) (x) k^{n_c}: the coinduction i_* = nu after i_!."""
-        mods = [self.coef_left(c) for c in self._generator_objects(parts)]
-        return direct_sum_modules(mods)[0] if mods else zero_module(self.cat)
+        return block_sum(self.cat, [self.coef_left(c) for c in self._generator_objects(parts)])
 
     # -- nu and nu^- -------------------------------------------------------
 
-    def nu(self, f_mod: Module) -> NuApplied:
+    def nu(self, f_mod: Module) -> Applied:
+        """nu(F)(c) = D Hom(F, C(c,-)), in the dual of a hom basis; a: s -> t
+        acts by the dual of composition with pre_a: C(t,-) -> C(s,-)."""
         cat = self.cat
-        data = {c: tensor_over_cat(self.coef_right(c), f_mod) for c in cat.objects}
-        dims = {c: data[c].dim for c in cat.objects}
+        bases = {c: hom_basis(f_mod, representable(cat, c)) for c in cat.objects}
         mats = {}
         for name, (s, t) in cat.arrow_map.items():
-            mats[name] = tensor_induced(data[s], data[t], cat, self.u_map(name), None)
-        return NuApplied(Module(cat, dims, mats, check=False), data, f_mod)
+            pre = self.pre_map(name)
+            mats[name] = hom_coords(bases[s], [psi.then(pre) for psi in bases[t]],
+                                    cat.field).transpose()
+        return Applied(Module(cat, {c: len(b) for c, b in bases.items()}, mats, check=False),
+                       bases, f_mod)
 
-    def nu_map(self, src: NuApplied, dst: NuApplied, phi: ModuleMap) -> ModuleMap:
+    def nu_map(self, src: Applied, dst: Applied, phi: ModuleMap) -> ModuleMap:
         cat = self.cat
-        mats = {
-            c: tensor_induced(src.data[c], dst.data[c], cat, None, phi)
-            for c in cat.objects
-        }
+        mats = {c: hom_coords(src.bases[c], [phi.then(psi) for psi in dst.bases[c]],
+                              cat.field).transpose()
+                for c in cat.objects}
         return ModuleMap(src.module, dst.module, mats, check=False)
 
-    def nu_minus(self, f_mod: Module) -> NuMinusApplied:
+    def nu_minus(self, f_mod: Module) -> Applied:
+        """nu^-(F)(c) = Hom(D C(-,c), F), in a hom basis."""
         cat = self.cat
         bases = {c: hom_basis(self.coef_left(c), f_mod) for c in cat.objects}
-        dims = {c: len(bases[c]) for c in cat.objects}
         mats = {}
         for name, (s, t) in cat.arrow_map.items():
             w = self.w_map(name)  # coef_left[t] -> coef_left[s]
             mats[name] = hom_coords(bases[t], [w.then(psi) for psi in bases[s]], cat.field)
-        return NuMinusApplied(Module(cat, dims, mats, check=False), bases, f_mod)
+        return Applied(Module(cat, {c: len(b) for c, b in bases.items()}, mats, check=False),
+                       bases, f_mod)
 
-    def nu_minus_map(self, src: NuMinusApplied, dst: NuMinusApplied, phi: ModuleMap) -> ModuleMap:
+    def nu_minus_map(self, src: Applied, dst: Applied, phi: ModuleMap) -> ModuleMap:
         cat = self.cat
         mats = {c: hom_coords(dst.bases[c], [psi.then(phi) for psi in src.bases[c]], cat.field)
                 for c in cat.objects}
@@ -249,72 +246,57 @@ class NakayamaEngine:
 
     # -- unit and counit of nu -| nu^- -------------------------------------
 
-    def _hom_into_nu(self, c, x, nuF: NuApplied, j: int) -> Matrix:
-        """Component at x of the map coef_left[c] -> nu(F) sending xi to the
-        class of xi (x) e_j, e_j the j-th basis vector of F(c).  The dual
-        basis of D(C(x,c)) is block c of coef_right[x], so this selects the
-        columns of the tensor projection at xi_i (x) e_j."""
-        t = nuF.data[x]
-        n = nuF.source.dims[c]
-        return t.proj.submatrix(range(t.proj.rows),
-                                [t.offsets[c] + i * n + j for i in range(self.cat.hom_dim(x, c))])
-
-    def lambda_unit(self, f_mod: Module, nuF: NuApplied | None = None,
-                    nm: NuMinusApplied | None = None) -> ModuleMap:
-        """The unit F -> nu^- nu F."""
+    def lambda_unit(self, f_mod: Module, nuF: Applied | None = None,
+                    nm: Applied | None = None) -> ModuleMap:
+        """The unit F -> nu^- nu F: e_j in F(c) goes to the map D C(-,c) -> nu F
+        whose component at x sends the dual path xi_i to the functional
+        psi -> (psi_c)[i][j] on Hom(F, C(x,-))."""
         cat = self.cat
         nuF = nuF or self.nu(f_mod)
         nm = nm or self.nu_minus(nuF.module)
         mats = {}
         for c in cat.objects:
-            maps = [ModuleMap(self.coef_left(c), nuF.module,
-                              {x: self._hom_into_nu(c, x, nuF, j) for x in cat.objects},
-                              check=False)
-                    for j in range(f_mod.dims[c])]
+            maps = [ModuleMap(self.coef_left(c), nuF.module, {x: Matrix._adopt(
+                cat.field, [[row[j] for row in psi.mats[c].data] for psi in nuF.bases[x]],
+                len(nuF.bases[x]), cat.hom_dim(x, c)) for x in cat.objects}, check=False)
+                for j in range(f_mod.dims[c])]
             mats[c] = hom_coords(nm.bases[c], maps, cat.field)
         return ModuleMap(f_mod, nm.module, mats, check=False)
 
-    def sigma_counit(self, f_mod: Module, nm: NuMinusApplied | None = None,
-                     nu_nm: NuApplied | None = None) -> ModuleMap:
-        """The counit nu nu^- F -> F."""
+    def sigma_counit(self, f_mod: Module, nm: Applied | None = None,
+                     nu_nm: Applied | None = None) -> ModuleMap:
+        """The counit nu nu^- F -> F.  Its dual at c sends e_r* to the map
+        nu^- F -> C(c,-) taking psi to sum_i (psi_c)[r][i] p_i, p_i the basis
+        paths of C(c, y)."""
         cat = self.cat
-        f = cat.field
         nm = nm or self.nu_minus(f_mod)
         nu_nm = nu_nm or self.nu(nm.module)
         mats = {}
         for c in cat.objects:
-            t = nu_nm.data[c]
-            V = Matrix.zeros(f, f_mod.dims[c], t.ambient)
-            for y in cat.objects:
-                ny = len(nm.bases[y])
-                for m_idx, psi in enumerate(nm.bases[y]):
-                    # xi_i (x) psi -> psi(xi_i), column i of psi at c
-                    for r, row in enumerate(psi.mats[c].data):
-                        for i, val in enumerate(row):
-                            V.data[r][t.offsets[y] + i * ny + m_idx] = val
-            mats[c] = V @ t.section()
+            maps = [ModuleMap(nm.module, representable(cat, c), {y: Matrix._adopt(
+                cat.field, [psi.mats[c].data[r] for psi in nm.bases[y]], len(nm.bases[y]),
+                cat.hom_dim(c, y)).transpose() for y in cat.objects}, check=False)
+                for r in range(f_mod.dims[c])]
+            mats[c] = hom_coords(nu_nm.bases[c], maps, cat.field).transpose()
         return ModuleMap(nu_nm.module, f_mod, mats, check=False)
 
-    def adjunct(self, psi: ModuleMap, G: Module, nuG: NuApplied,
-                nmF: NuMinusApplied) -> ModuleMap:
+    def adjunct(self, psi: ModuleMap, G: Module, nuG: Applied, nmF: Applied) -> ModuleMap:
         """Hom(nu G, F) -> Hom(G, nu^- F) along the adjunction."""
-        nm_psi = self.nu_minus_map(self.nu_minus(nuG.module), nmF, psi)
-        lam = self.lambda_unit(G, nuG, self.nu_minus(nuG.module))
-        return lam.then(nm_psi)
+        nm_nuG = self.nu_minus(nuG.module)
+        return self.lambda_unit(G, nuG, nm_nuG).then(self.nu_minus_map(nm_nuG, nmF, psi))
 
-    def coadjunct(self, chi: ModuleMap, G: Module, nuG: NuApplied,
-                  nmF: NuMinusApplied, f_mod: Module) -> ModuleMap:
+    def coadjunct(self, chi: ModuleMap, G: Module, nuG: Applied,
+                  nmF: Applied, f_mod: Module) -> ModuleMap:
         """Hom(G, nu^- F) -> Hom(nu G, F), the inverse direction."""
-        nu_chi = self.nu_map(nuG, self.nu(nmF.module), chi)
-        sig = self.sigma_counit(f_mod, nmF, self.nu(nmF.module))
-        return nu_chi.then(sig)
+        nu_nmF = self.nu(nmF.module)
+        return self.nu_map(nuG, nu_nmF, chi).then(self.sigma_counit(f_mod, nmF, nu_nmF))
 
     def iso_nu_ishriek(self, parts: dict, shriek: Cover | None = None,
-                       nuP: NuApplied | None = None) -> ModuleMap:
+                       nuP: Applied | None = None) -> ModuleMap:
         """The canonical map nu(i_!(parts)) -> i_*(parts); an isomorphism.
 
-        A dual path xi tensored with a generator translate p is sent to the
-        functional q -> xi(p after q) in the matching coinduced block.
+        Its dual at x sends the path q of C(x, c_k) to the map i_!(parts) ->
+        C(x,-) taking generator k to q and the other generators to zero.
         """
         cat = self.cat
         f = cat.field
@@ -324,19 +306,12 @@ class NakayamaEngine:
         summands = [c for c, _ in shriek.summands]
         mats = {}
         for x in cat.objects:
-            t = nuP.data[x]
-            V = Matrix.zeros(f, coind.dims[x], t.ambient)
-            offs = list(accumulate((cat.hom_dim(x, c) for c in summands), initial=0))
-            for y in cat.objects:
-                starts = block_offsets(cat, summands, y)  # i_! at y
-                for wi, w in enumerate(cat.hom_basis_paths(x, y)):
-                    for k, c in enumerate(summands):
-                        for si, p in enumerate(cat.hom_basis_paths(c, y), starts[k]):
-                            col = t.offsets[y] + wi * starts[-1] + si
-                            # the functional q -> xi(p after q) on the basis of Hom(x, c)
-                            for r, q in enumerate(cat.hom_basis_paths(x, c), offs[k]):
-                                V.data[r][col] = cat.reduce_word(x, q + p).get(w, f.zero())
-            mats[x] = V @ t.section()
+            rep = representable(cat, x)
+            zeros = [(c, Matrix.zeros(f, rep.dims[c], 1)) for c in summands]
+            maps = [free_on_generators(rep, zeros[:k] + [(c, unit.col(q))] + zeros[k + 1:]).epi
+                    for k, c in enumerate(summands)
+                    for unit in [Matrix.identity(f, rep.dims[c])] for q in range(unit.cols)]
+            mats[x] = hom_coords(nuP.bases[x], maps, f).transpose()
         return ModuleMap(nuP.module, coind, mats, check=False)
 
     # -- derived functors --------------------------------------------------

@@ -19,13 +19,20 @@ way: direct sums of representables, a whole path matrix M(p) per generator
 image, and P(F) over a base as Kronecker products of representables with
 the coefficients.
 
-`tensor_induced_kronecker` is the map of tensor quotients induced by
-u (x) v, its ambient matrix assembled from Kronecker products, with
-identity matrices for a missing factor.
+`tensor_induced` is the map of tensor quotients induced by u (x) v, its
+ambient matrix assembled from Kronecker products, with identity matrices
+for a missing factor, and pushed through a section of the source quotient.
+
+`TensorNakayamaEngine` computes nu, nu_map and the unit lambda through the
+tensor quotient instead of hom bases: nu(F)(c) as D C(c,-) (x)_C F, arrows
+and maps through `tensor_induced`, and lambda from the columns of the
+quotient map at xi_i (x) e_j.
 
 `padded_resolution` is a non-minimal resolution: every cover carries one
 more generator, sent to zero.
 """
+
+from dataclasses import dataclass
 
 from gpquiver.linalg import LinAlgError, Matrix, direct_sum_many, kronecker_product
 from gpquiver.modules import (
@@ -40,10 +47,10 @@ from gpquiver.modules import (
     kernel,
     projective_cover,
     representable,
-    tensor_induced,
     tensor_over_cat,
     zero_module,
 )
+from gpquiver.nakayama import NakayamaEngine
 
 
 def free_cover_by_paths(m, summands):
@@ -113,16 +120,67 @@ def p_counit_kronecker(fact, F):
     return PF, ModuleMap(PF, F, eps, check=False)
 
 
-def tensor_induced_kronecker(src, dst, cat, u, v):
-    """tensor_induced(src, dst, cat, u, v), with the block-diagonal ambient
-    matrix of u (x) v a direct sum of Kronecker products over the objects."""
+def induced(src, dst, ambient_map):
+    """The map of tensor quotients src -> dst given by a map of ambients,
+    through a section of the quotient map of src."""
+    return dst.proj @ (ambient_map @ src.proj.right_inverse())
+
+
+def tensor_induced(src, dst, cat, u, v):
+    """The map of tensor quotients src -> dst induced by u (x) v, u on the
+    right-module side and v on the left one, a missing factor being the
+    identity; the ambient matrix is a direct sum of Kronecker products."""
     u_mats = {y: u.mats[y] if u is not None else Matrix.identity(src.field, src.block_dims[y][0])
               for y in cat.objects}
     v_mats = {y: v.mats[y] if v is not None else Matrix.identity(src.field, src.block_dims[y][1])
               for y in cat.objects}
     amb = direct_sum_many(src.field, [kronecker_product(u_mats[y], v_mats[y])
                                       for y in cat.objects])
-    return src.induced(dst, amb)
+    return induced(src, dst, amb)
+
+
+@dataclass
+class TensorApplied:
+    module: Module
+    data: dict  # object c -> TensorResult of D C(c,-) (x)_C F
+    source: Module
+
+
+class TensorNakayamaEngine(NakayamaEngine):
+    """nu, nu_map and lambda_unit through the tensor quotients."""
+
+    def nu(self, f_mod):
+        cat = self.cat
+        data = {c: tensor_over_cat(self.coef_right(c), f_mod) for c in cat.objects}
+        mats = {a: tensor_induced(data[s], data[t], cat, self.u_map(a), None)
+                for a, (s, t) in cat.arrow_map.items()}
+        return TensorApplied(Module(cat, {c: data[c].dim for c in cat.objects}, mats,
+                                    check=False), data, f_mod)
+
+    def nu_map(self, src, dst, phi):
+        cat = self.cat
+        mats = {c: tensor_induced(src.data[c], dst.data[c], cat, None, phi) for c in cat.objects}
+        return ModuleMap(src.module, dst.module, mats, check=False)
+
+    def lambda_unit(self, f_mod, nuF=None, nm=None):
+        """e_j in F(c) goes to the map D C(-,c) -> nu F sending xi_i to the
+        class of xi_i (x) e_j: the columns of the quotient map at x there."""
+        cat = self.cat
+        nuF = nuF or self.nu(f_mod)
+        nm = nm or self.nu_minus(nuF.module)
+        n = f_mod.dims
+        mats = {}
+        for c in cat.objects:
+            maps = []
+            for j in range(n[c]):
+                comps = {}
+                for x in cat.objects:
+                    t = nuF.data[x]
+                    cols = [t.offsets[c] + i * n[c] + j for i in range(cat.hom_dim(x, c))]
+                    comps[x] = t.proj.submatrix(range(t.proj.rows), cols)
+                maps.append(ModuleMap(self.coef_left(c), nuF.module, comps, check=False))
+            mats[c] = hom_coords(nm.bases[c], maps, cat.field)
+        return ModuleMap(f_mod, nm.module, mats, check=False)
 
 
 def tensor_projection(m, f_mod):

@@ -215,6 +215,7 @@ def _assert_error_at(argv, where, capsys):
     assert (status, out) == (1, "")
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 def test_relation_naming_an_undeclared_arrow_is_a_parse_error(tmp_path, capsys):
@@ -254,6 +255,35 @@ def test_bad_dim_line_is_a_parse_error_at_its_line(dim_line, tmp_path, capsys):
     lines[at] = dim_line
     path = _bad_input(tmp_path, "bad.rep", lines)
     _assert_error_at(["resolve", path], f"{path}:{at + 1}", capsys)
+
+
+def test_violated_relation_cites_a_mat_line_and_the_relation(tmp_path, capsys):
+    path = _bad_input(tmp_path, "bad.rep", [
+        "[representation]", "category = cyclic3.cat", "dim c0 = 1", "dim c1 = 1",
+        "dim c2 = 1", "mat d2 = 0", "mat d1 = 1", "mat d0 = 1"])
+    err = _assert_error_at(["resolve", path], f"{path}:7", capsys)
+    assert err.endswith("relation 1 d0*d1 violated\n")
+
+
+# a missing key is cited at the header of its section
+@pytest.mark.parametrize("name, lines, at", [
+    ("t.cat", ["[tensor]", "left = ka2.cat"], 1),
+    ("c.cat", ["# no field", "[category]", "objects = 1"], 2),
+    ("c.cat", ["[category]", "field = Q"], 1),
+    ("m.rep", ["", "[representation]", "dim 1 = 1"], 2),
+], ids=["tensor-right", "field", "objects", "category"])
+def test_missing_key_cites_its_section_header(name, lines, at, tmp_path, capsys):
+    path = _bad_input(tmp_path, name, lines)
+    cmd = "resolve" if name.endswith(".rep") else "cat-info"
+    _assert_error_at([cmd, path], f"{path}:{at}", capsys)
+
+
+@pytest.mark.parametrize("name", ["c.cat", "m.rep"])
+def test_file_without_a_section_cites_no_line(name, tmp_path, capsys):
+    path = _bad_input(tmp_path, name, ["# a comment only"])
+    cmd = "resolve" if name.endswith(".rep") else "cat-info"
+    err = _assert_error_at([cmd, path], path, capsys)
+    assert err.endswith(" section\n")
 
 
 def test_missing_file_exit_code(capsys):

@@ -1,6 +1,6 @@
 """What is made once per category: shared Nakayama engines and representables,
-nu(F) once per full-route verdict, and the entrywise u (x) v of
-tensor_induced against its Kronecker oracle."""
+nu(F) once per full-route verdict; and nu read off hom bases against the
+tensor route, matrix for matrix."""
 
 import os
 import random
@@ -9,7 +9,7 @@ import pytest
 
 import derived_oracle
 from conftest import cyclic3, ex322, loop_sq, square, tensor322, module322
-from gpquiver import cli, modules, nakayama
+from gpquiver import cli, modules
 from gpquiver import io as gio
 from gpquiver.basechange import Factorization
 from gpquiver.gorenstein import discrepancy_probe, is_gproj_P
@@ -33,13 +33,15 @@ def _mats(m):
 
 
 def _nu_reprs(eng, mods):
-    """repr of nu on each module and of nu on its cover and on hom basis maps."""
+    """repr of nu on each module, of nu on its cover and on hom basis maps, and
+    of the unit lambda."""
     out = []
     nus = [eng.nu(F) for F in mods]
     for F, nuF in zip(mods, nus):
         out.append(_mats(nuF.module))
         cov = projective_cover(F)
         out.append(_mats(eng.nu_map(eng.nu(cov.module), nuF, cov.epi)))
+        out.append(_mats(eng.lambda_unit(F, nuF)))
     for (F, nuF), (G, nuG) in zip(zip(mods, nus), zip(mods[1:], nus[1:])):
         out += [_mats(eng.nu_map(nuF, nuG, phi)) for phi in hom_basis(F, G)[:2]]
     return out
@@ -47,35 +49,30 @@ def _nu_reprs(eng, mods):
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
 @pytest.mark.parametrize("build", [loop_sq, ex322, cyclic3, square])
-def test_tensor_induced_matches_kronecker_oracle(build, field, monkeypatch):
+def test_tensor_induced_matches_kronecker_oracle(build, field):
+    """Production nu, nu_map and lambda, read off hom bases, against the
+    tensor route of derived_oracle, whose tensor_induced is the Kronecker
+    form: the same matrices, entry for entry."""
     cat = build(field)
-    eng = NakayamaEngine(cat, 4)
     rng = random.Random(f"{build.__name__}:{field!r}")
     # zero-dimensional blocks: the zero module, a simple, and the random
     # modules' zero objects
     mods = [random_module(cat, rng) for _ in range(3)]
     mods += [zero_module(cat), simple(cat, cat.objects[-1])]
-    got = _nu_reprs(eng, mods)
-    monkeypatch.setattr(nakayama, "tensor_induced", derived_oracle.tensor_induced_kronecker)
-    assert _nu_reprs(eng, mods) == got
+    got = _nu_reprs(NakayamaEngine(cat, 4), mods)
+    assert _nu_reprs(derived_oracle.TensorNakayamaEngine(cat, 4), mods) == got
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
-def test_nu_based_matches_kronecker_oracle(field, monkeypatch):
+def test_nu_based_matches_kronecker_oracle(field):
     T = tensor322(field)
     mods = [module322(T), random_module(T, random.Random(5), max_gens=1)]
-
-    def based():
-        out = []
-        for side in ("left", "right"):
-            fact = Factorization(T, side)
-            eng = NakayamaEngine(fact.cat, 4)
-            out += [_mats(fact.nu_based(F, eng)[0]) for F in mods]
-        return out
-
-    got = based()
-    monkeypatch.setattr(nakayama, "tensor_induced", derived_oracle.tensor_induced_kronecker)
-    assert based() == got
+    for side in ("left", "right"):
+        fact = Factorization(T, side)
+        for F in mods:
+            got = fact.nu_based(F, NakayamaEngine(fact.cat, 4))[0]
+            want = fact.nu_based(F, derived_oracle.TensorNakayamaEngine(fact.cat, 4))[0]
+            assert _mats(got) == _mats(want)
 
 
 def test_discrepancy_probe_reuses_engines(monkeypatch):
