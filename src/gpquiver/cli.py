@@ -28,7 +28,7 @@ from .gorenstein import (
     lifted_class_membership,
     self_injective_dimension,
 )
-from .linalg import LinAlgError
+from .linalg import LinAlgError, field_from_name
 from .modules import ModuleError, projective_resolution, tor_dim, ext_dim
 from .nakayama import NakayamaEngine, shared_engine
 
@@ -330,6 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.field is not None:
+            try:
+                field_from_name(args.field)
+            except ValueError as exc:
+                raise ValueError(f"bad --field {args.field!r}: {exc}") from None
         cutoff = gio.effective_cutoff(args.cutoff)
         payload, status = args.fn(args)
     except (gio.ParseError, CategoryError, ModuleError, LinAlgError,

@@ -21,7 +21,6 @@ from .modules import (
     _maps_from_columns,
     dual,
     hom_basis,
-    hom_coords,
     kernel,
     projective_cover,
     projective_resolution,
@@ -221,11 +220,13 @@ def splitting_section(eps: ModuleMap) -> ModuleMap | None:
     if F.is_zero():
         return ModuleMap(F, eps.src, {}, check=False)
     basis = hom_basis(F, eps.src)
-    try:
-        coeffs = hom_coords([b.then(eps) for b in basis], [ModuleMap.identity(F)], F.cat.field)
-    except ModuleError:  # the identity is not in the span
+    if not basis:
         return None
-    return _maps_from_columns(F, eps.src, _map_columns(basis) @ coeffs)[0]
+    coeffs = _map_columns([b.then(eps) for b in basis]).solve(
+        _map_columns([ModuleMap.identity(F)]))
+    if coeffs is None:  # the identity is not in the span
+        return None
+    return _maps_from_columns(F, eps.src, basis.columns @ coeffs)[0]
 
 
 def is_p_projective(f_mod: Module, engine: NakayamaEngine,
@@ -253,12 +254,11 @@ def is_p_projective(f_mod: Module, engine: NakayamaEngine,
 
 def is_base_projective(n_mod: Module) -> Verdict:
     cov = projective_cover(n_mod)
-    ker, _ = kernel(cov.epi)
-    if ker.is_zero():
+    kernel_dims = {c: k.cols for c, k in cov.syzygy.items()}
+    if not any(kernel_dims.values()):
         return Verdict("yes", {"reason": "projective",
                                "cover_summands": [c for c, _ in cov.summands]})
-    return Verdict("no", {"reason": "cover-kernel",
-                          "kernel_dims": dict(ker.dims)})
+    return Verdict("no", {"reason": "cover-kernel", "kernel_dims": kernel_dims})
 
 
 def base_gp(n_mod: Module, profile: BaseGorensteinProfile, cutoff: int = 16) -> Verdict:

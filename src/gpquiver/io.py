@@ -66,7 +66,10 @@ def _lines(path):
 
 
 def _keyvals(path):
+    """(line, section, key, value) per line, key None on a section header;
+    keys other than name, arrow and relation appear at most once per file."""
     section = None
+    seen = {}  # key -> its line
     for i, line in _lines(path):
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
@@ -75,6 +78,11 @@ def _keyvals(path):
         if "=" not in line:
             raise ParseError(path, i, f"expected 'key = value', got {line!r}")
         key, val = line.split("=", 1)
+        words = " ".join(key.split())
+        if words in seen:
+            raise ParseError(path, i, f"repeated key {words!r}, first on line {seen[words]}")
+        if words not in ("name", "arrow", "relation"):
+            seen[words] = i
         yield i, section, key.strip(), val.strip()
 
 

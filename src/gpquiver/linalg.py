@@ -10,6 +10,10 @@ every derived basis and projection is deterministic for a given input.
 fields, so it does no Fraction arithmetic: over QQ each row is kept as a
 primitive integer multiple of its scalar row, and Fractions are made only
 for the result.  The field supplies the row steps that differ (`Field`).
+
+A canonical kernel basis (`kernel_basis`) is the identity on its free
+rows, so the coordinates of a vector in its span are read off at those
+rows and checked by one product, with no second elimination.
 """
 
 from __future__ import annotations
@@ -472,12 +476,10 @@ class Matrix:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def rank_and_kernel(self) -> tuple[int, "Matrix"]:
-        """Rank plus a kernel basis (columns), in reduced column-echelon form.
-
-        Basis vector k has a 1 in the k-th free-variable slot and zeros in
-        the other free slots, so the result is canonical.
-        """
+    def kernel_basis(self) -> tuple[int, "Matrix", list[int]]:
+        """Rank, a kernel basis K (columns) in reduced column-echelon form,
+        and its free rows: column k of K has a 1 in free row k and zeros in
+        the other free rows, so K is canonical and the identity there."""
         f = self.field
         R, pivots = self.rref()
         pivot_set = set(pivots)
@@ -486,9 +488,13 @@ class Matrix:
         data = [[z] * len(free) for _ in range(self.cols)]
         for k, fc in enumerate(free):
             data[fc][k] = o
-            for i, pc in enumerate(pivots):
-                data[pc][k] = f.neg(R.data[i][fc])
-        return len(pivots), Matrix._adopt(f, data, self.cols, len(free))
+        for row, pc in zip(R.data, pivots):
+            data[pc] = [f.neg(row[fc]) if row[fc] else z for fc in free]
+        return len(pivots), Matrix._adopt(f, data, self.cols, len(free)), free
+
+    def rank_and_kernel(self) -> tuple[int, "Matrix"]:
+        """Rank plus the canonical kernel basis of kernel_basis."""
+        return self.kernel_basis()[:2]
 
     def kernel(self) -> "Matrix":
         return self.rank_and_kernel()[1]

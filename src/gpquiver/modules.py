@@ -13,6 +13,11 @@ or Hom systems.  Homology modules are built from kernel and cokernel alone:
 the incoming differential lifted into the kernel of the outgoing one, then
 its cokernel.
 
+In a resolution each syzygy stays inside the free stage before it, as the
+canonical kernel basis of the differential, generated by its columns left
+as pivots against the radical; stages[i].epi is d_i: P_i -> P_{i-1} for
+i >= 1.  Hom coordinates are read at the free rows of a hom basis's kernel.
+
 Free modules are known by their generators.  free_module lays out
 (+)_k C(c_k,-) once, block k at x spanning the basis paths of C(c_k, x)
 with the identity path first; covers, i_! and the basis cover
@@ -327,37 +332,43 @@ def _naturality_system(m: Module, n: Module) -> Matrix:
     rows = []
     z = f.zero()
     for name, (s, t) in cat.arrow_map.items():
-        ma, na = m.mats[name], n.mats[name]
+        ma_cols, na = m.mats[name].transpose().data, n.mats[name]
+        at, m_s, m_t = offsets[t], m.dims[s], m.dims[t]
         for i in range(n.dims[t]):
-            for j in range(m.dims[s]):
+            for j in range(m_s):
                 row = [z] * ends[-1]
-                for k in range(m.dims[t]):
-                    idx = offsets[t] + i * m.dims[t] + k
-                    row[idx] = f.add(row[idx], ma.data[k][j])
-                for k in range(n.dims[s]):
-                    idx = offsets[s] + k * m.dims[s] + j
-                    row[idx] = f.sub(row[idx], na.data[i][k])
+                row[at + i * m_t:at + (i + 1) * m_t] = ma_cols[j]  # phi_t[i] . M(a)[:, j]
+                for k, x in enumerate(na.data[i]):  # - N(a)[i] . phi_s[:, j]
+                    if x:
+                        idx = offsets[s] + k * m_s + j
+                        row[idx] = f.sub(row[idx], x)
                 rows.append(row)
     return Matrix._adopt(f, rows, len(rows), ends[-1])
 
 
-def hom_basis(m: Module, n: Module) -> list:
+class HomBasis(list):
+    """A hom basis as module maps; `columns` is the kernel matrix of their
+    flattenings (_map_columns), the identity on its `free` rows."""
+
+
+def hom_basis(m: Module, n: Module) -> HomBasis:
     """Canonical basis of the space of module maps m -> n."""
-    return _maps_from_columns(m, n, _naturality_system(m, n).kernel())
+    _, cols, free = _naturality_system(m, n).kernel_basis()
+    basis = HomBasis(_maps_from_columns(m, n, cols))
+    basis.columns, basis.free = cols, free
+    return basis
 
 
-def hom_coords(basis: list, maps: list, field) -> Matrix:
-    """Coordinates of maps in a hom basis: one column per map, from one solve."""
-    if not basis:
-        if not all(m.is_zero() for m in maps):
-            raise ModuleError("nonzero map in zero hom space")
-        return Matrix.zeros(field, 0, len(maps))
+def hom_coords(basis: HomBasis, maps: list, field) -> Matrix:
+    """Coordinates of maps in a hom basis, one column per map: the flattened
+    maps at the basis's free rows, checked by one product."""
     if not maps:
         return Matrix.zeros(field, len(basis), 0)
-    sol = _map_columns(basis).solve(_map_columns(maps))
-    if sol is None:
+    flat = _map_columns(maps)
+    coords = flat.submatrix(basis.free, range(flat.cols))
+    if basis.columns @ coords != flat:
         raise ModuleError("map outside the span of the hom basis")
-    return sol
+    return coords
 
 
 def _map_columns(maps: list) -> Matrix:
@@ -423,21 +434,15 @@ def tensor_over_cat(m: Module, f_mod: Module) -> TensorResult:
 # -- projective covers and resolutions ------------------------------------
 
 
-def radical_inclusion_images(m: Module, c) -> Matrix:
-    """Columns spanning the radical (sum of incoming arrow images) at c."""
-    f = m.cat.field
-    acc = Matrix.zeros(f, m.dims[c], 0)
-    for name, (s, t) in m.cat.arrow_map.items():
-        if t == c:
-            acc = acc.hstack(m.mats[name])
-    return acc
-
-
 @dataclass
 class Cover:
-    module: Module          # the projective cover P
+    """A free module P on generators in M and the map P -> M they give; in a
+    resolution, stage i >= 1 maps into P_{i-1}, its epi being d_i."""
+
+    module: Module          # the free module P
     epi: ModuleMap          # P -> M
     summands: list          # of (object, generator column in M(object))
+    syzygy: dict | None = None  # canonical kernel basis of epi per object
 
 
 def free_module(cat: BoundQuiverCategory, objs: list) -> Module:
@@ -484,13 +489,31 @@ def basis_cover(m: Module) -> Cover:
 
 
 def projective_cover(m: Module) -> Cover:
+    """The minimal projective cover of m, with its syzygy."""
+    return _span_cover(m, {c: Matrix.identity(m.cat.field, m.dims[c]) for c in m.cat.objects})
+
+
+def _span_cover(x: Module, bases: dict) -> Cover:
+    """The minimal cover, mapping into x, of the submodule spanned by the
+    columns of bases[c] at each c, with its syzygy.  The generators at c are
+    the columns of bases[c] that are pivots of one rref of [rad | bases[c]],
+    rad spanning the images of the arrows into c; the elimination that gives
+    the syzygy also checks that the cover is onto the span."""
+    cat = x.cat
     summands = []
-    for c in m.cat.objects:
-        gens = radical_inclusion_images(m, c).cokernel_projection().right_inverse()
-        summands += [(c, gens.col(j)) for j in range(gens.cols)]
-    cov = free_on_generators(m, summands)
-    if not cov.epi.is_surjective():
-        raise ModuleError("projective cover failed to surject (radical not nilpotent?)")
+    for c in cat.objects:
+        rad = Matrix.zeros(cat.field, x.dims[c], 0)
+        for name, (s, t) in cat.arrow_map.items():
+            if t == c:
+                rad = rad.hstack(x.mats[name] @ bases[s])
+        _, pivots = rad.hstack(bases[c]).rref()
+        summands += [(c, bases[c].col(j - rad.cols)) for j in pivots if j >= rad.cols]
+    cov = free_on_generators(x, summands)
+    cov.syzygy = {}
+    for c in cat.objects:
+        rank, cov.syzygy[c] = cov.epi.mats[c].rank_and_kernel()
+        if rank != bases[c].cols:
+            raise ModuleError("projective cover failed to surject (radical not nilpotent?)")
     return cov
 
 
@@ -499,8 +522,7 @@ class Resolution:
     """Projective resolution ... -> P_1 -> P_0 -> M (possibly truncated)."""
 
     module: Module
-    stages: list            # of Cover; stages[i].module = P_i
-    diffs: list             # diffs[i]: P_{i+1} -> P_i, for i >= 0
+    stages: list            # of Cover; stages[i].module = P_i, stages[i].epi = d_i
     completed: bool
     cutoff: int
 
@@ -519,33 +541,21 @@ class Resolution:
 
     def diff(self, i: int) -> ModuleMap:
         """The map P_i -> P_{i-1} (zero beyond the computed range)."""
-        if 1 <= i <= len(self.diffs):
-            return self.diffs[i - 1]
+        if 1 <= i < len(self.stages):
+            return self.stages[i].epi
         return ModuleMap(self.stage_module(i), self.stage_module(i - 1), {}, check=False)
 
 
 def projective_resolution(m: Module, cutoff: int) -> Resolution:
+    """The minimal resolution of m, at most cutoff stages past P_0: each
+    syzygy is covered inside the free stage before it."""
     if cutoff < 0:
         raise ModuleError("cutoff must be nonnegative")
-    cover0 = projective_cover(m)
-    stages = [cover0]
-    diffs = []
-    current_epi = cover0.epi
-    completed = m.is_zero() and cover0.module.is_zero()
-    for _ in range(cutoff):
-        k, incl = kernel(current_epi)
-        if k.is_zero():
-            completed = True
-            break
-        cov = projective_cover(k)
-        stages.append(cov)
-        diffs.append(cov.epi.then(incl))
-        current_epi = cov.epi
-    else:
-        k, _ = kernel(current_epi)
-        if k.is_zero():
-            completed = True
-    return Resolution(m, stages, diffs, completed, cutoff)
+    stages = [projective_cover(m)]
+    while any(k.cols for k in stages[-1].syzygy.values()) and len(stages) <= cutoff:
+        stages.append(_span_cover(stages[-1].module, stages[-1].syzygy))
+    completed = not any(k.cols for k in stages[-1].syzygy.values())
+    return Resolution(m, stages, completed, cutoff)
 
 
 def pdim(m: Module, cutoff: int) -> int | None:

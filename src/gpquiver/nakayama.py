@@ -10,7 +10,7 @@ category never changes and an engine holds nothing but these caches.
 
 nu and nu^- are Hom functors and are read off hom bases alike: nu(F)(c) =
 D Hom(F, C(c,-)) and nu^-(F)(c) = Hom(D C(-,c), F), one hom basis per object
-and one solve per arrow or map; the unit and counit are one solve each.  The
+and one hom_coords read per arrow or map, as are the unit and counit.  The
 tensor D(C) (x)_C F itself stays in modules as tensor_over_cat.  Both halves
 of the bimodule D(C) are written in the dual of C's path basis.
 

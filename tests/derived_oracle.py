@@ -7,8 +7,9 @@ Tor/Ext dimensions are computed without the generator shortcut: every
 stage of the resolution is treated as an arbitrary module.  Tor goes
 through the explicit tensor quotient (`tensor_over_cat` plus
 `tensor_induced`), Ext through the dense Hom system (`hom_basis` plus one
-`hom_coords` solve per differential).  The truncation and vanishing rules are
-the same as in `gpquiver.modules`, so results compare as DerivedValues.
+generic solve per differential, not `hom_coords`).  The truncation and
+vanishing rules are the same as in `gpquiver.modules`, so results compare
+as DerivedValues.
 
 Homology dimensions come from a kernel basis, the lift of the incoming
 differential into it, and the cokernel of that lift, not from the rank
@@ -28,18 +29,23 @@ tensor quotient instead of hom bases: nu(F)(c) as D C(c,-) (x)_C F, arrows
 and maps through `tensor_induced`, and lambda from the columns of the
 quotient map at xi_i (x) e_j.
 
-`padded_resolution` is a non-minimal resolution: every cover carries one
-more generator, sent to zero.
+`kernel_module_resolution` resolves through kernel modules: the cover of
+each stage's kernel module, by generators spanning a complement of the
+radical (`complement_cover`), followed by the kernel's inclusion.
+`padded_resolution` is a non-minimal resolution of that shape: every cover
+carries one more generator, sent to zero.
 """
 
 from dataclasses import dataclass
 
 from gpquiver.linalg import LinAlgError, Matrix, direct_sum_many, kronecker_product
 from gpquiver.modules import (
+    Cover,
     DerivedValue,
     Module,
     ModuleMap,
     Resolution,
+    _map_columns,
     direct_sum_modules,
     free_on_generators,
     hom_basis,
@@ -78,15 +84,40 @@ def padded_cover(m):
         m, projective_cover(m).summands + [(c, Matrix.zeros(m.cat.field, m.dims[c], 1))])
 
 
+def complement_cover(m):
+    """The minimal cover of m with generators at c spanning a complement of
+    the radical there: a right inverse of the cokernel projection of the
+    images of the arrows into c."""
+    cat = m.cat
+    summands = []
+    for c in cat.objects:
+        rad = Matrix.zeros(cat.field, m.dims[c], 0)
+        for name, (s, t) in cat.arrow_map.items():
+            if t == c:
+                rad = rad.hstack(m.mats[name])
+        gens = rad.cokernel_projection().right_inverse()
+        summands += [(c, gens.col(j)) for j in range(gens.cols)]
+    return free_on_generators(m, summands)
+
+
+def kernel_module_resolution(m, cutoff, cover=complement_cover):
+    """A resolution of m through kernel modules, at most cutoff stages past
+    P_0: each stage covers the kernel module of the map before it, and its
+    differential is the cover followed by the kernel's inclusion."""
+    stages = [cover(m)]
+    for _ in range(cutoff):
+        k, incl = kernel(stages[-1].epi)
+        if k.is_zero():
+            return Resolution(m, stages, True, cutoff)
+        cov = cover(k)
+        stages.append(Cover(cov.module, cov.epi.then(incl), cov.summands))
+    return Resolution(m, stages, kernel(stages[-1].epi)[0].is_zero(), cutoff)
+
+
 def padded_resolution(m, cutoff):
     """A resolution of m by padded covers, cutoff stages past P_0; it never
     completes, since every cover kernel contains the padding summand."""
-    stages, diffs = [padded_cover(m)], []
-    for _ in range(cutoff):
-        k, incl = kernel(stages[-1].epi)
-        stages.append(padded_cover(k))
-        diffs.append(stages[-1].epi.then(incl))
-    return Resolution(m, stages, diffs, False, cutoff)
+    return kernel_module_resolution(m, cutoff, padded_cover)
 
 
 def p_counit_kronecker(fact, F):
@@ -269,9 +300,16 @@ def ext_from_resolution(res, n_mod, i):
     bases = [hom_basis(res.stage_module(j), n_mod) for j in range(min(i + 1, n) + 1)]
 
     def delta(j):
-        # Hom(P_j, N) -> Hom(P_{j+1}, N), phi -> phi after d_{j+1}
+        # Hom(P_j, N) -> Hom(P_{j+1}, N), phi -> phi after d_{j+1}, by a
+        # generic solve rather than hom_coords' read at the free rows
         d = res.diff(j + 1)
-        return hom_coords(bases[j + 1], [d.then(phi) for phi in bases[j]], f)
+        images = [d.then(phi) for phi in bases[j]]
+        if not bases[j + 1] or not images:
+            return Matrix.zeros(f, len(bases[j + 1]), len(images))
+        coords = _map_columns(bases[j + 1]).solve(_map_columns(images))
+        if coords is None:
+            raise LinAlgError("map outside the span of the hom basis")
+        return coords
 
     d_out = delta(i) if i + 1 <= n else Matrix.zeros(f, 0, len(bases[i]))
     d_in = delta(i - 1) if i >= 1 else Matrix.zeros(f, len(bases[0]), 0)

@@ -278,6 +278,30 @@ def test_missing_key_cites_its_section_header(name, lines, at, tmp_path, capsys)
     _assert_error_at([cmd, path], f"{path}:{at}", capsys)
 
 
+# a key that may appear once is refused at its second line, not last-wins
+@pytest.mark.parametrize("name, lines, at", [
+    ("c.cat", ["[category]", "field = Q", "objects = 1", "objects = 1, 2"], 4),
+    ("c.cat", ["[category]", "field = Q", "length_cutoff = 4", "objects = 1",
+               "length_cutoff = 5"], 5),
+    ("t.cat", ["[tensor]", "left = ka2.cat", "right = ka2.cat", "left = cyclic3.cat"], 4),
+    ("m.rep", ["[representation]", "category = ka2.cat", "dim 1 = 1", "dim 2 = 1",
+               "mat a = 1", "mat  a = 0"], 6),
+    ("m.rep", ["[representation]", "category = ka2.cat", "dim 1 = 1", "dim 2 = 2",
+               "dim 2 = 1"], 5),
+], ids=["objects", "length-cutoff", "tensor-left", "mat", "dim"])
+def test_repeated_key_is_a_parse_error_at_the_repeat(name, lines, at, tmp_path, capsys):
+    path = _bad_input(tmp_path, name, lines)
+    cmd = ["check", "monic"] if name.endswith(".rep") else ["cat-info"]
+    err = _assert_error_at([*cmd, path], f"{path}:{at}", capsys)
+    assert "repeated key" in err
+
+
+def test_bad_field_flag_names_the_flag_not_the_file(capsys):
+    status, out, err = run(["gdim", fix("ka2.cat"), "--field", "F4"], capsys)
+    assert (status, out) == (1, "")
+    assert err == "error: bad --field 'F4': modulus 4 is not prime\n"
+
+
 @pytest.mark.parametrize("name", ["c.cat", "m.rep"])
 def test_file_without_a_section_cites_no_line(name, tmp_path, capsys):
     path = _bad_input(tmp_path, name, ["# a comment only"])

@@ -10,8 +10,10 @@ from gpquiver.linalg import GF, QQ, LinAlgError, Matrix
 from gpquiver.modules import (
     DerivedValue,
     Module,
+    ModuleError,
     ModuleMap,
     _derived_dim,
+    _map_columns,
     cokernel,
     direct_sum_modules,
     dual,
@@ -21,6 +23,7 @@ from gpquiver.modules import (
     free_module,
     free_on_generators,
     hom_basis,
+    hom_coords,
     homology_of_modules,
     image,
     kernel,
@@ -412,6 +415,49 @@ def test_free_covers_match_path_oracle(make, field):
             assert cov.module == total
             assert cov.epi.mats == epi
             cov.epi.validate()
+
+
+@pytest.mark.parametrize("make", [ka2, loop_sq, square, ex322])
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "Q"])
+def test_hom_coords_read_off_free_rows_match_solve(make, field):
+    # coordinates read at the free rows of the kernel basis against a
+    # generic solve, on random combinations of the basis and the zero map
+    C = make(field)
+    rng = random.Random(47)
+    span = getattr(field, "p", 7)
+    for _ in range(4):
+        F, G = random_module(C, rng), random_module(C, rng)
+        basis = hom_basis(F, G)
+        maps = [ModuleMap(F, G, {}, check=False)]
+        for _ in range(3):
+            phi = maps[0]
+            for b in basis:
+                coef = field.of(rng.randrange(span))
+                phi = phi + ModuleMap(F, G, {c: b.mats[c].scale(coef) for c in C.objects},
+                                      check=False)
+            maps.append(phi)
+        coords = hom_coords(basis, maps, field)
+        if basis:
+            assert coords == _map_columns(basis).solve(_map_columns(maps))
+        else:
+            assert coords == Matrix.zeros(field, 0, len(maps))
+        assert hom_coords(basis, [], field) == Matrix.zeros(field, len(basis), 0)
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "Q"])
+def test_hom_coords_refuse_a_map_outside_the_span(field):
+    C = ka2(field)
+    P1 = representable(C, "1")
+    one = Matrix.identity(field, 1)
+    # Hom(P1, P1) is spanned by the identity; identity at 1 and zero at 2 is
+    # not natural
+    with pytest.raises(ModuleError):
+        hom_coords(hom_basis(P1, P1), [ModuleMap(P1, P1, {"1": one}, check=False)], field)
+    # Hom(P1, S2) = S2(1) is zero, with a nonzero candidate at 2
+    S2 = simple(C, "2")
+    assert not hom_basis(P1, S2)
+    with pytest.raises(ModuleError):
+        hom_coords(hom_basis(P1, S2), [ModuleMap(P1, S2, {"2": one}, check=False)], field)
 
 
 def test_dual_map_contravariant():

@@ -1,12 +1,15 @@
 """Every bundled fixture, mutated once, run through the CLI: the run ends in
 exit 0, 1 or 2 without a traceback, an input error is one `error:` line, and
-no message cites line 0."""
+no message cites line 0.  A bad `.rep` matrix (a wrong shape, an entry not
+in the field, a repeated `mat` line, matrices that break a relation) exits
+1 with one `error:` line citing a `mat` line."""
 
 import contextlib
 import io
 import os
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -16,6 +19,7 @@ from gpquiver import cli
 
 FIXTURES = cli.fixtures_dir()
 NAMES = sorted(n for n in os.listdir(FIXTURES) if n.endswith((".cat", ".rep")))
+FIXTURES_TEXT = {n: Path(FIXTURES, n).read_text(encoding="utf-8") for n in NAMES}
 CHARS = "0123456789 \n#=:;*+-/|[],>abxyz"
 CITED_LINE = re.compile(r"\.(?:cat|rep):(\d+)")
 
@@ -66,6 +70,86 @@ def test_mutated_fixture_fails_cleanly(workdir, name, kind, at, char):
     if status == 1:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert all(int(n) >= 1 for n in CITED_LINE.findall(err)), err
+
+
+REP_NAMES = [n for n in NAMES if n.endswith(".rep")]
+
+
+def _matrix(rows):
+    return " ; ".join(" ".join(row) for row in rows)
+
+
+@st.composite
+def broken_relations(draw):
+    """Lines of a .rep whose matrices break a relation of their category."""
+    which = draw(st.sampled_from(["loop_x2", "square", "m322"]))
+    if which == "m322":
+        lines = FIXTURES_TEXT["m322.rep"].splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("mat be|2"))
+        lines[at] = "mat be|2 = 1 0 ; 0 1"  # be*be = 0
+        return lines
+    n = draw(st.integers(1, 3))
+    entry = st.integers(0, 2).map(str)
+    if which == "loop_x2":  # x = c + strictly upper, so x*x != 0
+        c = str(draw(st.integers(1, 4)))
+        x = [[c if i == j else draw(entry) if j > i else "0" for j in range(n)]
+             for i in range(n)]
+        mats = [f"mat x = {_matrix(x)}"]
+    else:  # be*al = a, ga*mu = 0
+        ident = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+        a = str(draw(st.integers(1, 4)))
+        al = [[a if x == "1" else x for x in row] for row in ident]
+        mu = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        mats = [f"mat al = {_matrix(al)}", f"mat be = {_matrix(ident)}",
+                f"mat mu = {_matrix(mu)}", f"mat ga = {_matrix([['0'] * n] * n)}"]
+    objs = ["1"] if which == "loop_x2" else ["c1", "c2", "c3", "c4"]
+    return (["[representation]", f"category = {which}.cat"]
+            + [f"dim {o} = {n}" for o in objs] + draw(st.permutations(mats)))
+
+
+@st.composite
+def matrix_mutants(draw):
+    """A .rep with a bad matrix: (its lines, extra CLI flags, the line an
+    error must cite or None).  A mat line of a fixture gets a wrong shape,
+    an entry 1/3 under --field F3, or a second copy further down; or the
+    matrices break a relation."""
+    kind = draw(st.sampled_from(["shape", "field", "repeat", "relation"]))
+    if kind == "relation":
+        return draw(broken_relations()), [], None
+    lines = FIXTURES_TEXT[draw(st.sampled_from(REP_NAMES))].splitlines()
+    at = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("mat ")]))
+    if kind == "repeat":
+        to = draw(st.integers(at + 1, len(lines)))
+        return lines[:to] + [lines[at]] + lines[to:], [], to + 1
+    key, val = lines[at].split("=", 1)
+    rows = [chunk.split() for chunk in val.split(";")]
+    r = draw(st.integers(0, len(rows) - 1))
+    if kind == "field":
+        rows[r][draw(st.integers(0, len(rows[r]) - 1))] = "1/3"
+    else:
+        how = draw(st.sampled_from(["add-row", "add-entry", "drop-entry"]))
+        if how == "add-row":
+            rows.append(list(rows[r]))
+        elif how == "add-entry":
+            rows[r].append("0")
+        else:
+            rows[r].pop()
+    lines[at] = f"{key}= {_matrix(rows)}"
+    return lines, ["--field", "F3"] if kind == "field" else [], at + 1
+
+
+@given(matrix_mutants())
+def test_bad_matrix_is_an_error_at_a_mat_line(workdir, mutant):
+    lines, flags, cited = mutant
+    path = workdir / "matrix_mutant.rep"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    status, out, err = run_cli(["resolve", str(path), "--cutoff", "4", *flags])
+    assert (status, out) == (1, ""), err
+    assert "Traceback" not in err and err.count("\n") == 1
+    m = re.match(rf"error: {re.escape(str(path))}:(\d+): ", err)
+    assert m, err
+    n = int(m.group(1))
+    assert n == cited if cited is not None else lines[n - 1].startswith("mat "), err
 
 
 def test_mutations():
