@@ -104,9 +104,10 @@ class BoundQuiverCategory:
 
     Basis labels are surviving paths; every path of length up to the cutoff
     has a stored rewrite into basis paths of smaller (length, lex) order.
-    Values that depend on the category alone (its representables, its
-    Nakayama engines) are made once and kept in `cached`; that is safe
-    because the category never changes.
+    Values that depend on the category alone (its representables, the
+    coefficient modules of D(C) and their resolutions at each cutoff) are
+    made once and kept in `cached`; that is safe because the category never
+    changes.
     """
 
     def __init__(self, quiver, relations, field, length_cutoff, objects, arrow_map,

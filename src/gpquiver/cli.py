@@ -28,9 +28,9 @@ from .gorenstein import (
     lifted_class_membership,
     self_injective_dimension,
 )
-from .linalg import LinAlgError, field_from_name
+from .linalg import LinAlgError
 from .modules import ModuleError, projective_resolution, tor_dim, ext_dim
-from .nakayama import NakayamaEngine, shared_engine
+from .nakayama import NakayamaEngine
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -70,7 +70,7 @@ def _load_module(args):
 
 
 def _engine_for(cat, args) -> NakayamaEngine:
-    return shared_engine(cat, gio.effective_cutoff(args.cutoff))
+    return NakayamaEngine(cat, gio.effective_cutoff(args.cutoff))
 
 
 def _factorization(cat, side):
@@ -330,11 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.field is not None:
-            try:
-                field_from_name(args.field)
-            except ValueError as exc:
-                raise ValueError(f"bad --field {args.field!r}: {exc}") from None
+        gio.check_field_override(args.field, "--field")
         cutoff = gio.effective_cutoff(args.cutoff)
         payload, status = args.fn(args)
     except (gio.ParseError, CategoryError, ModuleError, LinAlgError,

@@ -17,16 +17,17 @@ from .modules import (
     ModuleMap,
     ModuleError,
     _derived_dim,
+    _derived_either_side,
     _map_columns,
     _maps_from_columns,
+    _submodule,
     dual,
     hom_basis,
-    kernel,
     projective_cover,
     projective_resolution,
     representable,
 )
-from .nakayama import NakayamaEngine, shared_engine
+from .nakayama import NakayamaEngine
 
 
 @dataclass
@@ -56,14 +57,9 @@ class BaseGorensteinProfile:
 def self_injective_dimension(base: BoundQuiverCategory, cutoff: int = 16) -> BaseGorensteinProfile:
     """Profile the base algebra: the two-sided projective dimension of its
     dual regular bimodule, when that settles below the cutoff."""
-    return _profile(shared_engine(base, cutoff))
-
-
-def _profile(eng: NakayamaEngine) -> BaseGorensteinProfile:
-    """The profile of the engine's category, read off its Gorenstein dimension."""
-    g = eng.gorenstein_dimension()
-    return BaseGorensteinProfile(eng.cat, g.value, "verified-at-cutoff" if g.finite else "unknown",
-                                 eng.cutoff, {"left": g.left_pdims, "right": g.right_pdims})
+    g = NakayamaEngine(base, cutoff).gorenstein_dimension()
+    return BaseGorensteinProfile(base, g.value, "verified-at-cutoff" if g.finite else "unknown",
+                                 cutoff, {"left": g.left_pdims, "right": g.right_pdims})
 
 
 def declared_profile(base: BoundQuiverCategory, g: int) -> BaseGorensteinProfile:
@@ -125,15 +121,12 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
                                  lambda i: engine.left_derived_nu_dims(f_mod, i), l_nu)
         return Verdict(member, cert, hyp)
 
-    def degrees(res):
-        return range(1, (res.length() if res.completed else cutoff - 1) + 1)
-
     cert = {"route": "full"}
 
     # (a) vanishing of the left derived Nakayama functor
     res_f = projective_resolution(f_mod, cutoff)
     a = _vanishing_scan(
-        cert, "l_nu_dims", degrees(res_f), cat.objects,
+        cert, "l_nu_dims", range(1, res_f.settled() + 1), cat.objects,
         lambda i: lambda c: _derived_dim(res_f, engine.coef_right(c), i, tensor=True),
         l_nu)
     if a == "no":
@@ -144,14 +137,11 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
     nu_applied = engine.nu(f_mod)
     nuF = nu_applied.module
     res_dual = projective_resolution(dual(nuF), cutoff)
-
-    def r_nu_minus(i, c):
-        v = _derived_dim(engine.res_left(c), nuF, i, tensor=False)
-        return v if v.conclusive else _derived_dim(res_dual, dual(engine.coef_left(c)), i,
-                                                   tensor=False)
-
-    b = _vanishing_scan(cert, "r_nu_minus_dims", degrees(res_dual), cat.objects,
-                        lambda i: lambda c: r_nu_minus(i, c), {"functor": "R_nu_minus"})
+    b = _vanishing_scan(
+        cert, "r_nu_minus_dims", range(1, res_dual.settled() + 1), cat.objects,
+        lambda i: lambda c: _derived_either_side(engine.res_left(c), nuF, i, False,
+                                                 lambda: (res_dual, dual(engine.coef_left(c)))),
+        {"functor": "R_nu_minus"})
     if b == "no":
         return Verdict("no", cert, hyp)
 
@@ -284,7 +274,7 @@ def base_gp(n_mod: Module, profile: BaseGorensteinProfile, cutoff: int = 16) -> 
                               "pdim": res.pdim()}, hyp)
     cert = {}
     member = _vanishing_scan(
-        cert, "ext_dims", range(1, profile.g + 1 if known else cutoff), base.objects,
+        cert, "ext_dims", range(1, (profile.g if known else res.settled()) + 1), base.objects,
         lambda i: lambda c: _derived_dim(res, representable(base, c), i, tensor=False), {})
     if member == "no" or (known and member == "yes"):
         return Verdict(member, cert, hyp)
@@ -390,21 +380,19 @@ def lifted_class_membership(f_mod: Module, x_class: str, f_class: str,
 
 def gp_resolution_dimension(f_mod: Module, engine: NakayamaEngine,
                             profile: BaseGorensteinProfile | None = None,
-                            fact: Factorization | None = None,
-                            max_steps: int | None = None):
+                            fact: Factorization | None = None):
     """First stage of the minimal projective resolution whose syzygy is
     Gorenstein projective; returns (value, per-stage verdicts) with value
     None meaning ">= cutoff"."""
-    limit = engine.cutoff if max_steps is None else max_steps
     current = f_mod
     verdicts = []
-    for k in range(limit + 1):
+    for k in range(engine.cutoff + 1):
         v = is_gp_functor(current, engine, profile, fact)
         verdicts.append(v.member)
         if v.is_yes:
             return k, verdicts
         cov = projective_cover(current)
-        current, _ = kernel(cov.epi)
+        current, _ = _submodule(cov.module, cov.syzygy, "syzygy")
     return None, verdicts
 
 
@@ -441,11 +429,11 @@ def discrepancy_probe(m_mod: Module, fact_a: Factorization, fact_b: Factorizatio
     if fact_a.total != m_mod.cat or fact_b.total != m_mod.cat:
         raise ModuleError("factorizations must present the module's category")
     # each factor is one factorization's Nakayama direction and the other's
-    # base, and both sides use its shared engine
+    # base, and both sides read its coefficient data from its memo
     out = {}
     for tag, fact in (("first", fact_a), ("second", fact_b)):
-        v = is_gp_functor(m_mod, shared_engine(fact.cat, cutoff),
-                          _profile(shared_engine(fact.base, cutoff)), fact)
+        v = is_gp_functor(m_mod, NakayamaEngine(fact.cat, cutoff),
+                          self_injective_dimension(fact.base, cutoff), fact)
         entry = {"verdict": v,
                  "cat_side": fact.cat_side,
                  "restriction_exactness": exactness_table(fact.restrict_to_cat(m_mod))}

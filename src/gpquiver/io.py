@@ -124,7 +124,17 @@ def format_relation(field, rel: Relation) -> str:
     return " + ".join(f"{field.fmt(c)} {format_path(p)}" for c, p in rel.terms)
 
 
+def check_field_override(name, label="field override") -> None:
+    """Refuse a bad field override by its name, before any file is read."""
+    if name is not None:
+        try:
+            field_from_name(name)
+        except ValueError as exc:
+            raise ValueError(f"bad {label} {name!r}: {exc}") from None
+
+
 def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiverCategory:
+    check_field_override(field_override)
     section = None
     headers = {}  # section -> line of its first header
     pending = {"objects": None, "arrows": [], "relations": [],
@@ -260,6 +270,7 @@ def format_matrix(field, m: Matrix) -> str:
 
 
 def parse_module(path, field_override=None, category=None) -> Module:
+    check_field_override(field_override)
     section = None
     header = None
     cat_ref = None

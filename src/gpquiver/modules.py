@@ -539,6 +539,12 @@ class Resolution:
         truncated; every stage of a minimal resolution is nonzero."""
         return self.length() if self.completed else None
 
+    def settled(self) -> int:
+        """The highest degree whose derived functors this resolution settles:
+        H_i reads P_{i+1}, so length - 1 when truncated; past the length of
+        a completed one every degree is 0."""
+        return self.length() if self.completed else self.length() - 1
+
     def diff(self, i: int) -> ModuleMap:
         """The map P_i -> P_{i-1} (zero beyond the computed range)."""
         if 1 <= i < len(self.stages):
@@ -615,11 +621,9 @@ def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedVal
     as dim ker d_out - rank d_in."""
     if i < 0:
         raise ModuleError("negative degree")
-    n = res.length()
-    if not res.completed and i > n - 1:
-        return DerivedValue(None, False, "resolution truncated below requested degree")
-    if i > n:
-        return DerivedValue(0, True)
+    if i > res.settled():
+        return (DerivedValue(0, True) if res.completed
+                else DerivedValue(None, False, "resolution truncated below requested degree"))
     if tensor:  # X P_{i+1} -> X P_i -> X P_{i-1}
         d_out, d_in = _applied_diff(res, x, i, True), _applied_diff(res, x, i + 1, True)
     else:       # X P_{i-1} -> X P_i -> X P_{i+1}
@@ -629,38 +633,35 @@ def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedVal
     return DerivedValue(d_out.cols - d_out.rank() - d_in.rank(), True)
 
 
+def _derived_either_side(res: Resolution, x: Module, i: int, tensor: bool,
+                        other) -> DerivedValue:
+    """_derived_dim over (res, x); where res is truncated below degree i, over
+    the other side's pair (resolution, module), which other() builds then."""
+    v = _derived_dim(res, x, i, tensor)
+    if v.conclusive:
+        return v
+    v = _derived_dim(*other(), i, tensor)
+    return v if v.conclusive else DerivedValue(None, False, "both sides truncated at cutoff")
+
+
 def tor_dim(m_right: Module, f_mod: Module, i: int, cutoff: int,
             resolution: Resolution | None = None) -> DerivedValue:
-    """dim Tor_i(M, F) for a right module M and left module F.
-
-    Resolves the right-hand side first; falls back to resolving F when the
-    first route is truncated below the requested degree.
-    """
+    """dim Tor_i(M, F) for a right module M and left module F: over the given
+    resolution of M, else one made at the cutoff, falling back to resolving F."""
     if i < 0:
         raise ModuleError("negative homological degree")
-    res = resolution or projective_resolution(m_right, cutoff)
-    out = _derived_dim(res, f_mod, i, tensor=True)
-    if out.conclusive or resolution is not None:
-        return out
-    out2 = _derived_dim(projective_resolution(f_mod, cutoff), m_right, i, tensor=True)
-    if out2.conclusive:
-        return out2
-    return DerivedValue(None, False, "both tensor-side resolutions truncated")
+    return _derived_either_side(resolution or projective_resolution(m_right, cutoff), f_mod, i,
+                                True, lambda: (projective_resolution(f_mod, cutoff), m_right))
 
 
 def ext_dim(m: Module, n_mod: Module, i: int, cutoff: int,
             resolution: Resolution | None = None) -> DerivedValue:
-    """dim Ext^i(M, N); falls back to the dual-side computation when needed."""
+    """dim Ext^i(M, N) over the given resolution of M, else one made at the
+    cutoff, falling back to Ext^i(DN, DM) over a resolution of DN."""
     if i < 0:
         raise ModuleError("negative cohomological degree")
-    res = resolution or projective_resolution(m, cutoff)
-    out = _derived_dim(res, n_mod, i, tensor=False)
-    if out.conclusive or resolution is not None:
-        return out
-    out2 = _derived_dim(projective_resolution(dual(n_mod), cutoff), dual(m), i, tensor=False)
-    if out2.conclusive:
-        return out2
-    return DerivedValue(None, False, "both Ext routes truncated at cutoff")
+    return _derived_either_side(resolution or projective_resolution(m, cutoff), n_mod, i, False,
+                                lambda: (projective_resolution(dual(n_mod), cutoff), dual(m)))
 
 
 def homology_of_modules(d_out: ModuleMap, d_in: ModuleMap) -> Module:

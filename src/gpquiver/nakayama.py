@@ -2,11 +2,11 @@
 triple around evaluation, derived functors, and the Gorenstein dimension of
 the projectivization endofunctor P.
 
-Coefficient modules D(C(c,-)) (right) and D(C(-,c)) (left) and their minimal
-resolutions are cached in an engine, and `shared_engine` gives one engine per
-category and resolution cutoff, so every verdict over the same category, and
-every sweep of its representations, reuses them.  Sharing is safe because a
-category never changes and an engine holds nothing but these caches.
+The coefficient modules D(C(c,-)) (right) and D(C(-,c)) (left), their maps,
+resolutions and the Gorenstein dimension at each cutoff depend on the category
+alone and are kept in its memo (BoundQuiverCategory.cached).  An engine holds
+only the category and the cutoff, so every verdict and sweep over one category
+and cutoff reads the same coefficient data.
 
 nu and nu^- are Hom functors and are read off hom bases alike: nu(F)(c) =
 D Hom(F, C(c,-)) and nu^-(F)(c) = Hom(D C(-,c), F), one hom basis per object
@@ -15,15 +15,17 @@ tensor D(C) (x)_C F itself stays in modules as tensor_over_cat.  Both halves
 of the bimodule D(C) are written in the dual of C's path basis.
 
 The derived functors have one shape.  Their dimension counts are Tor and Ext
-over the cached coefficient resolutions.  As modules, L_i nu (F) and
-R^i nu^- (F) are the homology at stage i of nu applied to a projective
-resolution of F, and of nu^- applied to the injective coresolution D(P_j) of
-F, P a projective resolution of D(F); only stages i-1, i and i+1 are built.
+over the coefficient resolutions, or, where those are truncated, over one of F
+or D(F).  As modules, L_i nu (F) and R^i nu^- (F) are the homology at stage i
+of nu applied to a projective resolution of F, and of nu^- applied to the
+injective coresolution D(P_j) of F, P a projective resolution of D(F); only
+stages i-1, i and i+1 are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .category import BoundQuiverCategory
 from .linalg import Matrix
@@ -34,7 +36,7 @@ from .modules import (
     ModuleMap,
     ModuleError,
     Resolution,
-    _derived_dim,
+    _derived_either_side,
     basis_cover,
     block_offsets,
     block_sum,
@@ -87,77 +89,59 @@ def precomposition(cat: BoundQuiverCategory, arrow: str) -> dict:
 
 
 class NakayamaEngine:
-    """All Nakayama-side computations for one category, with caching."""
+    """All Nakayama-side computations for one category at one resolution
+    cutoff; the coefficient data they read is kept in the category's memo."""
 
     def __init__(self, cat: BoundQuiverCategory, cutoff: int = 16):
         self.cat = cat
         self.cutoff = cutoff
-        self._coef_right: dict = {}
-        self._coef_left: dict = {}
-        self._res_right: dict = {}
-        self._res_left: dict = {}
-        self._pre: dict = {}
-        self._u: dict = {}
-        self._w: dict = {}
-        self._gdim: GorensteinDimension | None = None
 
     # -- coefficient bimodule ---------------------------------------------
 
     def coef_right(self, c) -> Module:
         """D(C(c,-)): the value of D(C) at c, a right module."""
-        if c not in self._coef_right:
-            self._coef_right[c] = dual(representable(self.cat, c))
-        return self._coef_right[c]
+        return self.cat.cached(("coef_right", c), lambda: dual(representable(self.cat, c)))
 
     def coef_left(self, c) -> Module:
         """D(C(-,c)): a left module, the c-th injective I(c); a: s -> t acts
         by the dual of precomposition, D(C(s,c)) -> D(C(t,c))."""
-        if c not in self._coef_left:
-            cat = self.cat
-            if c not in cat.objects:
-                raise ModuleError(f"unknown object {c!r}")
-            self._coef_left[c] = Module(
-                cat, {x: cat.hom_dim(x, c) for x in cat.objects},
-                {a: self.u_map(a).mats[c] for a in cat.arrow_map}, check=False)
-        return self._coef_left[c]
+        cat = self.cat
+        if c not in cat.objects:
+            raise ModuleError(f"unknown object {c!r}")
+        return cat.cached(("coef_left", c), lambda: Module(
+            cat, {x: cat.hom_dim(x, c) for x in cat.objects},
+            {a: self.u_map(a).mats[c] for a in cat.arrow_map}, check=False))
 
     def res_right(self, c) -> Resolution:
-        if c not in self._res_right:
-            self._res_right[c] = projective_resolution(self.coef_right(c), self.cutoff)
-        return self._res_right[c]
+        return self.cat.cached(("res_right", c, self.cutoff),
+                               lambda: projective_resolution(self.coef_right(c), self.cutoff))
 
     def res_left(self, c) -> Resolution:
-        if c not in self._res_left:
-            self._res_left[c] = projective_resolution(self.coef_left(c), self.cutoff)
-        return self._res_left[c]
+        return self.cat.cached(("res_left", c, self.cutoff),
+                               lambda: projective_resolution(self.coef_left(c), self.cutoff))
 
     def pre_map(self, arrow: str) -> ModuleMap:
         """C(t,-) -> C(s,-), q -> q after a, for a: s -> t."""
-        if arrow not in self._pre:
-            s, t = self.cat.arrow_map[arrow]
-            self._pre[arrow] = ModuleMap(representable(self.cat, t), representable(self.cat, s),
-                                         precomposition(self.cat, arrow), check=False)
-        return self._pre[arrow]
+        s, t = self.cat.arrow_map[arrow]
+        return self.cat.cached(("pre_map", arrow), lambda: ModuleMap(
+            representable(self.cat, t), representable(self.cat, s),
+            precomposition(self.cat, arrow), check=False))
 
     def u_map(self, arrow: str) -> ModuleMap:
         """D(C(s,-)) -> D(C(t,-)) for a: s -> t (covariant coefficient maps),
         the dual of pre_map."""
-        if arrow not in self._u:
-            s, t = self.cat.arrow_map[arrow]
-            self._u[arrow] = ModuleMap(
-                self.coef_right(s), self.coef_right(t),
-                {x: m.transpose() for x, m in self.pre_map(arrow).mats.items()}, check=False)
-        return self._u[arrow]
+        s, t = self.cat.arrow_map[arrow]
+        return self.cat.cached(("u_map", arrow), lambda: ModuleMap(
+            self.coef_right(s), self.coef_right(t),
+            {x: m.transpose() for x, m in self.pre_map(arrow).mats.items()}, check=False))
 
     def w_map(self, arrow: str) -> ModuleMap:
         """D(C(-,t)) -> D(C(-,s)) for a: s -> t (contravariant coefficient
         maps): at x, the action of a on the right module D(C(x,-))."""
-        if arrow not in self._w:
-            s, t = self.cat.arrow_map[arrow]
-            self._w[arrow] = ModuleMap(
-                self.coef_left(t), self.coef_left(s),
-                {x: self.coef_right(x).mats[arrow] for x in self.cat.objects}, check=False)
-        return self._w[arrow]
+        s, t = self.cat.arrow_map[arrow]
+        return self.cat.cached(("w_map", arrow), lambda: ModuleMap(
+            self.coef_left(t), self.coef_left(s),
+            {x: self.coef_right(x).mats[arrow] for x in self.cat.objects}, check=False))
 
     # -- the adjoint triple ------------------------------------------------
 
@@ -317,31 +301,21 @@ class NakayamaEngine:
     # -- derived functors --------------------------------------------------
 
     def left_derived_nu_dims(self, f_mod: Module, i: int) -> dict:
-        """dim L_i nu (F)(c) per object, coefficient route with fallback."""
-        out = {}
-        res_f = None
-        for c in self.cat.objects:
-            v = _derived_dim(self.res_right(c), f_mod, i, tensor=True)
-            if not v.conclusive:
-                if res_f is None:
-                    res_f = projective_resolution(f_mod, self.cutoff)
-                v = _derived_dim(res_f, self.coef_right(c), i, tensor=True)
-            out[c] = v
-        return out
+        """dim L_i nu (F)(c) per object: Tor over the coefficient resolution,
+        falling back to one resolution of F, made when first needed."""
+        res_f = cache(lambda: projective_resolution(f_mod, self.cutoff))
+        return {c: _derived_either_side(self.res_right(c), f_mod, i, True,
+                                        lambda: (res_f(), self.coef_right(c)))
+                for c in self.cat.objects}
 
     def right_derived_nu_minus_dims(self, f_mod: Module, i: int) -> dict:
         """dim R^i nu^- (F)(c) per object: Ext from a resolution of the
-        coefficient injective, falling back to the coresolution side."""
-        out = {}
-        res_dual = None
-        for c in self.cat.objects:
-            v = _derived_dim(self.res_left(c), f_mod, i, tensor=False)
-            if not v.conclusive:
-                if res_dual is None:
-                    res_dual = projective_resolution(dual(f_mod), self.cutoff)
-                v = _derived_dim(res_dual, dual(self.coef_left(c)), i, tensor=False)
-            out[c] = v
-        return out
+        coefficient injective, falling back to the coresolution side, one
+        resolution of D(F) made when first needed."""
+        res_dual = cache(lambda: projective_resolution(dual(f_mod), self.cutoff))
+        return {c: _derived_either_side(self.res_left(c), f_mod, i, False,
+                                        lambda: (res_dual(), dual(self.coef_left(c))))
+                for c in self.cat.objects}
 
     def left_derived_nu(self, f_mod: Module, i: int) -> Module:
         """L_i nu (F) as a representation: homology of nu applied to a
@@ -367,21 +341,19 @@ class NakayamaEngine:
 
     def gorenstein_dimension(self) -> GorensteinDimension:
         """sup_c pdim of the coefficient modules, from both sides."""
-        if self._gdim is None:
-            left = {c: self.res_left(c).pdim() for c in self.cat.objects}
-            right = {c: self.res_right(c).pdim() for c in self.cat.objects}
-            if any(v is None for v in left.values()) or any(v is None for v in right.values()):
-                self._gdim = GorensteinDimension(None, "not-Iwanaga-Gorenstein-at-cutoff",
-                                                left, right, self.cutoff)
-            else:
-                s1 = max(left.values(), default=0)
-                s2 = max(right.values(), default=0)
-                if s1 != s2:
-                    raise ModuleError(
-                        f"two-sided coefficient dimensions disagree: {s1} vs {s2}"
-                    )
-                self._gdim = GorensteinDimension(s1, "finite", left, right, self.cutoff)
-        return self._gdim
+        return self.cat.cached(("gorenstein_dimension", self.cutoff), self._gorenstein_dimension)
+
+    def _gorenstein_dimension(self) -> GorensteinDimension:
+        left = {c: self.res_left(c).pdim() for c in self.cat.objects}
+        right = {c: self.res_right(c).pdim() for c in self.cat.objects}
+        if None in left.values() or None in right.values():
+            return GorensteinDimension(None, "not-Iwanaga-Gorenstein-at-cutoff",
+                                       left, right, self.cutoff)
+        s1 = max(left.values(), default=0)
+        s2 = max(right.values(), default=0)
+        if s1 != s2:
+            raise ModuleError(f"two-sided coefficient dimensions disagree: {s1} vs {s2}")
+        return GorensteinDimension(s1, "finite", left, right, self.cutoff)
 
 
 def _past_end(res: Resolution, i: int) -> bool:
@@ -390,16 +362,11 @@ def _past_end(res: Resolution, i: int) -> bool:
     early to settle degree i."""
     if i < 1:
         raise ModuleError("derived functor needs degree >= 1")
-    n = res.length()
-    if not res.completed and i > n - 1:
-        raise InconclusiveError(f"resolution truncated at {n} < degree {i}+1")
-    return i > n
-
-
-def shared_engine(cat: BoundQuiverCategory, cutoff: int = 16) -> NakayamaEngine:
-    """The one engine of cat at this cutoff, made on first use."""
-    return cat.cached(("nakayama", cutoff), lambda: NakayamaEngine(cat, cutoff))
+    past = i > res.settled()
+    if past and not res.completed:
+        raise InconclusiveError(f"resolution truncated at {res.length()} < degree {i}+1")
+    return past
 
 
 def gorenstein_dimension_of_P(cat: BoundQuiverCategory, cutoff: int = 16) -> GorensteinDimension:
-    return shared_engine(cat, cutoff).gorenstein_dimension()
+    return NakayamaEngine(cat, cutoff).gorenstein_dimension()

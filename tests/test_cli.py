@@ -8,7 +8,7 @@ import pytest
 from dense_builder import dense_builder
 from gpquiver import cli
 from gpquiver import io as gio
-from gpquiver.nakayama import NakayamaEngine
+from test_sharing import built_once, coefficient_resolutions
 
 FIXTURES = cli.fixtures_dir()
 
@@ -112,17 +112,11 @@ def test_check_gp_depends_on_factorization(capsys):
 
 
 def test_check_discrepancy(monkeypatch, capsys):
-    engines = []
-    init = NakayamaEngine.__init__
-
-    def counting_init(self, cat, cutoff=16):
-        engines.append(cat)
-        init(self, cat, cutoff)
-
-    monkeypatch.setattr(NakayamaEngine, "__init__", counting_init)
+    seen = coefficient_resolutions(monkeypatch)
     status, report = run_json(["check", "discrepancy", fix("m322.rep")], capsys)
-    # each factor is one factorization's direction and the other's base
-    assert len(engines) == 2
+    # each factor is one factorization's direction and the other's base, and
+    # each coefficient module of the two is resolved at most once
+    assert len({key[0] for key in seen}) == 2 and built_once(seen)
     assert status == 0
     r = report["result"]
     assert r["discrepancy"] is True

@@ -20,6 +20,7 @@ from conftest import (
     tensor322,
     trivial,
 )
+from gpquiver import gorenstein
 from gpquiver.basechange import Factorization
 from gpquiver.category import Quiver, build_category
 from gpquiver.gorenstein import (
@@ -39,7 +40,7 @@ from gpquiver.gorenstein import (
     splitting_section,
 )
 from gpquiver.linalg import GF, QQ, Matrix
-from gpquiver.modules import Module, ModuleError, representable, simple
+from gpquiver.modules import Module, ModuleError, kernel, projective_cover, representable, simple
 from gpquiver.nakayama import NakayamaEngine
 from test_modules import random_module
 
@@ -335,6 +336,24 @@ def test_gp_resolution_dimension_square_bound():
     m = simple(C, "c1")
     val, _ = gp_resolution_dimension(m, eng)
     assert val is not None and val <= 2
+
+
+def test_gp_resolution_dimension_takes_syzygies_from_the_cover(monkeypatch):
+    """Each stage's syzygy is the kernel basis its cover already holds: one
+    kernel_basis call per object and stage, and the kernel module of the cover."""
+    C = square(GF(3))
+    F = random_module(C, random.Random(7))
+    stages = []
+    monkeypatch.setattr(gorenstein, "is_gp_functor",
+                        lambda m, *args: stages.append(m) or Verdict("no"))
+    calls = []
+    kernel_basis = Matrix.kernel_basis
+    monkeypatch.setattr(Matrix, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
+    val, verdicts = gp_resolution_dimension(F, NakayamaEngine(C, 3))
+    assert (val, verdicts, len(calls)) == (None, ["no"] * 4, 4 * len(C.objects))
+    monkeypatch.undo()
+    for m, syzygy in zip(stages, stages[1:]):
+        assert syzygy == kernel(projective_cover(m).epi)[0]
 
 
 def test_discrepancy_probe_on_module322():

@@ -124,6 +124,17 @@ def test_field_and_cutoff_overrides():
     assert cat.length_cutoff == 5
 
 
+@pytest.mark.parametrize("parse", [gio.parse_category, gio.parse_module])
+@pytest.mark.parametrize("bad", ["F4", "R"])
+def test_bad_field_override_names_the_override(parse, bad, tmp_path):
+    # checked before any file is read: a missing file is never opened
+    for path in (fix("ka2.cat") if parse is gio.parse_category else fix("a2_mono.rep"),
+                 tmp_path / "missing"):
+        with pytest.raises(ValueError, match=f"^bad field override '{bad}': ") as info:
+            parse(path, field_override=bad)
+        assert not isinstance(info.value, gio.ParseError) and ".cat" not in str(info.value)
+
+
 def test_report_is_deterministic(tmp_path):
     payload = {"b": 2, "a": {"z": [3, 1]}}
     r1 = gio.build_report("demo", [fix("ka2.cat")], payload, cutoff=16, field=None)

@@ -6,14 +6,17 @@ from conftest import F5, chain, cyclic3, ex322, exterior2, ka2, ka3, loop_sq, sq
 
 from gpquiver.linalg import GF, QQ, Matrix
 from gpquiver.modules import (
+    DerivedValue,
     InconclusiveError,
     Module,
     ModuleMap,
     cokernel,
     direct_sum_modules,
+    ext_dim,
     hom_basis,
     representable,
     simple,
+    tor_dim,
     zero_module,
 )
 from gpquiver.nakayama import NakayamaEngine, gorenstein_dimension_of_P
@@ -253,6 +256,27 @@ def test_r_nu_minus_two_routes_agree():
                 for c in C.objects:
                     assert ext_route[c].conclusive
                     assert ext_route[c].dim == cores.dims[c]
+
+
+def test_derived_dims_fall_back_to_the_other_side():
+    """Over ex322 at cutoff 2 the coefficient resolutions at object 1 settle
+    degree 1 only; degree 2 is read off the other side, a projective or an
+    injective, whose resolution completes."""
+    C = ex322()
+    eng = NakayamaEngine(C, 2)
+    assert eng.res_right("1").settled() == eng.res_left("1").settled() == 1
+    P, I = representable(C, "1"), eng.coef_left("1")
+    zero = DerivedValue(0, True)
+    assert eng.left_derived_nu_dims(P, 2)["1"] == zero
+    assert eng.right_derived_nu_minus_dims(I, 2)["1"] == zero
+    assert tor_dim(eng.coef_right("1"), P, 2, 2) == zero
+    assert tor_dim(eng.coef_right("1"), P, 2, 2, resolution=eng.res_right("1")) == zero
+    assert ext_dim(I, I, 2, 2) == zero
+    assert ext_dim(I, I, 2, 2, resolution=eng.res_left("1")) == zero
+    # both sides truncated: inconclusive, with one note
+    S = simple(C, "1")
+    assert tor_dim(eng.coef_right("1"), S, 2, 2) == DerivedValue(
+        None, False, "both sides truncated at cutoff")
 
 
 def test_nu_minus_recovers_mono_source_on_a2():

@@ -1,4 +1,4 @@
-"""What is made once per category: shared Nakayama engines and representables,
+"""What is made once per category: coefficient data and representables,
 nu(F) once per full-route verdict; and nu read off hom bases against the
 tensor route, matrix for matrix."""
 
@@ -22,7 +22,7 @@ from gpquiver.modules import (
     simple,
     zero_module,
 )
-from gpquiver.nakayama import NakayamaEngine, shared_engine
+from gpquiver.nakayama import NakayamaEngine
 from test_modules import random_module
 
 F3 = GF(3)
@@ -75,32 +75,54 @@ def test_nu_based_matches_kronecker_oracle(field):
             assert _mats(got) == _mats(want)
 
 
+def coefficient_resolutions(monkeypatch) -> dict:
+    """Record every coefficient resolution an engine hands out, keyed by
+    (category, side, object, cutoff); one object per key means none was
+    built twice."""
+    seen = {}
+    for side in ("res_right", "res_left"):
+        method = getattr(NakayamaEngine, side)
+
+        def recording(self, c, method=method, side=side):
+            res = method(self, c)
+            seen.setdefault((id(self.cat), side, c, self.cutoff), []).append(res)
+            return res
+
+        monkeypatch.setattr(NakayamaEngine, side, recording)
+    return seen
+
+
+def built_once(seen: dict) -> bool:
+    return all(r is rs[0] for rs in seen.values() for r in rs)
+
+
 def test_discrepancy_probe_reuses_engines(monkeypatch):
+    """Repeated probes resolve no coefficient module again."""
     m = gio.parse_module(os.path.join(cli.fixtures_dir(), "m322.rep"))
     facts = Factorization(m.cat, "right"), Factorization(m.cat, "left")
-    made = []
-    init = NakayamaEngine.__init__
-
-    def counting_init(self, cat, cutoff=16):
-        made.append((cat, cutoff))
-        init(self, cat, cutoff)
-
-    monkeypatch.setattr(NakayamaEngine, "__init__", counting_init)
+    seen = coefficient_resolutions(monkeypatch)
     first = discrepancy_probe(m, *facts, 4)
-    assert len(made) == 2  # ex322 and ex322_op, each a direction and a base
-    made.clear()
+    # ex322 and ex322_op, each a direction and a base, at both sides
+    assert len({key[0] for key in seen}) == 2
     for _ in range(2):
         again = discrepancy_probe(m, *facts, 4)
         assert again["discrepancy"] == first["discrepancy"]
-    assert made == []
+    assert built_once(seen)
 
 
 def test_one_engine_per_category_and_cutoff():
-    cat = square(F3)
-    assert shared_engine(cat, 4) is shared_engine(cat, 4)
-    assert shared_engine(cat, 4) is not shared_engine(cat, 8)
-    assert (shared_engine(cat, 4).cutoff, shared_engine(cat, 8).cutoff) == (4, 8)
-    assert shared_engine(square(F3), 4) is not shared_engine(cat, 4)
+    """Coefficient data is made once per (category, cutoff): engines of one
+    category and cutoff share it, other cutoffs and other parses do not."""
+    path = os.path.join(cli.fixtures_dir(), "square.cat")
+    cat = gio.parse_category(path)
+    c = cat.objects[0]
+    res = NakayamaEngine(cat, 4).res_right(c)
+    assert NakayamaEngine(cat, 4).res_right(c) is res
+    assert NakayamaEngine(cat, 4).gorenstein_dimension() is NakayamaEngine(
+        cat, 4).gorenstein_dimension()
+    other = NakayamaEngine(cat, 8).res_right(c)
+    assert other is not res and (res.cutoff, other.cutoff) == (4, 8)
+    assert NakayamaEngine(gio.parse_category(path), 4).res_right(c) is not res
 
 
 def test_representables_are_made_once(monkeypatch):
