@@ -33,6 +33,16 @@ class PossiblyInfiniteError(CategoryError):
         )
 
 
+class PathBoundError(CategoryError):
+    """More paths, or relation translates of one pair, than MAX_PATHS;
+    `count` says which and how many."""
+
+    def __init__(self, count, cutoff):
+        self.count = count
+        super().__init__(f"{count}, above the bound {MAX_PATHS}; lower length_cutoff "
+                         f"(now {cutoff}): it only needs to exceed the longest nonzero path")
+
+
 # Guard against runaway path enumeration before the cutoff is reached, and on
 # the relation translates of one object pair, counted before any is built.
 # Lambda(k^4) has 77,370 translates at length 7 and builds in about a second;
@@ -273,10 +283,7 @@ def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) 
                 level.append((c, t, p + (name,)))
         total += len(level)
         if total > MAX_PATHS:
-            raise CategoryError(
-                f"{total} paths up to length {len(by_level)}, above the bound {MAX_PATHS}; "
-                f"lower length_cutoff (now {length_cutoff}): it only needs to exceed "
-                f"the longest nonzero path")
+            raise PathBoundError(f"{total} paths up to length {len(by_level)}", length_cutoff)
         by_level.append(level)
 
     paths_by_pair: dict = {}
@@ -302,10 +309,7 @@ def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) 
                 translates[(x, y)] = translates.get((x, y), 0) + n
     for pair, n in sorted(translates.items()):
         if n > MAX_PATHS:
-            raise CategoryError(
-                f"Hom{pair} has {n} relation translates, above the bound {MAX_PATHS}; "
-                f"lower length_cutoff (now {length_cutoff}): it only needs to exceed "
-                f"the longest nonzero path")
+            raise PathBoundError(f"Hom{pair} has {n} relation translates", length_cutoff)
 
     basis: dict = {}
     reduction: dict = {}

@@ -253,44 +253,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_path=True):
-        if with_path:
-            p.add_argument("path", help="category or representation file")
+    def common(p, kind):
+        if kind:
+            p.add_argument("path", help=f"{kind} file")
         p.add_argument("--cutoff", type=int, default=None,
                        help="resolution cutoff, at least 1 (default 16)")
         p.add_argument("--field", default=None, help="field override: Q or F<p>")
         p.add_argument("--out", default=None, help="write the JSON report here")
 
     p = sub.add_parser("cat-info", help="hom dimensions and bases of a category")
-    common(p)
+    common(p, "category")
     p.set_defaults(fn=cmd_cat_info)
 
     p = sub.add_parser("gdim", help="two-sided Gorenstein dimension of P")
-    common(p)
+    common(p, "category")
     p.set_defaults(fn=cmd_gdim)
 
     p = sub.add_parser("resolve", help="minimal projective resolution stages")
-    common(p)
+    common(p, "representation")
     p.set_defaults(fn=cmd_resolve)
 
     p = sub.add_parser("nakayama", help="nu and nu^- dimension vectors")
-    common(p)
+    common(p, "representation")
     p.set_defaults(fn=cmd_nakayama)
 
     p = sub.add_parser("derived", help="derived Nakayama functor dimensions")
-    common(p)
+    common(p, "representation")
     p.add_argument("--functor", choices=["l_nu", "r_nu_minus"], required=True)
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(fn=cmd_derived)
 
     p = sub.add_parser("tor", help="Tor of the dual coefficient at an object")
-    common(p)
+    common(p, "representation")
     p.add_argument("--object", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(fn=cmd_tor)
 
     p = sub.add_parser("ext", help="Ext from the dual coefficient at an object")
-    common(p)
+    common(p, "representation")
     p.add_argument("--object", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(fn=cmd_ext)
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="membership verdicts with certificates")
     p.add_argument("kind", choices=["gproj-p", "monic", "gp", "p-proj",
                                     "lifted", "discrepancy"])
-    common(p)
+    common(p, "representation")
     p.add_argument("--x", dest="x_class", choices=["gproj_P", "P_proj"], default=None)
     p.add_argument("--f", dest="f_class", choices=["gp", "proj"], default=None)
     p.add_argument("--factor", choices=["left", "right"], default=None,
@@ -310,18 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("profile-base", help="self-injective dimension of a base algebra")
-    common(p)
+    common(p, "category")
     p.set_defaults(fn=cmd_profile_base)
 
     p = sub.add_parser("enumerate", help="exhaustively enumerate representations")
-    common(p)
+    common(p, "category")
     p.add_argument("--dims", required=True,
                    help="per-object bounds: one integer or a comma list")
     p.add_argument("--limit", type=int, default=2_000_000)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("fixtures", help="list the bundled example files")
-    common(p, with_path=False)
+    common(p, None)
     p.set_defaults(fn=cmd_fixtures)
 
     return ap

@@ -21,7 +21,9 @@ import re
 
 from .category import (
     BoundQuiverCategory,
+    MAX_PATHS,
     CategoryError,
+    PathBoundError,
     Quiver,
     Relation,
     build_category,
@@ -133,6 +135,13 @@ def check_field_override(name, label="field override") -> None:
             raise ValueError(f"bad {label} {name!r}: {exc}") from None
 
 
+def _section_error(expected, section) -> str:
+    """A section the expected kind of file does not have: another kind's, or none's."""
+    if section in ("category", "tensor", "representation"):
+        return f"expected a [{expected}] file, found [{section}]"
+    return f"unknown section [{section}]"
+
+
 def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiverCategory:
     check_field_override(field_override)
     section = None
@@ -144,7 +153,7 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
         if key is None:
             section = sec
             if section not in ("category", "tensor"):
-                raise ParseError(path, i, f"unknown section [{section}]")
+                raise ParseError(path, i, _section_error("category", section))
             headers.setdefault(section, i)
             continue
         if section is None:
@@ -171,7 +180,7 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
             pending["field"] = (i, val)
         elif key == "length_cutoff":
             try:
-                pending["cutoff"] = effective_cutoff(int(val))
+                pending["cutoff"] = (i, effective_cutoff(int(val)))
             except ValueError:
                 raise ParseError(path, i,
                                  f"length_cutoff must be an integer of at least 1, got {val!r}")
@@ -191,7 +200,17 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
             if not os.path.isfile(sub):
                 raise ParseError(path, i, f"referenced category file {ref!r} not found")
             parts[side] = parse_category(sub, cutoff_override, field_override)
-        cat = tensor_category(parts["left"], parts["right"])
+        try:
+            cat = tensor_category(parts["left"], parts["right"])
+        except PathBoundError as exc:
+            total = sum(c.length_cutoff for c in parts.values())
+            factors = " and ".join(f"{parts[s].length_cutoff} in {pending['tensor'][s][1]!r}"
+                                   for s in ("left", "right"))
+            raise ParseError(path, headers["tensor"], f"{exc.count}, above the bound {MAX_PATHS}; "
+                             f"the tensor's length_cutoff {total} is the sum of its factors': "
+                             f"{factors}") from exc
+        except CategoryError as exc:
+            raise ParseError(path, headers["tensor"], str(exc)) from exc
         cat.source_files = (path, *parts["left"].source_files, *parts["right"].source_files)
         return cat
 
@@ -204,7 +223,8 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
         field = field_from_name(field_override or fval)
     except Exception as exc:
         raise ParseError(path, fi, f"bad field {fval!r}: {exc}") from exc
-    cutoff = effective_cutoff(cutoff_override, pending["cutoff"])
+    cutoff_line, cutoff = pending["cutoff"] or (headers["category"], None)
+    cutoff = effective_cutoff(cutoff_override, cutoff)
     arrow_map = {}
     for i, (name, s, t) in pending["arrows"]:
         if name in arrow_map:
@@ -225,7 +245,11 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
             raise ParseError(path, i, str(exc)) from exc
         relations.append(rel)
     quiver = Quiver(pending["objects"], tuple(a for _, a in pending["arrows"]))
-    cat = build_category(quiver, relations, field, cutoff)
+    try:
+        cat = build_category(quiver, relations, field, cutoff)
+    except CategoryError as exc:
+        at = cutoff_line if cutoff_override is None else headers["category"]
+        raise ParseError(path, at, str(exc)) from exc
     cat.source_files = (path,)
     return cat
 
@@ -280,7 +304,7 @@ def parse_module(path, field_override=None, category=None) -> Module:
         if key is None:
             section = sec
             if section != "representation":
-                raise ParseError(path, i, f"unknown section [{section}]")
+                raise ParseError(path, i, _section_error("representation", section))
             header = header or i
             continue
         if section is None:

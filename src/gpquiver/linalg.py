@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Scalars are plain Python objects: Fraction over QQ, canonical ints in
-range(p) over GF(p).  Matrices are stored densely, but elimination and
-products skip zero entries, which both fields make falsy.  All
-eliminations use a fixed pivot order (leftmost nonzero, topmost row), so
-every derived basis and projection is deterministic for a given input.
+Scalars are plain Python objects in canonical form: over QQ an int when
+integral and else a Fraction with denominator > 1, over GF(p) an int in
+range(p), so integral data over QQ does no Fraction arithmetic.  Matrices
+are stored densely, but elimination and products skip zero entries, which
+both fields make falsy.  All eliminations use a fixed pivot order
+(leftmost nonzero, topmost row), so every derived basis and projection is
+deterministic for a given input.
 
 `Matrix.rref` is one Gauss-Jordan loop over rows of Python ints for both
 fields, so it does no Fraction arithmetic: over QQ each row is kept as a
 primitive integer multiple of its scalar row, and Fractions are made only
-for the result.  The field supplies the row steps that differ (`Field`).
+for the non-integral entries of the result.  The field supplies the row
+steps that differ (`Field`).
 
 A canonical kernel basis (`kernel_basis`) is the identity on its free
 rows, so the coordinates of a vector in its span are read off at those
@@ -39,7 +42,11 @@ class Field:
     """Arithmetic interface shared by QQ and GF(p).
 
     Contract: a scalar is zero exactly when it is falsy, so `bool(x)` is
-    the zero test of the kernels below.
+    the zero test of the kernels below.  Given canonical scalars (see the
+    module docstring), every method returns canonical scalars; other inputs,
+    such as Fraction(2, 1) over QQ, give equal results, only slower.  `/` is never applied to
+    scalars, so no float arises: `RationalField.inv` builds 1/a from the
+    numerator and denominator of a.
 
     The underscored methods are the row steps of `Matrix.rref`, which works
     on lists of Python ints: `_encode_rows` gives integer rows spanning the
@@ -50,8 +57,9 @@ class Field:
     Over QQ a row is a primitive integer multiple of the scalar row
     (denominators cleared by their lcm, divided by the content gcd after
     every update), a pivot is made positive, and an entry x decodes to
-    x / pivot.  Over GF(p) a row is its residues, a pivot row is scaled to
-    pivot 1, changed entries are reduced mod p, and the rows are the result.
+    x // pivot where the pivot divides it, else to Fraction(x, pivot).
+    Over GF(p) a row is its residues, a pivot row is scaled to pivot 1,
+    changed entries are reduced mod p, and the rows are the result.
     """
 
     def zero(self):
@@ -89,33 +97,38 @@ class RationalField(Field):
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def of(self, value):
-        return Fraction(value)
+        x = Fraction(value)
+        return x.numerator if x.denominator == 1 else x
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        if a == 0:
+        n, d = a.numerator, a.denominator
+        if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return Fraction(d, n) if abs(n) > 1 else d * n  # d * n == d / n for n = +-1
 
     def parse(self, text):
-        return Fraction(text)
+        return self.of(text)
 
     def fmt(self, a):
         return str(a)
@@ -143,14 +156,10 @@ class RationalField(Field):
             row[:] = [x // g for x in row]
 
     def _decode_rows(self, m, pivots):
-        z = Fraction(0)
-        out = []
-        for row, c in zip(m, pivots):
-            if (pc := row[c]) == 1:
-                out.append([Fraction(x) if x else z for x in row])
-            else:
-                out.append([Fraction(x, pc) if x else z for x in row])
-        return out + [[z] * len(row) for row in m[len(pivots):]]
+        for i, c in enumerate(pivots):
+            if (pc := m[i][c]) != 1:
+                m[i] = [Fraction(x, pc) if x % pc else x // pc for x in m[i]]
+        return m
 
     def __repr__(self):
         return "QQ"

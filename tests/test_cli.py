@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import time
 
@@ -459,6 +460,71 @@ def test_too_many_paths_is_input_error_asking_for_a_lower_cutoff(tmp_path, capsy
     assert (status, out) == (1, "")
     assert "349525 paths up to length 9" in err and "lower length_cutoff (now 9)" in err
     assert "possibly-infinite" not in err
+
+
+# a refused build is cited at the length_cutoff line, or at the header when
+# the default applies
+@pytest.mark.parametrize("keep_cutoff, at, now", [(True, 3, 9), (False, 1, 16)],
+                         ids=["length-cutoff", "default"])
+def test_too_many_paths_cite_the_cutoff_line(keep_cutoff, at, now, tmp_path, capsys):
+    lines = exterior_text(4, "F5", 9).splitlines()
+    if not keep_cutoff:
+        lines.remove("length_cutoff = 9")
+    path = _bad_input(tmp_path, "l4.cat", lines)
+    err = _assert_error_at(["cat-info", path], f"{path}:{at}", capsys)
+    assert err.endswith(f": 349525 paths up to length 9, above the bound 200000; lower "
+                        f"length_cutoff (now {now}): it only needs to exceed the longest "
+                        f"nonzero path\n")
+
+
+def test_possibly_infinite_cites_the_cutoff_line(tmp_path, capsys):
+    path = _bad_input(tmp_path, "loop.cat", [
+        "[category]", "field = Q", "objects = o", "arrow = x: o -> o", "length_cutoff = 3"])
+    err = _assert_error_at(["gdim", path], f"{path}:5", capsys)
+    assert "possibly-infinite" in err and "length cutoff 3" in err
+
+
+def test_too_many_tensor_paths_name_the_factors_and_advise_nothing(tmp_path, capsys):
+    # Lambda(k^3) needs length_cutoff 4, so neither factor can go lower
+    for name in ("l3.cat", "l3b.cat"):
+        (tmp_path / name).write_text(exterior_text(3, "F5", 4))
+    path = _bad_input(tmp_path, "t.cat", ["# Lambda(k^3) twice", "[tensor]",
+                                          "right = l3b.cat", "left = l3.cat"])
+    err = _assert_error_at(["gdim", path], f"{path}:2", capsys)
+    assert err.endswith("paths up to length 7, above the bound 200000; the tensor's "
+                        "length_cutoff 8 is the sum of its factors': 4 in 'l3.cat' "
+                        "and 4 in 'l3b.cat'\n")
+    assert "lower" not in err
+
+
+CATEGORY_COMMANDS = [["cat-info"], ["gdim"], ["profile-base"], ["enumerate", "--dims", "1"]]
+MODULE_COMMANDS = [
+    ["resolve"], ["nakayama"], ["derived", "--functor", "l_nu", "--degree", "1"],
+    ["tor", "--object", "1", "--degree", "1"], ["ext", "--object", "1", "--degree", "1"],
+    *(["check", kind] for kind in ("gproj-p", "monic", "gp", "p-proj", "discrepancy")),
+    ["check", "lifted", "--x", "P_proj", "--f", "gp"]]
+
+
+@pytest.mark.parametrize("cmd", CATEGORY_COMMANDS, ids=lambda c: c[0])
+def test_representation_given_for_a_category(cmd, capsys):
+    err = _assert_error_at([*cmd, fix("a2_mono.rep")], f"{fix('a2_mono.rep')}:2", capsys)
+    assert err.endswith(": expected a [category] file, found [representation]\n")
+
+
+@pytest.mark.parametrize("cmd", MODULE_COMMANDS, ids=lambda c: "-".join(c[:2]))
+@pytest.mark.parametrize("name, section", [("ka2.cat", "category"),
+                                           ("ex322_tensor.cat", "tensor")])
+def test_category_given_for_a_representation(cmd, name, section, capsys):
+    err = _assert_error_at([*cmd, fix(name)], f"{fix(name)}:2", capsys)
+    assert err.endswith(f": expected a [representation] file, found [{section}]\n")
+
+
+@pytest.mark.parametrize("command, kind", [(c[0], "category") for c in CATEGORY_COMMANDS]
+                         + [(c[0], "representation") for c in MODULE_COMMANDS[:6]])
+def test_path_help_names_the_file_kind(command, kind, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    assert re.search(rf"^  path +{kind} file$", capsys.readouterr().out, re.M)
 
 
 def generated_categories(tmp_path):
