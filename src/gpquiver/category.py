@@ -150,9 +150,6 @@ class BoundQuiverCategory:
     def total_dim(self) -> int:
         return sum(len(b) for b in self._basis.values())
 
-    def identity(self, c) -> dict:
-        return {(): self.field.one()}
-
     def path_target(self, c, p: Path):
         return c if not p else self.arrow_map[p[-1]][1]
 
@@ -177,21 +174,6 @@ class BoundQuiverCategory:
                     out.pop(q, None)
                 else:
                     out[q] = acc
-        return out
-
-    def compose(self, c, mid, d, x: dict, y: dict) -> dict:
-        """Composite of x in Hom(c, mid) followed by y in Hom(mid, d)."""
-        f = self.field
-        out: dict = {}
-        for p, cp in x.items():
-            for q, cq in y.items():
-                coef = f.mul(cp, cq)
-                for r, cr in self.reduce_word(c, p + q).items():
-                    acc = f.add(out.get(r, f.zero()), f.mul(coef, cr))
-                    if not acc:
-                        out.pop(r, None)
-                    else:
-                        out[r] = acc
         return out
 
     def cached(self, key, make):

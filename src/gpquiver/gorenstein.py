@@ -20,7 +20,6 @@ from .modules import (
     _derived_either_side,
     _map_columns,
     _maps_from_columns,
-    _submodule,
     dual,
     hom_basis,
     projective_cover,
@@ -184,7 +183,7 @@ def is_monic(f_mod: Module) -> Verdict:
         acc = Matrix.zeros(fieldk, f_mod.dims[i], 0)
         for a in incoming:
             acc = acc.hstack(f_mod.mats[a])
-        rk, ker_basis = acc.rank_and_kernel()
+        rk, ker_basis, _ = acc.kernel_basis()
         ranks[i] = {"arrows": incoming, "domain_dim": acc.cols, "rank": rk}
         if rk < acc.cols:
             witness = {}
@@ -375,27 +374,6 @@ def lifted_class_membership(f_mod: Module, x_class: str, f_class: str,
                         engine, f_test)
 
 
-# -- Gorenstein-projective resolution dimension ----------------------------
-
-
-def gp_resolution_dimension(f_mod: Module, engine: NakayamaEngine,
-                            profile: BaseGorensteinProfile | None = None,
-                            fact: Factorization | None = None):
-    """First stage of the minimal projective resolution whose syzygy is
-    Gorenstein projective; returns (value, per-stage verdicts) with value
-    None meaning ">= cutoff"."""
-    current = f_mod
-    verdicts = []
-    for k in range(engine.cutoff + 1):
-        v = is_gp_functor(current, engine, profile, fact)
-        verdicts.append(v.member)
-        if v.is_yes:
-            return k, verdicts
-        cov = projective_cover(current)
-        current, _ = _submodule(cov.module, cov.syzygy, "syzygy")
-    return None, verdicts
-
-
 # -- discrepancy probe ------------------------------------------------------
 
 
@@ -414,8 +392,7 @@ def exactness_table(f_mod: Module) -> list:
             if any(red.values()):
                 continue
             rank_a = f_mod.mats[a].rank()
-            rk_b, _ = f_mod.mats[b].rank_and_kernel()
-            ker_b = f_mod.mats[b].cols - rk_b
+            ker_b = f_mod.mats[b].cols - f_mod.mats[b].rank()
             out.append({"first": a, "second": b,
                         "image_rank": rank_a, "kernel_dim": ker_b,
                         "exact": rank_a == ker_b})

@@ -29,7 +29,7 @@ from .category import (
     build_category,
     tensor_category,
 )
-from .linalg import Matrix, PrimeField, field_from_name
+from .linalg import FieldMismatchError, Matrix, field_from_name
 from .modules import Module
 
 REPORT_SCHEMA = "gpquiver-report/1"
@@ -53,10 +53,6 @@ def effective_cutoff(*given) -> int:
     if cutoff < 1:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     return cutoff
-
-
-def field_name(field) -> str:
-    return f"F{field.p}" if isinstance(field, PrimeField) else "Q"
 
 
 def _lines(path):
@@ -135,6 +131,16 @@ def check_field_override(name, label="field override") -> None:
             raise ValueError(f"bad {label} {name!r}: {exc}") from None
 
 
+def _referenced(path, line_no, ref) -> str:
+    """The category file that line line_no of path references: ref joined to
+    the directory of path as path was given, so an error in the referenced
+    file is cited relative to the same place as path."""
+    sub = os.path.join(os.path.dirname(path), ref)
+    if not os.path.isfile(sub):
+        raise ParseError(path, line_no, f"referenced category file {ref!r} not found")
+    return sub
+
+
 def _section_error(expected, section) -> str:
     """A section the expected kind of file does not have: another kind's, or none's."""
     if section in ("category", "tensor", "representation"):
@@ -193,13 +199,8 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
         for side in ("left", "right"):
             if side not in pending["tensor"]:
                 raise ParseError(path, headers["tensor"], f"tensor section missing {side!r}")
-        base_dir = os.path.dirname(os.path.abspath(path))
-        parts = {}
-        for side, (i, ref) in pending["tensor"].items():
-            sub = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-            if not os.path.isfile(sub):
-                raise ParseError(path, i, f"referenced category file {ref!r} not found")
-            parts[side] = parse_category(sub, cutoff_override, field_override)
+        parts = {side: parse_category(_referenced(path, i, ref), cutoff_override, field_override)
+                 for side, (i, ref) in pending["tensor"].items()}
         try:
             cat = tensor_category(parts["left"], parts["right"])
         except PathBoundError as exc:
@@ -209,7 +210,7 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
             raise ParseError(path, headers["tensor"], f"{exc.count}, above the bound {MAX_PATHS}; "
                              f"the tensor's length_cutoff {total} is the sum of its factors': "
                              f"{factors}") from exc
-        except CategoryError as exc:
+        except (CategoryError, FieldMismatchError) as exc:
             raise ParseError(path, headers["tensor"], str(exc)) from exc
         cat.source_files = (path, *parts["left"].source_files, *parts["right"].source_files)
         return cat
@@ -254,22 +255,6 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
     return cat
 
 
-def serialize_category(cat: BoundQuiverCategory, name=None) -> str:
-    if cat.tensor_info is not None:
-        raise ValueError("tensor categories are serialized by reference, not inline")
-    lines = ["[category]"]
-    if name:
-        lines.append(f"name = {name}")
-    lines.append(f"field = {field_name(cat.field)}")
-    lines.append(f"length_cutoff = {cat.length_cutoff}")
-    lines.append("objects = " + ", ".join(cat.quiver.vertices))
-    for a, s, t in cat.quiver.arrows:
-        lines.append(f"arrow = {a}: {s} -> {t}")
-    for rel in cat.relations:
-        lines.append("relation = " + format_relation(cat.field, rel))
-    return "\n".join(lines) + "\n"
-
-
 def parse_matrix(field, text, rows, cols, path="<string>", line_no=None) -> Matrix:
     row_chunks = [r.strip() for r in text.split(";")] if text.strip() else []
     if rows == 0 or cols == 0:
@@ -287,10 +272,6 @@ def parse_matrix(field, text, rows, cols, path="<string>", line_no=None) -> Matr
                              f"expected {cols} entries per row, got {len(entries)}")
         data.append([parse_scalar(field, e, path, line_no) for e in entries])
     return Matrix(field, data, rows, cols)
-
-
-def format_matrix(field, m: Matrix) -> str:
-    return " ; ".join(" ".join(field.fmt(x) for x in row) for row in m.data)
 
 
 def parse_module(path, field_override=None, category=None) -> Module:
@@ -330,12 +311,7 @@ def parse_module(path, field_override=None, category=None) -> Module:
     if category is None:
         if cat_ref is None:
             raise ParseError(path, header, "representation file has no category line")
-        i, ref = cat_ref
-        base_dir = os.path.dirname(os.path.abspath(path))
-        sub = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-        if not os.path.isfile(sub):
-            raise ParseError(path, i, f"referenced category file {ref!r} not found")
-        category = parse_category(sub, field_override=field_override)
+        category = parse_category(_referenced(path, *cat_ref), field_override=field_override)
     for obj, (i, _) in dims.items():
         if obj not in category.objects:
             raise ParseError(path, i, f"unknown object {obj!r} in dim line")
@@ -355,21 +331,6 @@ def parse_module(path, field_override=None, category=None) -> Module:
         raise ParseError(path, i, "representation invalid: relation "
                          f"{format_relation(category.field, rel)} violated")
     return m
-
-
-def serialize_module(m: Module, category_ref: str, name=None) -> str:
-    cat = m.cat
-    lines = ["[representation]"]
-    if name:
-        lines.append(f"name = {name}")
-    lines.append(f"category = {category_ref}")
-    for c in cat.objects:
-        lines.append(f"dim {c} = {m.dims[c]}")
-    for a in sorted(cat.arrow_map):
-        mat = m.mats[a]
-        if mat.rows and mat.cols:
-            lines.append(f"mat {a} = {format_matrix(cat.field, mat)}")
-    return "\n".join(lines) + "\n"
 
 
 # -- reports ----------------------------------------------------------------

@@ -16,7 +16,8 @@ steps that differ (`Field`).
 
 A canonical kernel basis (`kernel_basis`) is the identity on its free
 rows, so the coordinates of a vector in its span are read off at those
-rows and checked by one product, with no second elimination.
+rows and checked by one product, with no second elimination
+(`free_row_coords`).
 """
 
 from __future__ import annotations
@@ -327,15 +328,6 @@ class Matrix:
         z, o = field.zero(), field.one()
         return Matrix._adopt(field, [[o if i == j else z for j in range(n)] for i in range(n)], n, n)
 
-    @staticmethod
-    def from_ints(field: Field, data) -> "Matrix":
-        return Matrix(field, [[field.of(x) for x in row] for row in data])
-
-    @staticmethod
-    def column(field: Field, entries) -> "Matrix":
-        entries = list(entries)
-        return Matrix(field, [[e] for e in entries], len(entries), 1)
-
     def _check_field(self, other: "Matrix"):
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError(f"{self.field!r} vs {other.field!r}")
@@ -430,12 +422,6 @@ class Matrix:
         return Matrix._adopt(self.field, [r1 + r2 for r1, r2 in zip(self.data, other.data)],
                              self.rows, self.cols + other.cols)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if self.cols != other.cols:
-            raise ShapeError("vstack column mismatch")
-        return Matrix(self.field, self.data + other.data, self.rows + other.rows, self.cols)
-
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return Matrix._adopt(self.field, [[self.data[i][j] for j in col_idx] for i in row_idx],
                              len(row_idx), len(col_idx))
@@ -487,8 +473,9 @@ class Matrix:
 
     def kernel_basis(self) -> tuple[int, "Matrix", list[int]]:
         """Rank, a kernel basis K (columns) in reduced column-echelon form,
-        and its free rows: column k of K has a 1 in free row k and zeros in
-        the other free rows, so K is canonical and the identity there."""
+        and its free rows: column k of K has a 1 in free row k, zeros in
+        the other free rows and below free row k, so K is canonical and the
+        identity there."""
         f = self.field
         R, pivots = self.rref()
         pivot_set = set(pivots)
@@ -500,26 +487,6 @@ class Matrix:
         for row, pc in zip(R.data, pivots):
             data[pc] = [f.neg(row[fc]) if row[fc] else z for fc in free]
         return len(pivots), Matrix._adopt(f, data, self.cols, len(free)), free
-
-    def rank_and_kernel(self) -> tuple[int, "Matrix"]:
-        """Rank plus the canonical kernel basis of kernel_basis."""
-        return self.kernel_basis()[:2]
-
-    def kernel(self) -> "Matrix":
-        return self.rank_and_kernel()[1]
-
-    def column_space_basis(self) -> "Matrix":
-        """Pivot columns of the matrix, in column order."""
-        _, pivots = self.rref()
-        return self.submatrix(range(self.rows), pivots)
-
-    def cokernel_projection(self) -> "Matrix":
-        """Full-row-rank P with P @ self == 0 and rows == self.rows - rank.
-
-        Rows are the canonical kernel basis of the transpose, so pivot rows
-        of the column space are killed first in echelon order.
-        """
-        return self.transpose().rank_and_kernel()[1].transpose()
 
     def solve(self, b: "Matrix") -> "Matrix | None":
         """One solution x of self @ x == b (free variables set to zero).
@@ -540,16 +507,13 @@ class Matrix:
             sol[p] = R.data[i][n:]
         return Matrix._adopt(self.field, sol, n, b.cols)
 
-    def right_inverse(self) -> "Matrix":
-        """A section s with self @ s == identity; requires full row rank."""
-        s = self.solve(Matrix.identity(self.field, self.rows))
-        if s is None:
-            raise LinAlgError("matrix has no right inverse (row rank deficient)")
-        return s
 
-
-def direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    return direct_sum_many(a.field, [a, b])
+def free_row_coords(basis: Matrix, free: list, b: Matrix) -> Matrix | None:
+    """The coordinates x with basis @ x == b in a canonical kernel basis with
+    free rows `free` (Matrix.kernel_basis): the rows of b there, checked by
+    one product; None when a column of b is outside the span."""
+    x = b.submatrix(free, range(b.cols))
+    return x if basis @ x == b else None
 
 
 def direct_sum_many(field: Field, mats: list[Matrix]) -> Matrix:

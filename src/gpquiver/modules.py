@@ -16,12 +16,15 @@ its cokernel.
 In a resolution each syzygy stays inside the free stage before it, as the
 canonical kernel basis of the differential, generated by its columns left
 as pivots against the radical; stages[i].epi is d_i: P_i -> P_{i-1} for
-i >= 1.  Hom coordinates are read at the free rows of a hom basis's kernel.
+i >= 1.  Coordinates in a canonical kernel basis are read at its free rows,
+with no solve: hom coordinates, a kernel's arrows and the lift of a
+homology module.  A cokernel's section is the unit columns at the free
+columns of its projection.
 
 Free modules are known by their generators.  free_module lays out
 (+)_k C(c_k,-) once, block k at x spanning the basis paths of C(c_k, x)
-with the identity path first; covers, i_! and the basis cover
-P(M) = i_! i^* M all use it, and block_offsets finds generator k.  Each
+with the identity path first; covers and the basis cover
+P(M) = i_! i^* M use it, and block_offsets finds generator k.  Each
 representable C(c,-) is made once per category (BoundQuiverCategory.cached):
 a category never changes, and modules are not changed after they are made.
 """
@@ -29,10 +32,10 @@ a category never changes, and modules are not changed after they are made.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .category import BoundQuiverCategory
-from .linalg import LinAlgError, Matrix, ShapeError, direct_sum_many
+from .linalg import LinAlgError, Matrix, ShapeError, direct_sum_many, free_row_coords
 
 
 class ModuleError(Exception):
@@ -54,11 +57,6 @@ class DerivedValue:
     dim: int | None
     conclusive: bool
     note: str = ""
-
-    def expect(self) -> int:
-        if not self.conclusive:
-            raise InconclusiveError(self.note or "inconclusive at cutoff")
-        return self.dim
 
 
 class Module:
@@ -181,16 +179,10 @@ class ModuleMap:
                          {c: self.mats[c] - other.mats[c] for c in self.src.cat.objects},
                          check=False)
 
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self.mats.values())
-
     def is_iso(self) -> bool:
         return all(
             m.rows == m.cols and m.rank() == m.rows for m in self.mats.values()
         )
-
-    def is_surjective(self) -> bool:
-        return all(m.rank() == m.rows for m in self.mats.values())
 
     def __eq__(self, other):
         return (
@@ -236,12 +228,6 @@ def path_matrix(cat: BoundQuiverCategory, start, words: list, basis: list) -> Ma
     return Matrix._adopt(cat.field, data, len(basis), len(words))
 
 
-def simple(cat: BoundQuiverCategory, c) -> Module:
-    if c not in cat.objects:
-        raise ModuleError(f"unknown object {c!r}")
-    return Module(cat, {c: 1}, {}, check=False)
-
-
 def dual(m: Module) -> Module:
     """k-linear dual, a module over the opposite category."""
     op = m.cat.opposite()
@@ -279,43 +265,36 @@ def direct_sum_modules(parts: list) -> tuple:
     return total, incls, projs
 
 
-def _submodule(ambient: Module, bases: dict, what: str) -> tuple:
-    """The submodule of ambient spanned at each object by the columns of
-    bases[c], with its inclusion; the span must be arrow-stable."""
-    cat = ambient.cat
+def kernel(f: ModuleMap) -> tuple:
+    """Kernel module with its inclusion, the canonical kernel basis at each
+    object; an arrow acts by the coordinates read at its free rows."""
+    cat = f.src.cat
+    bases = {c: f.mats[c].kernel_basis()[1:] for c in cat.objects}
     mats = {}
     for name, (s, t) in cat.arrow_map.items():
-        coords = bases[t].solve(ambient.mats[name] @ bases[s])
-        if coords is None:
-            raise LinAlgError(f"{what} is not arrow-stable")
-        mats[name] = coords
-    sub = Module(cat, {c: bases[c].cols for c in cat.objects}, mats, check=False)
-    return sub, ModuleMap(sub, ambient, bases, check=False)
-
-
-def kernel(f: ModuleMap) -> tuple:
-    """Kernel module with its inclusion."""
-    return _submodule(f.src, {c: f.mats[c].kernel() for c in f.src.cat.objects}, "kernel")
+        mats[name] = free_row_coords(*bases[t], f.src.mats[name] @ bases[s][0])
+        if mats[name] is None:
+            raise LinAlgError("kernel is not arrow-stable")
+    incl = {c: k for c, (k, _) in bases.items()}
+    K = Module(cat, {c: k.cols for c, k in incl.items()}, mats, check=False)
+    return K, ModuleMap(K, f.src, incl, check=False)
 
 
 def cokernel(f: ModuleMap) -> tuple:
-    """Cokernel module with its projection."""
+    """Cokernel module with its projection.  The projection P at each object
+    is the transposed canonical kernel basis of the transpose, the identity
+    at its free columns, whose unit columns are the section s; an arrow acts
+    by P N(a) s, which no other section would change."""
     cat = f.src.cat
-    projs = {c: f.mats[c].cokernel_projection() for c in cat.objects}
-    sections = {c: projs[c].right_inverse() for c in cat.objects}
-    dims = {c: projs[c].rows for c in cat.objects}
-    mats = {}
-    for name, (s, t) in cat.arrow_map.items():
-        mats[name] = projs[t] @ f.dst.mats[name] @ sections[s]
-    Q = Module(cat, dims, mats, check=False)
-    proj = ModuleMap(f.dst, Q, projs, check=False)
-    return Q, proj
-
-
-def image(f: ModuleMap) -> tuple:
-    """Image module with its inclusion into the target."""
-    return _submodule(f.dst, {c: f.mats[c].column_space_basis() for c in f.src.cat.objects},
-                      "image")
+    projs, sections = {}, {}
+    for c in cat.objects:
+        _, k, free = f.mats[c].transpose().kernel_basis()
+        projs[c] = k.transpose()
+        sections[c] = Matrix.identity(cat.field, k.rows).submatrix(range(k.rows), free)
+    mats = {name: projs[t] @ f.dst.mats[name] @ sections[s]
+            for name, (s, t) in cat.arrow_map.items()}
+    Q = Module(cat, {c: projs[c].rows for c in cat.objects}, mats, check=False)
+    return Q, ModuleMap(f.dst, Q, projs, check=False)
 
 
 # -- Hom ------------------------------------------------------------------
@@ -364,9 +343,8 @@ def hom_coords(basis: HomBasis, maps: list, field) -> Matrix:
     maps at the basis's free rows, checked by one product."""
     if not maps:
         return Matrix.zeros(field, len(basis), 0)
-    flat = _map_columns(maps)
-    coords = flat.submatrix(basis.free, range(flat.cols))
-    if basis.columns @ coords != flat:
+    coords = free_row_coords(basis.columns, basis.free, _map_columns(maps))
+    if coords is None:
         raise ModuleError("map outside the span of the hom basis")
     return coords
 
@@ -427,7 +405,7 @@ def tensor_over_cat(m: Module, f_mod: Module) -> TensorResult:
         raise ModuleError("tensor needs a right module (over the opposite category)")
     ends = list(accumulate((m.dims[y] * f_mod.dims[y] for y in cat.objects), initial=0))
     block_dims = {y: (m.dims[y], f_mod.dims[y]) for y in cat.objects}
-    proj = _naturality_system(f_mod, dual(m)).kernel().transpose()
+    proj = _naturality_system(f_mod, dual(m)).kernel_basis()[1].transpose()
     return TensorResult(cat.field, dict(zip(cat.objects, ends)), block_dims, ends[-1], proj)
 
 
@@ -511,7 +489,7 @@ def _span_cover(x: Module, bases: dict) -> Cover:
     cov = free_on_generators(x, summands)
     cov.syzygy = {}
     for c in cat.objects:
-        rank, cov.syzygy[c] = cov.epi.mats[c].rank_and_kernel()
+        rank, cov.syzygy[c], _ = cov.epi.mats[c].kernel_basis()
         if rank != bases[c].cols:
             raise ModuleError("projective cover failed to surject (radical not nilpotent?)")
     return cov
@@ -562,11 +540,6 @@ def projective_resolution(m: Module, cutoff: int) -> Resolution:
         stages.append(_span_cover(stages[-1].module, stages[-1].syzygy))
     completed = not any(k.cols for k in stages[-1].syzygy.values())
     return Resolution(m, stages, completed, cutoff)
-
-
-def pdim(m: Module, cutoff: int) -> int | None:
-    """Projective dimension; None means not settled within the cutoff."""
-    return projective_resolution(m, cutoff).pdim()
 
 
 # -- Tor and Ext ----------------------------------------------------------
@@ -666,11 +639,14 @@ def ext_dim(m: Module, n_mod: Module, i: int, cutoff: int,
 
 def homology_of_modules(d_out: ModuleMap, d_in: ModuleMap) -> Module:
     """Homology ker(d_out) / im(d_in) at the middle of a complex of modules:
-    the cokernel of d_in lifted into the kernel of d_out, one solve per object."""
+    the cokernel of d_in lifted into the kernel of d_out, its coordinates
+    read at the free rows of the kernel basis."""
     K, incl = kernel(d_out)
     lift = {}
-    for c in K.cat.objects:
-        lift[c] = incl.mats[c].solve(d_in.mats[c])
+    for c, k in incl.mats.items():
+        # each column of a canonical kernel basis ends at its free row
+        free = [max(compress(range(k.rows), col)) for col in zip(*k.data)]
+        lift[c] = free_row_coords(k, free, d_in.mats[c])
         if lift[c] is None:
             raise LinAlgError("homology: composite differential is nonzero")
     return cokernel(ModuleMap(d_in.src, K, lift, check=False))[0]

@@ -1,6 +1,6 @@
-"""The Nakayama functor nu = D(C) (x)_C -, its right adjoint, the adjoint
-triple around evaluation, derived functors, and the Gorenstein dimension of
-the projectivization endofunctor P.
+"""The Nakayama functor nu = D(C) (x)_C -, its right adjoint nu^-, the unit
+of nu -| nu^-, derived functors, and the Gorenstein dimension of the
+projectivization endofunctor P.
 
 The coefficient modules D(C(c,-)) (right) and D(C(-,c)) (left), their maps,
 resolutions and the Gorenstein dimension at each cutoff depend on the category
@@ -9,10 +9,15 @@ only the category and the cutoff, so every verdict and sweep over one category
 and cutoff reads the same coefficient data.
 
 nu and nu^- are Hom functors and are read off hom bases alike: nu(F)(c) =
-D Hom(F, C(c,-)) and nu^-(F)(c) = Hom(D C(-,c), F), one hom basis per object
-and one hom_coords read per arrow or map, as are the unit and counit.  The
-tensor D(C) (x)_C F itself stays in modules as tensor_over_cat.  Both halves
-of the bimodule D(C) are written in the dual of C's path basis.
+D Hom(F, C(c,-)) and nu^-(F)(c) = Hom(D C(-,c), F), one hom basis per object.
+The matrices of arrows, of maps and of the unit are coordinates in those
+bases, read at their free rows (hom_coords) with no solve.  The tensor
+D(C) (x)_C F itself stays in modules as tensor_over_cat.  Both halves of the
+bimodule D(C) are written in the dual of C's path basis.
+
+The adjoint triple i_! -| i^* -| i_* around evaluation, the counit sigma of
+nu -| nu^- and the triangle identities check these routes; they live with
+the tests (tests/crosscheck.py), not here.
 
 The derived functors have one shape.  Their dimension counts are Tor and Ext
 over the coefficient resolutions, or, where those are truncated, over one of F
@@ -30,20 +35,14 @@ from functools import cache
 from .category import BoundQuiverCategory
 from .linalg import Matrix
 from .modules import (
-    Cover,
     InconclusiveError,
     Module,
     ModuleMap,
     ModuleError,
     Resolution,
     _derived_either_side,
-    basis_cover,
-    block_offsets,
-    block_sum,
     dual,
     dual_map,
-    free_module,
-    free_on_generators,
     hom_basis,
     hom_coords,
     homology_of_modules,
@@ -143,52 +142,6 @@ class NakayamaEngine:
             self.coef_left(t), self.coef_left(s),
             {x: self.coef_right(x).mats[arrow] for x in self.cat.objects}, check=False))
 
-    # -- the adjoint triple ------------------------------------------------
-
-    def _generator_objects(self, parts: dict) -> list:
-        """The object of each summand of i_!(parts), in object order."""
-        for c in parts:
-            if c not in self.cat.objects:
-                raise ModuleError(f"unknown object {c!r} in parts")
-        return [c for c in self.cat.objects for _ in range(int(parts.get(c, 0)))]
-
-    def i_shriek(self, parts: dict) -> Cover:
-        """(+)_c C(c,-) (x) k^{n_c} = free_module on the generator objects.
-
-        Returns a Cover whose summand list records the source object of each
-        representable summand, in object order.
-        """
-        objs = self._generator_objects(parts)
-        total = free_module(self.cat, objs)
-        return Cover(total, ModuleMap.identity(total), [(c, None) for c in objs])
-
-    def i_shriek_module(self, parts: dict) -> Module:
-        return self.i_shriek(parts).module
-
-    def i_star_restrict(self, f_mod: Module) -> dict:
-        return dict(f_mod.dims)
-
-    def counit_P(self, f_mod: Module) -> tuple:
-        """P(F) = i_! i^* F with its action epimorphism onto F."""
-        cov = basis_cover(f_mod)
-        return cov.module, cov.epi
-
-    def unit_parts(self, parts: dict) -> dict:
-        """parts -> i^* i_!(parts): at c, generator k of each summand at c."""
-        cat = self.cat
-        f = cat.field
-        objs = self._generator_objects(parts)
-        mats = {}
-        for c in cat.objects:
-            starts = block_offsets(cat, objs, c)
-            gens = [starts[k] for k, obj in enumerate(objs) if obj == c]
-            mats[c] = Matrix.identity(f, starts[-1]).submatrix(range(starts[-1]), gens)
-        return mats
-
-    def i_star_coinduced(self, parts: dict) -> Module:
-        """(+)_c D(C(-,c)) (x) k^{n_c}: the coinduction i_* = nu after i_!."""
-        return block_sum(self.cat, [self.coef_left(c) for c in self._generator_objects(parts)])
-
     # -- nu and nu^- -------------------------------------------------------
 
     def nu(self, f_mod: Module) -> Applied:
@@ -228,7 +181,7 @@ class NakayamaEngine:
                 for c in cat.objects}
         return ModuleMap(src.module, dst.module, mats, check=False)
 
-    # -- unit and counit of nu -| nu^- -------------------------------------
+    # -- the unit of nu -| nu^- -------------------------------------------
 
     def lambda_unit(self, f_mod: Module, nuF: Applied | None = None,
                     nm: Applied | None = None) -> ModuleMap:
@@ -246,57 +199,6 @@ class NakayamaEngine:
                 for j in range(f_mod.dims[c])]
             mats[c] = hom_coords(nm.bases[c], maps, cat.field)
         return ModuleMap(f_mod, nm.module, mats, check=False)
-
-    def sigma_counit(self, f_mod: Module, nm: Applied | None = None,
-                     nu_nm: Applied | None = None) -> ModuleMap:
-        """The counit nu nu^- F -> F.  Its dual at c sends e_r* to the map
-        nu^- F -> C(c,-) taking psi to sum_i (psi_c)[r][i] p_i, p_i the basis
-        paths of C(c, y)."""
-        cat = self.cat
-        nm = nm or self.nu_minus(f_mod)
-        nu_nm = nu_nm or self.nu(nm.module)
-        mats = {}
-        for c in cat.objects:
-            maps = [ModuleMap(nm.module, representable(cat, c), {y: Matrix._adopt(
-                cat.field, [psi.mats[c].data[r] for psi in nm.bases[y]], len(nm.bases[y]),
-                cat.hom_dim(c, y)).transpose() for y in cat.objects}, check=False)
-                for r in range(f_mod.dims[c])]
-            mats[c] = hom_coords(nu_nm.bases[c], maps, cat.field).transpose()
-        return ModuleMap(nu_nm.module, f_mod, mats, check=False)
-
-    def adjunct(self, psi: ModuleMap, G: Module, nuG: Applied, nmF: Applied) -> ModuleMap:
-        """Hom(nu G, F) -> Hom(G, nu^- F) along the adjunction."""
-        nm_nuG = self.nu_minus(nuG.module)
-        return self.lambda_unit(G, nuG, nm_nuG).then(self.nu_minus_map(nm_nuG, nmF, psi))
-
-    def coadjunct(self, chi: ModuleMap, G: Module, nuG: Applied,
-                  nmF: Applied, f_mod: Module) -> ModuleMap:
-        """Hom(G, nu^- F) -> Hom(nu G, F), the inverse direction."""
-        nu_nmF = self.nu(nmF.module)
-        return self.nu_map(nuG, nu_nmF, chi).then(self.sigma_counit(f_mod, nmF, nu_nmF))
-
-    def iso_nu_ishriek(self, parts: dict, shriek: Cover | None = None,
-                       nuP: Applied | None = None) -> ModuleMap:
-        """The canonical map nu(i_!(parts)) -> i_*(parts); an isomorphism.
-
-        Its dual at x sends the path q of C(x, c_k) to the map i_!(parts) ->
-        C(x,-) taking generator k to q and the other generators to zero.
-        """
-        cat = self.cat
-        f = cat.field
-        shriek = shriek or self.i_shriek(parts)
-        nuP = nuP or self.nu(shriek.module)
-        coind = self.i_star_coinduced(parts)
-        summands = [c for c, _ in shriek.summands]
-        mats = {}
-        for x in cat.objects:
-            rep = representable(cat, x)
-            zeros = [(c, Matrix.zeros(f, rep.dims[c], 1)) for c in summands]
-            maps = [free_on_generators(rep, zeros[:k] + [(c, unit.col(q))] + zeros[k + 1:]).epi
-                    for k, c in enumerate(summands)
-                    for unit in [Matrix.identity(f, rep.dims[c])] for q in range(unit.cols)]
-            mats[x] = hom_coords(nuP.bases[x], maps, f).transpose()
-        return ModuleMap(nuP.module, coind, mats, check=False)
 
     # -- derived functors --------------------------------------------------
 
@@ -367,6 +269,3 @@ def _past_end(res: Resolution, i: int) -> bool:
         raise InconclusiveError(f"resolution truncated at {res.length()} < degree {i}+1")
     return past
 
-
-def gorenstein_dimension_of_P(cat: BoundQuiverCategory, cutoff: int = 16) -> GorensteinDimension:
-    return NakayamaEngine(cat, cutoff).gorenstein_dimension()

@@ -4,8 +4,8 @@
 that visit every cell and test zeros by comparison with `f.zero()`, kept
 unchanged as the oracle for the zero-skipping kernels in `src/`.
 `dense_kernels()` installs them on `Matrix` for the duration of a `with`
-block, so the derived operations (`rank_and_kernel`, `solve`,
-`cokernel_projection`, ...) can be recomputed on top of them.
+block, so the derived operations (`kernel_basis`, `solve`, ...) can be
+recomputed on top of them.
 """
 
 from contextlib import contextmanager

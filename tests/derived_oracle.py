@@ -38,6 +38,7 @@ carries one more generator, sent to zero.
 
 from dataclasses import dataclass
 
+from crosscheck import cokernel_projection, right_inverse
 from gpquiver.linalg import LinAlgError, Matrix, direct_sum_many, kronecker_product
 from gpquiver.modules import (
     Cover,
@@ -95,7 +96,7 @@ def complement_cover(m):
         for name, (s, t) in cat.arrow_map.items():
             if t == c:
                 rad = rad.hstack(m.mats[name])
-        gens = rad.cokernel_projection().right_inverse()
+        gens = right_inverse(cokernel_projection(rad))
         summands += [(c, gens.col(j)) for j in range(gens.cols)]
     return free_on_generators(m, summands)
 
@@ -154,7 +155,7 @@ def p_counit_kronecker(fact, F):
 def induced(src, dst, ambient_map):
     """The map of tensor quotients src -> dst given by a map of ambients,
     through a section of the quotient map of src."""
-    return dst.proj @ (ambient_map @ src.proj.right_inverse())
+    return dst.proj @ (ambient_map @ right_inverse(src.proj))
 
 
 def tensor_induced(src, dst, cat, u, v):
@@ -238,16 +239,16 @@ def tensor_projection(m, f_mod):
                     col[idx] = f.sub(col[idx], fa.data[l][j])
                 cols.append(col)
     rel = Matrix(f, [[c[r] for c in cols] for r in range(off)], off, len(cols))
-    return rel.cokernel_projection()
+    return cokernel_projection(rel)
 
 
 def _homology_dim(d_out, d_in):
     """dim ker d_out / im d_in: d_in lifted into a kernel basis of d_out, then
     the dimension of the cokernel of the lift."""
-    incoming = d_out.kernel().solve(d_in)
+    incoming = d_out.kernel_basis()[1].solve(d_in)
     if incoming is None:
         raise LinAlgError("homology: composite differential is nonzero")
-    return incoming.cokernel_projection().rows
+    return cokernel_projection(incoming).rows
 
 
 def _out_of_range(res, i):

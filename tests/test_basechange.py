@@ -93,7 +93,7 @@ def test_p_counit_based_epi_and_natural(setup322):
             PF, eps = fact.p_counit_based(F)
             PF.validate()
             eps.validate()
-            assert eps.is_surjective()
+            assert all(m.rank() == m.rows for m in eps.mats.values())
             PF_k, eps_k = derived_oracle.p_counit_kronecker(fact, F)
             assert PF.dims == PF_k.dims
             assert (splitting_section(eps) is not None) == splits

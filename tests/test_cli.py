@@ -201,6 +201,7 @@ def _bad_input(tmp_path, name, lines):
     """Fixtures copied into tmp_path, with name replaced by lines."""
     for f in ("ka2.cat", "cyclic3.cat"):
         shutil.copy(fix(f), tmp_path / f)
+    (tmp_path / name).parent.mkdir(exist_ok=True)
     (tmp_path / name).write_text("\n".join(lines) + "\n")
     return str(tmp_path / name)
 
@@ -495,6 +496,31 @@ def test_too_many_tensor_paths_name_the_factors_and_advise_nothing(tmp_path, cap
                         "length_cutoff 8 is the sum of its factors': 4 in 'l3.cat' "
                         "and 4 in 'l3b.cat'\n")
     assert "lower" not in err
+
+
+def test_tensor_over_different_fields_cites_its_header(tmp_path, capsys):
+    (tmp_path / "ka2_f3.cat").write_text(
+        "\n".join(_fixture_lines("ka2.cat")).replace("field = Q", "field = F3"))
+    path = _bad_input(tmp_path, "t.cat", ["# Q and F3", "[tensor]",
+                                          "left = ka2.cat", "right = ka2_f3.cat"])
+    err = _assert_error_at(["cat-info", path], f"{path}:2", capsys)
+    assert err.endswith("tensor factors over different fields\n")
+
+
+# a file a [tensor] or a representation references is cited by its path
+# from the directory the command was run in, as the named file is
+@pytest.mark.parametrize("name, lines, cmd", [
+    ("t_bad.cat", ["[tensor]", "left = bad.cat", "right = ../ka2.cat"], "cat-info"),
+    ("r_bad.rep", ["[representation]", "category = bad.cat", "dim 1 = 1"], "resolve"),
+], ids=["tensor", "representation"])
+def test_error_in_a_referenced_file_cites_it_as_given(name, lines, cmd, tmp_path,
+                                                      monkeypatch, capsys):
+    _bad_input(tmp_path, "refs/bad.cat", ["[category]", "field = Q", "objects = 1, 2",
+                                         "relation = 1 zz", "arrow = a: 1 -> 2"])
+    (tmp_path / "refs" / name).write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    err = _assert_error_at([cmd, f"refs/{name}"], "refs/bad.cat:4", capsys)
+    assert err.endswith("unknown arrow 'zz' in relation\n")
 
 
 CATEGORY_COMMANDS = [["cat-info"], ["gdim"], ["profile-base"], ["enumerate", "--dims", "1"]]

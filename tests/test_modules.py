@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import crosscheck
 import derived_oracle
 from conftest import F5, chain, cyclic3, ex322, ka2, ka3, loop_sq, square, trivial
 
@@ -25,13 +26,10 @@ from gpquiver.modules import (
     hom_basis,
     hom_coords,
     homology_of_modules,
-    image,
     kernel,
-    pdim,
     projective_cover,
     projective_resolution,
     representable,
-    simple,
     tensor_over_cat,
     tor_dim,
     zero_module,
@@ -39,8 +37,6 @@ from gpquiver.modules import (
 
 
 def mat(field, data, rows=None, cols=None):
-    if rows is None:
-        return Matrix.from_ints(field, data)
     return Matrix(field, [[field.of(x) for x in row] for row in data], rows, cols)
 
 
@@ -73,7 +69,7 @@ def longest_path_quotient(C):
     """C(c,-) modulo the submodule generated by a longest basis path of C."""
     c, d, p = max(((c, d, p) for c, d in product(C.objects, repeat=2)
                    for p in C.hom_basis_paths(c, d)), key=lambda t: len(t[2]))
-    unit = Matrix.column(C.field, [C.field.of(int(q == p)) for q in C.hom_basis_paths(c, d)])
+    unit = Matrix(C.field, [[C.field.of(int(q == p))] for q in C.hom_basis_paths(c, d)])
     M, _ = cokernel(free_on_generators(representable(C, c), [(d, unit)]).epi)
     return M
 
@@ -97,7 +93,7 @@ def test_representable_square_corner():
 
 def test_simple_and_dual():
     C = ka2()
-    S2 = simple(C, "2")
+    S2 = crosscheck.simple(C, "2")
     assert dual(S2).dims == S2.dims
     # D(C(1,-)) is one-dimensional everywhere, over the opposite
     P1 = representable(C, "1")
@@ -121,12 +117,12 @@ def test_kernel_cokernel_image_rank_nullity():
     phi = ModuleMap(F, G, {"1": mat(field, [[1, 0], [0, 0]]), "2": mat(field, [[1, 0], [0, 0]])})
     K, incl = kernel(phi)
     Q, proj = cokernel(phi)
-    I, _ = image(phi)
+    I, _ = crosscheck.image(phi)
     for c in ("1", "2"):
         assert K.dims[c] + I.dims[c] == F.dims[c]
         assert Q.dims[c] == G.dims[c] - I.dims[c]
-    assert incl.then(phi).is_zero()
-    assert phi.then(proj).is_zero()
+    for zero in (incl.then(phi), phi.then(proj)):
+        assert all(m.is_zero() for m in zero.mats.values())
 
 
 def test_kernel_of_identity_and_zero():
@@ -175,7 +171,7 @@ def test_tensor_representable_is_evaluation():
 def test_tensor_simple_kills_image():
     # S_2 (x) (k ->id k) = 0 over the A2 category
     C = ka2()
-    S2_right = simple(C.opposite(), "2")
+    S2_right = crosscheck.simple(C.opposite(), "2")
     F = a2_rep(QQ, 1, 1, [[1]])
     assert tensor_over_cat(S2_right, F).dim == 0
     # and against (k ->0 k) it is one-dimensional
@@ -201,11 +197,11 @@ def test_hom_yoneda():
 def test_hom_simple_into_kernel():
     C = ka2()
     F0 = a2_rep(QQ, 1, 1, [[0]])
-    assert len(hom_basis(simple(C, "2"), F0)) == 1
+    assert len(hom_basis(crosscheck.simple(C, "2"), F0)) == 1
     # maps out of S_1 land in the kernel of the arrow action
     F1 = a2_rep(QQ, 1, 1, [[1]])
-    assert len(hom_basis(simple(C, "1"), F1)) == 0
-    assert len(hom_basis(simple(C, "1"), F0)) == 1
+    assert len(hom_basis(crosscheck.simple(C, "1"), F1)) == 0
+    assert len(hom_basis(crosscheck.simple(C, "1"), F0)) == 1
     assert len(hom_basis(F1, zero_module(C))) == 0
 
 
@@ -221,13 +217,13 @@ def test_projective_cover_of_representable_is_identity():
 def test_simple_resolution_over_path_category():
     # 0 -> (+) e_{s(a)} kQ -> e_i kQ -> S_i -> 0 on the arrow-reversed side
     C = ka3()
-    S2 = simple(C, "2")
+    S2 = crosscheck.simple(C, "2")
     res = projective_resolution(S2, 5)
     assert res.completed
     assert res.length() == 1
     assert res.stages[0].module.dims == representable(C, "2").dims
     assert res.stages[1].module.dims == representable(C, "3").dims
-    assert pdim(S2, 5) == 1
+    assert projective_resolution(S2, 5).pdim() == 1
 
 
 def test_resolution_exactness_and_d_squared():
@@ -238,33 +234,33 @@ def test_resolution_exactness_and_d_squared():
             res = projective_resolution(M, 4)
             for i in range(1, len(res.stages)):
                 if i >= 2:
-                    assert res.diff(i).then(res.diff(i - 1)).is_zero()
+                    assert all(m.is_zero() for m in res.diff(i).then(res.diff(i - 1)).mats.values())
             # exactness at P_0: augmentation surjective with kernel = im d_1
-            assert res.stages[0].epi.is_surjective()
+            assert all(m.rank() == m.rows for m in res.stages[0].epi.mats.values())
             K, _ = kernel(res.stages[0].epi)
             if len(res.stages) > 1:
-                I, _ = image(res.diff(1))
+                I, _ = crosscheck.image(res.diff(1))
                 assert K.dims == I.dims
 
 
 def test_loop_simple_resolution_is_periodic():
     C = loop_sq()
-    S = simple(C, "1")
+    S = crosscheck.simple(C, "1")
     res = projective_resolution(S, 10)
     assert not res.completed
     assert all(st.module.dims == {"1": 2} for st in res.stages)
-    assert pdim(S, 10) is None
+    assert projective_resolution(S, 10).pdim() is None
 
 
 def test_pdim_representable_is_zero():
     for C in (ka2(), loop_sq(), square()):
         for c in C.objects:
-            assert pdim(representable(C, c), 4) == 0
+            assert projective_resolution(representable(C, c), 4).pdim() == 0
 
 
 def test_tor_zero_equals_tensor():
     C = ka2()
-    S2_right = simple(C.opposite(), "2")
+    S2_right = crosscheck.simple(C.opposite(), "2")
     F0 = a2_rep(QQ, 1, 1, [[0]])
     t0 = tor_dim(S2_right, F0, 0, 5)
     assert t0.conclusive and t0.dim == tensor_over_cat(S2_right, F0).dim
@@ -272,7 +268,7 @@ def test_tor_zero_equals_tensor():
 
 def test_tor_one_is_kernel_of_assembled_map():
     C = ka2()
-    S2_right = simple(C.opposite(), "2")
+    S2_right = crosscheck.simple(C.opposite(), "2")
     F0 = a2_rep(QQ, 1, 1, [[0]])
     assert tor_dim(S2_right, F0, 1, 5).dim == 1
     F1 = a2_rep(QQ, 1, 1, [[1]])
@@ -301,7 +297,7 @@ def test_ext_zero_is_hom():
 
 def test_ext_one_loop_simple_self():
     C = loop_sq()
-    S = simple(C, "1")
+    S = crosscheck.simple(C, "1")
     e = ext_dim(S, S, 1, 8)
     assert e.conclusive and e.dim == 1
 
@@ -320,7 +316,7 @@ def test_ext_fallback_through_dual_side():
     # degree 5 at most; past it the dual side for an injective target
     # completes, giving a conclusive zero
     C = loop_sq()
-    S = simple(C, "1")
+    S = crosscheck.simple(C, "1")
     J = dual(representable(C.opposite(), "1"))
     for degree in (1, 6):
         e = ext_dim(S, J, degree, 6)
@@ -329,7 +325,7 @@ def test_ext_fallback_through_dual_side():
 
 def test_inconclusive_is_reported_not_silent():
     C = loop_sq()
-    S = simple(C, "1")
+    S = crosscheck.simple(C, "1")
     e = ext_dim(S, S, 7, 4)
     assert not e.conclusive and e.dim is None
 
@@ -456,7 +452,7 @@ def test_hom_coords_refuse_a_map_outside_the_span(field):
     with pytest.raises(ModuleError):
         hom_coords(hom_basis(P1, P1), [ModuleMap(P1, P1, {"1": one}, check=False)], field)
     # Hom(P1, S2) = S2(1) is zero, with a nonzero candidate at 2
-    S2 = simple(C, "2")
+    S2 = crosscheck.simple(C, "2")
     assert not hom_basis(P1, S2)
     with pytest.raises(ModuleError):
         hom_coords(hom_basis(P1, S2), [ModuleMap(P1, S2, {"2": one}, check=False)], field)

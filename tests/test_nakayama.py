@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import crosscheck
 from conftest import F5, chain, cyclic3, ex322, exterior2, ka2, ka3, loop_sq, square
 
 from gpquiver.linalg import GF, QQ, Matrix
@@ -10,43 +11,41 @@ from gpquiver.modules import (
     InconclusiveError,
     Module,
     ModuleMap,
+    basis_cover,
     cokernel,
     direct_sum_modules,
     ext_dim,
     hom_basis,
     representable,
-    simple,
     tor_dim,
     zero_module,
 )
-from gpquiver.nakayama import NakayamaEngine, gorenstein_dimension_of_P
+from gpquiver.nakayama import NakayamaEngine
 from test_modules import a2_rep, random_module
 
 
 def test_i_shriek_a2():
     eng = NakayamaEngine(ka2())
-    M = eng.i_shriek_module({"1": 1})
+    M = crosscheck.i_shriek(eng, {"1": 1}).module
     assert M.dims == {"1": 1, "2": 1}
     assert M.mats["a"] == Matrix.identity(QQ, 1)
-    assert eng.i_shriek_module({}).is_zero()
+    assert crosscheck.i_shriek(eng, {}).module.is_zero()
 
 
 def test_i_shriek_square_corner():
     eng = NakayamaEngine(square())
-    M = eng.i_shriek_module({"c1": 1})
+    M = crosscheck.i_shriek(eng, {"c1": 1}).module
     assert [M.dims[c] for c in ("c1", "c2", "c3", "c4")] == [1, 1, 1, 1]
 
 
 def test_counit_P_surjective():
     for C in (ka2(), square(), ex322()):
-        eng = NakayamaEngine(C)
         rng = random.Random(1)
         for _ in range(3):
             F = random_module(C, rng)
-            P, eps = eng.counit_P(F)
+            eps = basis_cover(F).epi
             eps.validate()
-            assert eps.is_surjective()
-            assert eng.i_star_restrict(F) == F.dims
+            assert all(m.rank() == m.rows for m in eps.mats.values())
 
 
 def test_nu_is_cokernel_functor_on_a2():
@@ -106,7 +105,7 @@ def test_iso_nu_ishriek_and_coinduced():
         rng = random.Random(5)
         for _ in range(3):
             parts = {c: rng.randrange(0, 3) for c in C.objects}
-            iso = eng.iso_nu_ishriek(parts)
+            iso = crosscheck.iso_nu_ishriek(eng, parts)
             iso.validate()
             assert iso.is_iso()
 
@@ -115,8 +114,8 @@ def test_nu_minus_of_coinduced_has_ishriek_dims():
     for C in (ka2(), square()):
         eng = NakayamaEngine(C)
         parts = {C.objects[0]: 1, C.objects[-1]: 2}
-        nm = eng.nu_minus(eng.i_star_coinduced(parts))
-        assert nm.module.dims == eng.i_shriek_module(parts).dims
+        nm = eng.nu_minus(crosscheck.i_star_coinduced(eng, parts))
+        assert nm.module.dims == crosscheck.i_shriek(eng, parts).module.dims
 
 
 def test_lambda_unit_on_projectives_is_iso():
@@ -124,7 +123,7 @@ def test_lambda_unit_on_projectives_is_iso():
         eng = NakayamaEngine(C)
         rng = random.Random(6)
         parts = {c: rng.randrange(0, 2) for c in C.objects}
-        P = eng.i_shriek_module(parts)
+        P = crosscheck.i_shriek(eng, parts).module
         lam = eng.lambda_unit(P)
         lam.validate()
         assert lam.is_iso()
@@ -133,11 +132,11 @@ def test_lambda_unit_on_projectives_is_iso():
 def test_lambda_kills_s1_over_a2():
     C = ka2()
     eng = NakayamaEngine(C)
-    S1 = simple(C, "1")
+    S1 = crosscheck.simple(C, "1")
     assert eng.nu(S1).module.is_zero()
     lam = eng.lambda_unit(S1)
     assert not lam.is_iso()
-    assert lam.is_zero()
+    assert all(m.is_zero() for m in lam.mats.values())
 
 
 def test_triangle_identities_nu():
@@ -150,12 +149,12 @@ def test_triangle_identities_nu():
             nm = eng.nu_minus(nuF.module)
             lam = eng.lambda_unit(F, nuF, nm)
             nu_lam = eng.nu_map(nuF, eng.nu(nm.module), lam)
-            sig = eng.sigma_counit(nuF.module, nm, eng.nu(nm.module))
+            sig = crosscheck.sigma_counit(eng, nuF.module, nm, eng.nu(nm.module))
             comp = nu_lam.then(sig)
             assert comp == ModuleMap.identity(nuF.module)
 
             nmF = eng.nu_minus(F)
-            sigF = eng.sigma_counit(F, nmF, eng.nu(nmF.module))
+            sigF = crosscheck.sigma_counit(eng, F, nmF, eng.nu(nmF.module))
             lam_nm = eng.lambda_unit(nmF.module, eng.nu(nmF.module), eng.nu_minus(eng.nu(nmF.module).module))
             nm_sig = eng.nu_minus_map(eng.nu_minus(eng.nu(nmF.module).module), nmF, sigF)
             comp2 = lam_nm.then(nm_sig)
@@ -168,9 +167,9 @@ def test_triangle_identities_ishriek_istar():
         rng = random.Random(8)
         for _ in range(3):
             F = random_module(C, rng)
-            P, eps = eng.counit_P(F)
+            eps = basis_cover(F).epi
             # i^* eps after eta_{i^* F} = identity on each F(c)
-            eta = eng.unit_parts(eng.i_star_restrict(F))
+            eta = crosscheck.unit_parts(eng, F.dims)
             for c in C.objects:
                 assert eps.mats[c] @ eta[c] == Matrix.identity(C.field, F.dims[c])
 
@@ -186,26 +185,26 @@ def test_adjunction_bijection():
         bwd_basis = hom_basis(G, nmF.module)
         assert len(fwd_basis) == len(bwd_basis)
         for psi in fwd_basis:
-            chi = eng.adjunct(psi, G, nuG, nmF)
+            chi = crosscheck.adjunct(eng, psi, G, nuG, nmF)
             chi.validate()
-            back = eng.coadjunct(chi, G, nuG, nmF, F)
+            back = crosscheck.coadjunct(eng, chi, G, nuG, nmF, F)
             assert back == psi
         for chi in bwd_basis:
-            psi = eng.coadjunct(chi, G, nuG, nmF, F)
+            psi = crosscheck.coadjunct(eng, chi, G, nuG, nmF, F)
             psi.validate()
-            assert eng.adjunct(psi, G, nuG, nmF) == chi
+            assert crosscheck.adjunct(eng, psi, G, nuG, nmF) == chi
 
 
 def test_gdim_tables():
-    assert gorenstein_dimension_of_P(ka3(), 8).value == 1
-    assert gorenstein_dimension_of_P(square(), 8).value == 2
-    assert gorenstein_dimension_of_P(cyclic3(), 8).value == 0
-    assert gorenstein_dimension_of_P(chain(2), 8).value == 2
-    assert gorenstein_dimension_of_P(chain(3, cutoff=5), 8).value == 3
+    assert NakayamaEngine(ka3(), 8).gorenstein_dimension().value == 1
+    assert NakayamaEngine(square(), 8).gorenstein_dimension().value == 2
+    assert NakayamaEngine(cyclic3(), 8).gorenstein_dimension().value == 0
+    assert NakayamaEngine(chain(2), 8).gorenstein_dimension().value == 2
+    assert NakayamaEngine(chain(3, cutoff=5), 8).gorenstein_dimension().value == 3
 
 
 def test_gdim_not_settled_for_ex322():
-    g = gorenstein_dimension_of_P(ex322(), 6)
+    g = NakayamaEngine(ex322(), 6).gorenstein_dimension()
     assert g.status == "not-Iwanaga-Gorenstein-at-cutoff"
     assert g.value is None
 
@@ -226,7 +225,7 @@ def test_l_nu_vanishes_on_projectives():
     for C in (square(), cyclic3(), ex322()):
         eng = NakayamaEngine(C, 8)
         parts = {C.objects[0]: 1, C.objects[-1]: 1}
-        P = eng.i_shriek_module(parts)
+        P = crosscheck.i_shriek(eng, parts).module
         for i in (1, 2):
             dims = eng.left_derived_nu_dims(P, i)
             assert all(v.conclusive and v.dim == 0 for v in dims.values())
@@ -274,7 +273,7 @@ def test_derived_dims_fall_back_to_the_other_side():
     assert ext_dim(I, I, 2, 2) == zero
     assert ext_dim(I, I, 2, 2, resolution=eng.res_left("1")) == zero
     # both sides truncated: inconclusive, with one note
-    S = simple(C, "1")
+    S = crosscheck.simple(C, "1")
     assert tor_dim(eng.coef_right("1"), S, 2, 2) == DerivedValue(
         None, False, "both sides truncated at cutoff")
 
@@ -293,6 +292,6 @@ def test_nu_minus_recovers_mono_source_on_a2():
 def test_derived_inconclusive_raises():
     C = loop_sq()
     eng = NakayamaEngine(C, 3)
-    S = simple(C, "1")
+    S = crosscheck.simple(C, "1")
     with pytest.raises(InconclusiveError):
         eng.left_derived_nu(S, 5)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import crosscheck
 import derived_oracle
 from conftest import cyclic3, ex322, loop_sq, square, tensor322, module322
 from gpquiver import cli, modules
@@ -19,7 +20,6 @@ from gpquiver.modules import (
     projective_cover,
     projective_resolution,
     representable,
-    simple,
     zero_module,
 )
 from gpquiver.nakayama import NakayamaEngine
@@ -58,7 +58,7 @@ def test_tensor_induced_matches_kronecker_oracle(build, field):
     # zero-dimensional blocks: the zero module, a simple, and the random
     # modules' zero objects
     mods = [random_module(cat, rng) for _ in range(3)]
-    mods += [zero_module(cat), simple(cat, cat.objects[-1])]
+    mods += [zero_module(cat), crosscheck.simple(cat, cat.objects[-1])]
     got = _nu_reprs(NakayamaEngine(cat, 4), mods)
     assert _nu_reprs(derived_oracle.TensorNakayamaEngine(cat, 4), mods) == got
 
