@@ -274,6 +274,11 @@ def parse_matrix(field, text, rows, cols, path="<string>", line_no=None) -> Matr
     return Matrix(field, data, rows, cols)
 
 
+# The bound on sum_c dim F(c) + sum_a dim F(s) dim F(t) of a representation;
+# `resolve` of one at the bound on 1 -> 2 (dims 499, 499) peaks near 130 MB.
+MAX_REP_SIZE = 250_000
+
+
 def parse_module(path, field_override=None, category=None) -> Module:
     check_field_override(field_override)
     section = None
@@ -312,9 +317,16 @@ def parse_module(path, field_override=None, category=None) -> Module:
         if cat_ref is None:
             raise ParseError(path, header, "representation file has no category line")
         category = parse_category(_referenced(path, *cat_ref), field_override=field_override)
-    for obj, (i, _) in dims.items():
+    seen = {}  # dim lines in file order; an oversized one fails before any matrix
+    for obj, (i, d) in dims.items():
         if obj not in category.objects:
             raise ParseError(path, i, f"unknown object {obj!r} in dim line")
+        seen[obj] = d
+        size = sum(seen.values()) + sum(seen.get(s, 0) * seen.get(t, 0)
+                                        for s, t in category.arrow_map.values())
+        if size > MAX_REP_SIZE:
+            raise ParseError(path, i, f"representation too large: {size}, above the bound "
+                             f"{MAX_REP_SIZE} on dimensions plus matrix entries")
     full_dims = {c: dims[c][1] if c in dims else 0 for c in category.objects}
     mats, mat_lines = {}, {}
     for i, a, val in raw_mats:

@@ -5,19 +5,19 @@ matrix per arrow.  Right C-modules are Modules over C.opposite(), which
 keeps one code path for both variances.  Everything downstream (duality,
 tensor, Hom, resolutions, Tor, Ext) reduces to exact linear algebra.
 Hom and tensor share one naturality system: tensor_over_cat reads M (x)_C F
-off the Hom system of F -> DM, since D(M (x)_C F) = Hom_C(F, DM); the
-Nakayama functor nu(F) = D Hom(F, C) is read off hom bases without it, as
-nu^- is.  Tor and Ext over a projective resolution are read off the
-generators of its free stages (Yoneda), without building tensor quotients
-or Hom systems.  Homology modules are built from kernel and cokernel alone:
-the incoming differential lifted into the kernel of the outgoing one, then
-its cokernel.
+off the Hom system of F -> DM, since D(M (x)_C F) = Hom_C(F, DM).  A module
+applied to a map of free modules, given by the images of its generators, is
+one matrix of its path actions (Yoneda, _applied_diff): Tor and Ext over a
+projective resolution, and nu and nu^- over the presentations of D(C), are
+read off it, without building tensor quotients or Hom systems.  Homology
+modules are built from kernel and cokernel alone: the incoming differential
+lifted into the kernel of the outgoing one, then its cokernel.
 
 In a resolution each syzygy stays inside the free stage before it, as the
 canonical kernel basis of the differential, generated by its columns left
 as pivots against the radical; stages[i].epi is d_i: P_i -> P_{i-1} for
 i >= 1.  Coordinates in a canonical kernel basis are read at its free rows,
-with no solve: hom coordinates, a kernel's arrows and the lift of a
+with no solve: a kernel's arrows, nu^-'s arrows and maps, and the lift of a
 homology module.  A cokernel's section is the unit columns at the free
 columns of its projection.
 
@@ -100,8 +100,11 @@ class Module:
         return None
 
     def act_path(self, c, path) -> Matrix:
-        m = Matrix.identity(self.cat.field, self.dims[c])
-        for a in path:
+        """M(path) on M(c); a one-arrow path gives the arrow's own matrix, never changed."""
+        if not path:
+            return Matrix.identity(self.cat.field, self.dims[c])
+        m = self.mats[path[0]]
+        for a in path[1:]:
             m = self.mats[a] @ m
         return m
 
@@ -338,17 +341,6 @@ def hom_basis(m: Module, n: Module) -> HomBasis:
     return basis
 
 
-def hom_coords(basis: HomBasis, maps: list, field) -> Matrix:
-    """Coordinates of maps in a hom basis, one column per map: the flattened
-    maps at the basis's free rows, checked by one product."""
-    if not maps:
-        return Matrix.zeros(field, len(basis), 0)
-    coords = free_row_coords(basis.columns, basis.free, _map_columns(maps))
-    if coords is None:
-        raise ModuleError("map outside the span of the hom basis")
-    return coords
-
-
 def _map_columns(maps: list) -> Matrix:
     """Module maps flattened to columns (object order, row-major)."""
     flat = [[e for c in m.src.cat.objects for e in m.mats[c].entries_flat()] for m in maps]
@@ -545,47 +537,50 @@ def projective_resolution(m: Module, cutoff: int) -> Resolution:
 # -- Tor and Ext ----------------------------------------------------------
 
 
-def _generators(res: Resolution, j: int) -> list:
-    """Objects c_l of the summands C(c_l,-) of P_j; empty outside the resolution."""
-    return [c for c, _ in res.stages[j].summands] if 0 <= j < len(res.stages) else []
+def _diff_images(res: Resolution, j: int) -> tuple:
+    """d_j: P_j -> P_{j-1} as _applied_diff reads it: the generator objects of
+    P_j and P_{j-1}, empty outside the resolution, and each image's column."""
+    src, dst = ([c for c, _ in res.stages[i].summands] if 0 <= i < len(res.stages) else []
+                for i in (j, j - 1))
+    return src, dst, [[row[block_offsets(res.module.cat, src, c)[l]]
+                       for row in res.stages[j].epi.mats[c].data]
+                      for l, c in enumerate(src)] if src and dst else []
 
 
-def _applied_diff(res: Resolution, x: Module, j: int, tensor: bool) -> Matrix:
-    """X applied to d_j: P_j -> P_{j-1}, read off the generators of P_j.
+def _applied_diff(cat: BoundQuiverCategory, x: Module, src: list, dst: list, images: list,
+                  tensor: bool, acts: dict) -> Matrix:
+    """X applied to the map of free modules (+)_l C(c_l,-) -> (+)_k C(b_k,-)
+    over cat, src = [c_l] and dst = [b_k], that sends generator l to
+    images[l], its column at c_l (free_module layout).
 
     By Yoneda, Hom(C(c,-), X) = X(c) and C(-,c) (x) X = X(c), so both sides
-    are sums of X over generator objects.  With d_j sending generator l to
-    sum_k sum_p coef_p p.g_k (p a basis path of C(c_k, c_l)), the block
-    between X(c_k) and X(c_l) is sum_p coef_p X(p):
-      Hom case (X over the resolution's category): (+)_k X(c_k) -> (+)_l X(c_l);
-      tensor case (X over the opposite, paths reversed): (+)_l X(c_l) -> (+)_k X(c_k).
+    are sums of X over generator objects.  With generator l going to
+    sum_k sum_p coef_p p.g_k (p a basis path of C(b_k, c_l)), the block
+    between X(b_k) and X(c_l) is sum_p coef_p X(p):
+      Hom case (X over cat): (+)_k X(b_k) -> (+)_l X(c_l);
+      tensor case (X over the opposite, paths reversed): (+)_l X(c_l) -> (+)_k X(b_k).
+    acts caches X's path actions; calls on one X may share it.
     """
     f = x.cat.field
-    src, dst = _generators(res, j), _generators(res, j - 1)
     src_off = list(accumulate((x.dims[c] for c in src), initial=0))
     dst_off = list(accumulate((x.dims[c] for c in dst), initial=0))
     rows, cols = (dst_off[-1], src_off[-1]) if tensor else (src_off[-1], dst_off[-1])
     data = [[f.zero()] * cols for _ in range(rows)]
-    if src and dst:
-        cat = res.module.cat
-        d = res.diff(j)
-        acts: dict = {}
-        for l, c in enumerate(src):
-            gen = block_offsets(cat, src, c)[l]
-            starts = block_offsets(cat, dst, c)
-            for k, b in enumerate(dst):
-                for row, p in enumerate(cat.hom_basis_paths(b, c), starts[k]):
-                    coef = d.mats[c].data[row][gen]
-                    if not coef:
-                        continue
-                    key = (c, tuple(reversed(p))) if tensor else (b, p)
-                    if key not in acts:
-                        acts[key] = x.act_path(*key)
-                    r0, c0 = (dst_off[k], src_off[l]) if tensor else (src_off[l], dst_off[k])
-                    for r, block_row in enumerate(acts[key].data):
-                        out = data[r0 + r]
-                        for s, v in enumerate(block_row):
-                            out[c0 + s] = f.add(out[c0 + s], f.mul(coef, v))
+    for l, (c, image) in enumerate(zip(src, images)):
+        starts = block_offsets(cat, dst, c)
+        for k, b in enumerate(dst):
+            for row, p in enumerate(cat.hom_basis_paths(b, c), starts[k]):
+                coef = image[row]
+                if not coef:
+                    continue
+                key = (c, tuple(reversed(p))) if tensor else (b, p)
+                if key not in acts:
+                    acts[key] = x.act_path(*key)
+                r0, c0 = (dst_off[k], src_off[l]) if tensor else (src_off[l], dst_off[k])
+                for r, block_row in enumerate(acts[key].data):
+                    out = data[r0 + r]
+                    for s, v in enumerate(block_row):
+                        out[c0 + s] = f.add(out[c0 + s], f.mul(coef, v))
     return Matrix._adopt(f, data, rows, cols)
 
 
@@ -597,10 +592,10 @@ def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedVal
     if i > res.settled():
         return (DerivedValue(0, True) if res.completed
                 else DerivedValue(None, False, "resolution truncated below requested degree"))
-    if tensor:  # X P_{i+1} -> X P_i -> X P_{i-1}
-        d_out, d_in = _applied_diff(res, x, i, True), _applied_diff(res, x, i + 1, True)
-    else:       # X P_{i-1} -> X P_i -> X P_{i+1}
-        d_out, d_in = _applied_diff(res, x, i + 1, False), _applied_diff(res, x, i, False)
+    cat, acts = res.module.cat, {}
+    # tensor: X P_{i+1} -> X P_i -> X P_{i-1}; Hom: X P_{i-1} -> X P_i -> X P_{i+1}
+    d_out, d_in = (_applied_diff(cat, x, *_diff_images(res, j), tensor, acts)
+                   for j in ((i, i + 1) if tensor else (i + 1, i)))
     if not (d_out @ d_in).is_zero():
         raise LinAlgError("homology: composite differential is nonzero")
     return DerivedValue(d_out.cols - d_out.rank() - d_in.rank(), True)

@@ -8,12 +8,13 @@ alone and are kept in its memo (BoundQuiverCategory.cached).  An engine holds
 only the category and the cutoff, so every verdict and sweep over one category
 and cutoff reads the same coefficient data.
 
-nu and nu^- are Hom functors and are read off hom bases alike: nu(F)(c) =
-D Hom(F, C(c,-)) and nu^-(F)(c) = Hom(D C(-,c), F), one hom basis per object.
-The matrices of arrows, of maps and of the unit are coordinates in those
-bases, read at their free rows (hom_coords) with no solve.  The tensor
-D(C) (x)_C F itself stays in modules as tensor_over_cat.  Both halves of the
-bimodule D(C) are written in the dual of C's path basis.
+nu and nu^- are read off the presentations P_1 -> P_0 of the coefficient
+modules, kept whatever the cutoff: nu is right exact, nu(C(x,-)) = D C(-,x),
+so nu(F)(c) = coker F (x) d_1, and nu^-(F)(c) = ker Hom(d_1, F), each one
+matrix of F's path actions (Yoneda, modules._applied_diff).  Arrows, maps and
+the unit go through lifts to the P_0s, made once, and are read at free rows
+with no solve.  The tensor D(C) (x)_C F stays in modules as tensor_over_cat.
+Both halves of D(C) are written in the dual of C's path basis.
 
 The adjoint triple i_! -| i^* -| i_* around evaluation, the counit sigma of
 nu -| nu^- and the triangle identities check these routes; they live with
@@ -33,18 +34,18 @@ from dataclasses import dataclass
 from functools import cache
 
 from .category import BoundQuiverCategory
-from .linalg import Matrix
+from .linalg import Matrix, direct_sum_many, free_row_coords
 from .modules import (
     InconclusiveError,
     Module,
     ModuleMap,
     ModuleError,
     Resolution,
+    _applied_diff,
     _derived_either_side,
+    _diff_images,
     dual,
     dual_map,
-    hom_basis,
-    hom_coords,
     homology_of_modules,
     path_matrix,
     projective_resolution,
@@ -55,11 +56,12 @@ from .modules import (
 
 @dataclass
 class Applied:
-    """nu(F) or nu^-(F) with the hom basis it is read off at each object:
-    maps F -> C(c,-) for nu, maps D C(-,c) -> F for nu^-."""
+    """nu(F) or nu^-(F) with each object's frame in the Yoneda space (+)_k F(c_k)
+    of its presentation's P_0: the cokernel projection and its free columns,
+    where the section has unit columns, for nu; the kernel basis for nu^-."""
 
     module: Module
-    bases: dict  # object -> list of ModuleMap
+    frames: dict  # object -> (projection, free columns) or (kernel basis, free rows)
     source: Module
 
 
@@ -119,20 +121,13 @@ class NakayamaEngine:
         return self.cat.cached(("res_left", c, self.cutoff),
                                lambda: projective_resolution(self.coef_left(c), self.cutoff))
 
-    def pre_map(self, arrow: str) -> ModuleMap:
-        """C(t,-) -> C(s,-), q -> q after a, for a: s -> t."""
-        s, t = self.cat.arrow_map[arrow]
-        return self.cat.cached(("pre_map", arrow), lambda: ModuleMap(
-            representable(self.cat, t), representable(self.cat, s),
-            precomposition(self.cat, arrow), check=False))
-
     def u_map(self, arrow: str) -> ModuleMap:
         """D(C(s,-)) -> D(C(t,-)) for a: s -> t (covariant coefficient maps),
-        the dual of pre_map."""
+        the dual of precomposition C(t,-) -> C(s,-)."""
         s, t = self.cat.arrow_map[arrow]
         return self.cat.cached(("u_map", arrow), lambda: ModuleMap(
             self.coef_right(s), self.coef_right(t),
-            {x: m.transpose() for x, m in self.pre_map(arrow).mats.items()}, check=False))
+            {x: m.transpose() for x, m in precomposition(self.cat, arrow).items()}, check=False))
 
     def w_map(self, arrow: str) -> ModuleMap:
         """D(C(-,t)) -> D(C(-,s)) for a: s -> t (contravariant coefficient
@@ -142,62 +137,86 @@ class NakayamaEngine:
             self.coef_left(t), self.coef_left(s),
             {x: self.coef_right(x).mats[arrow] for x in self.cat.objects}, check=False))
 
-    # -- nu and nu^- -------------------------------------------------------
+    # -- nu, nu^- and the unit, off the presentations of D(C) ---------------
+
+    def presentation(self, side: str, c) -> Resolution:
+        """P_1 -> P_0 -> D C(c,-) (side "right") or D C(-,c), whatever the cutoff."""
+        coef = self.coef_right if side == "right" else self.coef_left
+        return self.cat.cached(("presentation", side, c), lambda: projective_resolution(coef(c), 1))
+
+    def _yoneda(self, what: str, x):
+        """A map of free modules nu or nu^- applies F to, made once: d_1 of the
+        presentation of D C(x,-) ("right") or D C(-,x) ("left"); lifts to the P_0s
+        of u_x ("u") and w_x ("w"), x an arrow; for each generator xi_m of
+        D C(-,x), at e_m, a lift of xi_m in D C(e_m, x) to the P_0 of D C(e_m,-)."""
+        def p0(side, c):
+            return self.presentation(side, c).stages[0]
+
+        def make():
+            if what in ("right", "left"):
+                return _diff_images(self.presentation(what, x), 1)
+            if what == "xi":
+                return [(e, _lifted([(x, xi)], p0("right", e))) for e, xi in p0("left", x).summands]
+            s, t = self.cat.arrow_map[x]
+            side, phi, a, b = (("right", self.u_map(x), s, t) if what == "u"
+                               else ("left", self.w_map(x), t, s))
+            return _lifted([(d, phi.mats[d] @ v) for d, v in p0(side, a).summands], p0(side, b))
+        return self.cat.cached(("yoneda", what, x), make)
 
     def nu(self, f_mod: Module) -> Applied:
-        """nu(F)(c) = D Hom(F, C(c,-)), in the dual of a hom basis; a: s -> t
-        acts by the dual of composition with pre_a: C(t,-) -> C(s,-)."""
-        cat = self.cat
-        bases = {c: hom_basis(f_mod, representable(cat, c)) for c in cat.objects}
-        mats = {}
-        for name, (s, t) in cat.arrow_map.items():
-            pre = self.pre_map(name)
-            mats[name] = hom_coords(bases[s], [psi.then(pre) for psi in bases[t]],
-                                    cat.field).transpose()
-        return Applied(Module(cat, {c: len(b) for c, b in bases.items()}, mats, check=False),
-                       bases, f_mod)
+        """nu(F)(c) = coker F (x) d_1 over the presentation of D C(c,-), a
+        quotient of (+)_k F(d_k); a: s -> t acts by F applied to the lift of
+        u_a, between the section at s and the projection at t."""
+        cat, op, acts, frames = self.cat, self.cat.opposite(), {}, {}
+        for c in cat.objects:
+            _, k, free = _applied_diff(op, f_mod, *self._yoneda("right", c), True,
+                                       acts).transpose().kernel_basis()
+            frames[c] = (k.transpose(), free)
+        mats = {a: frames[t][0] @ _applied_diff(op, f_mod, *self._yoneda("u", a), True, acts)
+                .submatrix(range(frames[t][0].cols), frames[s][1])
+                for a, (s, t) in cat.arrow_map.items()}
+        return Applied(Module(cat, {c: p.rows for c, (p, _) in frames.items()}, mats,
+                              check=False), frames, f_mod)
 
     def nu_map(self, src: Applied, dst: Applied, phi: ModuleMap) -> ModuleMap:
-        cat = self.cat
-        mats = {c: hom_coords(src.bases[c], [phi.then(psi) for psi in dst.bases[c]],
-                              cat.field).transpose()
-                for c in cat.objects}
+        """At c, (+)_k phi_{d_k} between the section and the projection."""
+        mats = {c: dst.frames[c][0] @ direct_sum_many(self.cat.field, [
+            phi.mats[d] for d in self._yoneda("right", c)[1]]).submatrix(
+            range(dst.frames[c][0].cols), src.frames[c][1]) for c in self.cat.objects}
         return ModuleMap(src.module, dst.module, mats, check=False)
 
     def nu_minus(self, f_mod: Module) -> Applied:
-        """nu^-(F)(c) = Hom(D C(-,c), F), in a hom basis."""
-        cat = self.cat
-        bases = {c: hom_basis(self.coef_left(c), f_mod) for c in cat.objects}
-        mats = {}
-        for name, (s, t) in cat.arrow_map.items():
-            w = self.w_map(name)  # coef_left[t] -> coef_left[s]
-            mats[name] = hom_coords(bases[t], [w.then(psi) for psi in bases[s]], cat.field)
-        return Applied(Module(cat, {c: len(b) for c, b in bases.items()}, mats, check=False),
-                       bases, f_mod)
+        """nu^-(F)(c) = ker Hom(d_1, F) over the presentation of D C(-,c), a
+        subspace of (+)_k F(e_k); a: s -> t acts by F applied to the lift of
+        w_a, read at the free rows at t."""
+        cat, acts = self.cat, {}
+        frames = {c: _applied_diff(cat, f_mod, *self._yoneda("left", c), False,
+                                   acts).kernel_basis()[1:] for c in cat.objects}
+        mats = {a: _read(frames[t], _applied_diff(cat, f_mod, *self._yoneda("w", a), False,
+                                                  acts) @ frames[s][0])
+                for a, (s, t) in cat.arrow_map.items()}
+        return Applied(Module(cat, {c: k.cols for c, (k, _) in frames.items()}, mats,
+                              check=False), frames, f_mod)
 
     def nu_minus_map(self, src: Applied, dst: Applied, phi: ModuleMap) -> ModuleMap:
-        cat = self.cat
-        mats = {c: hom_coords(dst.bases[c], [psi.then(phi) for psi in src.bases[c]], cat.field)
-                for c in cat.objects}
+        """At c, (+)_k phi_{e_k} on the kernel basis, read at the free rows."""
+        mats = {c: _read(dst.frames[c], direct_sum_many(self.cat.field, [
+            phi.mats[e] for e in self._yoneda("left", c)[1]]) @ src.frames[c][0])
+            for c in self.cat.objects}
         return ModuleMap(src.module, dst.module, mats, check=False)
-
-    # -- the unit of nu -| nu^- -------------------------------------------
 
     def lambda_unit(self, f_mod: Module, nuF: Applied | None = None,
                     nm: Applied | None = None) -> ModuleMap:
         """The unit F -> nu^- nu F: e_j in F(c) goes to the map D C(-,c) -> nu F
-        whose component at x sends the dual path xi_i to the functional
-        psi -> (psi_c)[i][j] on Hom(F, C(x,-))."""
-        cat = self.cat
+        sending each generator xi_m, at e_m, to the class of xi_m (x) e_j in
+        nu F(e_m), read at the free rows of nu^- nu F (c)."""
+        cat, op, acts, mats = self.cat, self.cat.opposite(), {}, {}
         nuF = nuF or self.nu(f_mod)
         nm = nm or self.nu_minus(nuF.module)
-        mats = {}
         for c in cat.objects:
-            maps = [ModuleMap(self.coef_left(c), nuF.module, {x: Matrix._adopt(
-                cat.field, [[row[j] for row in psi.mats[c].data] for psi in nuF.bases[x]],
-                len(nuF.bases[x]), cat.hom_dim(x, c)) for x in cat.objects}, check=False)
-                for j in range(f_mod.dims[c])]
-            mats[c] = hom_coords(nm.bases[c], maps, cat.field)
+            rows = [r for e, lift in self._yoneda("xi", c) for r in
+                    (nuF.frames[e][0] @ _applied_diff(op, f_mod, *lift, True, acts)).data]
+            mats[c] = _read(nm.frames[c], Matrix._adopt(cat.field, rows, len(rows), f_mod.dims[c]))
         return ModuleMap(f_mod, nm.module, mats, check=False)
 
     # -- derived functors --------------------------------------------------
@@ -256,6 +275,20 @@ class NakayamaEngine:
         if s1 != s2:
             raise ModuleError(f"two-sided coefficient dimensions disagree: {s1} vs {s2}")
         return GorensteinDimension(s1, "finite", left, right, self.cutoff)
+
+
+def _lifted(vectors: list, cover) -> tuple:
+    """The map of free modules sending generator l, at c_l, to a preimage
+    under the cover of vectors[l] = (c_l, v), as _applied_diff reads it."""
+    return ([c for c, _ in vectors], [b for b, _ in cover.summands],
+            [[r[0] for r in cover.epi.mats[c].solve(v).data] for c, v in vectors])
+
+
+def _read(frame: tuple, b: Matrix) -> Matrix:
+    """The coordinates of b's columns in a (kernel basis, free rows) frame."""
+    if (coords := free_row_coords(*frame, b)) is None:
+        raise ModuleError("map leaves the kernel")
+    return coords
 
 
 def _past_end(res: Resolution, i: int) -> bool:

@@ -7,21 +7,24 @@ isomorphism nu i_! -> i_*; each function takes the engine it checks.
 `gp_resolution_dimension` runs the production `is_gp_functor` along the
 syzygies of a minimal resolution. `submodule` reads a span's arrows by a
 generic solve, where the program reads a kernel's at its free rows.
+`hom_coords` reads a map's coordinates in a hom basis at its free rows, for
+the hom-basis oracle of nu^- (derived_oracle).
 """
+
+from itertools import accumulate
 
 from gpquiver.gorenstein import is_gp_functor
 from gpquiver.io import format_relation
-from gpquiver.linalg import LinAlgError, Matrix
+from gpquiver.linalg import LinAlgError, Matrix, free_row_coords
 from gpquiver.modules import (
     Cover,
     Module,
     ModuleError,
     ModuleMap,
+    _map_columns,
     block_offsets,
     block_sum,
     free_module,
-    free_on_generators,
-    hom_coords,
     projective_cover,
     representable,
 )
@@ -37,6 +40,29 @@ def right_inverse(m):
 def cokernel_projection(m):
     """Full-row-rank P with P @ m == 0: the canonical kernel basis of the transpose."""
     return m.transpose().kernel_basis()[1].transpose()
+
+
+def from_columns(field, cols, rows):
+    """The rows x len(cols) matrix whose columns are the lists cols."""
+    return Matrix(field, [[col[i] for col in cols] for i in range(rows)], rows, len(cols))
+
+
+def section(frame):
+    """The unit columns at the free columns of a cokernel frame of nu, a
+    section of its projection."""
+    proj, free = frame
+    return Matrix.identity(proj.field, proj.cols).submatrix(range(proj.cols), free)
+
+
+def hom_coords(basis, maps, field):
+    """Coordinates of maps in a hom basis, one column per map: the flattened
+    maps at the basis's free rows, checked by one product."""
+    if not maps:
+        return Matrix.zeros(field, len(basis), 0)
+    coords = free_row_coords(basis.columns, basis.free, _map_columns(maps))
+    if coords is None:
+        raise ModuleError("map outside the span of the hom basis")
+    return coords
 
 
 def submodule(ambient, bases, what):
@@ -121,40 +147,70 @@ def i_star_coinduced(eng, parts):
 def iso_nu_ishriek(eng, parts):
     """The canonical map nu(i_!(parts)) -> i_*(parts); an isomorphism.
 
-    Its dual at x sends the path q of C(x, c_k) to the map i_!(parts) ->
-    C(x,-) taking generator k to q and the other generators to zero.
+    nu(P)(x) is a quotient of (+)_m P(d_m), one summand per generator g_m of
+    the presentation of D C(x,-), at d_m, with image v_m in D C(x, d_m).
+    g_m (x) p, p a basis path of C(c_k, d_m) in summand k of P = i_!(parts),
+    goes to D C(x, p)(v_m) in D C(x, c_k), summand k of i_*(parts).
     """
     cat = eng.cat
     f = cat.field
     shriek = i_shriek(eng, parts)
     nuP = eng.nu(shriek.module)
-    summands = [c for c, _ in shriek.summands]
+    objs = [c for c, _ in shriek.summands]
     mats = {}
     for x in cat.objects:
         rep = representable(cat, x)
-        zeros = [(c, Matrix.zeros(f, rep.dims[c], 1)) for c in summands]
-        maps = [free_on_generators(rep, zeros[:k] + [(c, unit.col(q))] + zeros[k + 1:]).epi
-                for k, c in enumerate(summands)
-                for unit in [Matrix.identity(f, rep.dims[c])] for q in range(unit.cols)]
-        mats[x] = hom_coords(nuP.bases[x], maps, f).transpose()
+        ends = list(accumulate((cat.hom_dim(x, c) for c in objs), initial=0))
+        cols = []
+        for d, v in eng.presentation("right", x).stages[0].summands:
+            for k, c in enumerate(objs):
+                for p in cat.hom_basis_paths(c, d):
+                    col = [f.zero()] * ends[-1]
+                    col[ends[k]:ends[k + 1]] = [r[0] for r in
+                                                (rep.act_path(c, p).transpose() @ v).data]
+                    cols.append(col)
+        mats[x] = from_columns(f, cols, ends[-1]) @ section(nuP.frames[x])
     return ModuleMap(nuP.module, i_star_coinduced(eng, parts), mats, check=False)
 
 
 # -- the counit of nu -| nu^- ------------------------------------------------
 
 
+def evaluation(eng, f_mod, d, x, v):
+    """Hom(I(d), F) -> F(x), psi -> psi_x(v), on psi given by its values on
+    the generators xi_k of I(d)'s presentation, at e_k: with v = sum_{k,q}
+    l_{k,q} I(d)(q) xi_k over the basis paths q of C(e_k, x), psi_x(v) is
+    sum_{k,q} l_{k,q} F(q) psi(xi_k)."""
+    cat = eng.cat
+    inj = eng.coef_left(d)
+    gens = eng.presentation("left", d).stages[0].summands
+    terms = [(k, q) for k, (e, _) in enumerate(gens) for q in cat.hom_basis_paths(e, x)]
+    span = Matrix.zeros(cat.field, inj.dims[x], 0)
+    for k, q in terms:
+        span = span.hstack(inj.act_path(gens[k][0], q) @ gens[k][1])
+    coef = span.solve(v)
+    out = Matrix.zeros(cat.field, f_mod.dims[x], 0)
+    for k, (e, _) in enumerate(gens):
+        acc = Matrix.zeros(cat.field, f_mod.dims[x], f_mod.dims[e])
+        for (kk, q), row in zip(terms, coef.data):
+            if kk == k:
+                acc = acc + f_mod.act_path(e, q).scale(row[0])
+        out = out.hstack(acc)
+    return out
+
+
 def sigma_counit(eng, f_mod, nm, nu_nm):
-    """The counit nu nu^- F -> F, nm = nu^-(F) and nu_nm = nu(nm.module).  Its
-    dual at c sends e_r* to the map nu^- F -> C(c,-) taking psi to
-    sum_i (psi_c)[r][i] p_i, p_i the basis paths of C(c, y)."""
+    """The counit nu nu^- F -> F, nm = nu^-(F) and nu_nm = nu(nm.module).
+    nu nu^- F (x) is a quotient of (+)_m nu^- F(d_m), one summand per
+    generator of the presentation of D C(x,-), at d_m, with image v_m in
+    D C(x, d_m) = I(d_m)(x); g_m (x) psi goes to psi_x(v_m)."""
     cat = eng.cat
     mats = {}
-    for c in cat.objects:
-        maps = [ModuleMap(nm.module, representable(cat, c), {y: Matrix._adopt(
-            cat.field, [psi.mats[c].data[r] for psi in nm.bases[y]], len(nm.bases[y]),
-            cat.hom_dim(c, y)).transpose() for y in cat.objects}, check=False)
-            for r in range(f_mod.dims[c])]
-        mats[c] = hom_coords(nu_nm.bases[c], maps, cat.field).transpose()
+    for x in cat.objects:
+        out = Matrix.zeros(cat.field, f_mod.dims[x], 0)
+        for d, v in eng.presentation("right", x).stages[0].summands:
+            out = out.hstack(evaluation(eng, f_mod, d, x, v) @ nm.frames[d][0])
+        mats[x] = out @ section(nu_nm.frames[x])
     return ModuleMap(nu_nm.module, f_mod, mats, check=False)
 
 

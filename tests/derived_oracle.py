@@ -25,9 +25,10 @@ ambient matrix assembled from Kronecker products, with identity matrices
 for a missing factor, and pushed through a section of the source quotient.
 
 `TensorNakayamaEngine` computes nu, nu_map and the unit lambda through the
-tensor quotient instead of hom bases: nu(F)(c) as D C(c,-) (x)_C F, arrows
-and maps through `tensor_induced`, and lambda from the columns of the
-quotient map at xi_i (x) e_j.
+tensor quotient instead of presentations: nu(F)(c) as D C(c,-) (x)_C F,
+arrows and maps through `tensor_induced`, and lambda from the columns of the
+quotient map at xi_i (x) e_j; and nu^- and its maps off hom bases,
+nu^-(F)(c) = Hom(D C(-,c), F) with coordinates from `hom_coords`.
 
 `kernel_module_resolution` resolves through kernel modules: the cover of
 each stage's kernel module, by generators spanning a complement of the
@@ -38,7 +39,7 @@ carries one more generator, sent to zero.
 
 from dataclasses import dataclass
 
-from crosscheck import cokernel_projection, right_inverse
+from crosscheck import cokernel_projection, hom_coords, right_inverse
 from gpquiver.linalg import LinAlgError, Matrix, direct_sum_many, kronecker_product
 from gpquiver.modules import (
     Cover,
@@ -50,7 +51,6 @@ from gpquiver.modules import (
     direct_sum_modules,
     free_on_generators,
     hom_basis,
-    hom_coords,
     kernel,
     projective_cover,
     representable,
@@ -178,8 +178,17 @@ class TensorApplied:
     source: Module
 
 
+@dataclass
+class HomApplied:
+    module: Module
+    bases: dict  # object c -> hom basis of D C(-,c) -> F
+    source: Module
+
+
 class TensorNakayamaEngine(NakayamaEngine):
-    """nu, nu_map and lambda_unit through the tensor quotients."""
+    """nu, nu_map and lambda_unit through the tensor quotients, nu^- and
+    nu_minus_map through hom bases; only the coefficient data is shared with
+    the production engine."""
 
     def nu(self, f_mod):
         cat = self.cat
@@ -192,6 +201,22 @@ class TensorNakayamaEngine(NakayamaEngine):
     def nu_map(self, src, dst, phi):
         cat = self.cat
         mats = {c: tensor_induced(src.data[c], dst.data[c], cat, None, phi) for c in cat.objects}
+        return ModuleMap(src.module, dst.module, mats, check=False)
+
+    def nu_minus(self, f_mod):
+        """nu^-(F)(c) = Hom(D C(-,c), F), in a hom basis; a: s -> t acts by
+        precomposition with w_a."""
+        cat = self.cat
+        bases = {c: hom_basis(self.coef_left(c), f_mod) for c in cat.objects}
+        mats = {a: hom_coords(bases[t], [self.w_map(a).then(psi) for psi in bases[s]], cat.field)
+                for a, (s, t) in cat.arrow_map.items()}
+        return HomApplied(Module(cat, {c: len(b) for c, b in bases.items()}, mats, check=False),
+                          bases, f_mod)
+
+    def nu_minus_map(self, src, dst, phi):
+        cat = self.cat
+        mats = {c: hom_coords(dst.bases[c], [psi.then(phi) for psi in src.bases[c]], cat.field)
+                for c in cat.objects}
         return ModuleMap(src.module, dst.module, mats, check=False)
 
     def lambda_unit(self, f_mod, nuF=None, nm=None):

@@ -56,28 +56,43 @@ def referenced_names(sources: list) -> set:
     return used
 
 
-def unreferenced_definitions(defining: dict, referring: list) -> list:
+def unreferenced_definitions(defining: dict, referring: list, shared: tuple = ()) -> list:
     """(file, line, qualified name) of each function or class defined in the
     sources of `defining` (name -> text) whose name no text in `referring`
     uses (referenced_names).  Dunder methods are called by the language and
-    are left out.  Names are matched bare, so a method also counts as used
-    when another definition of its name is."""
+    are left out.  Names are matched bare, so a name defined more than once
+    counts as used only if it is in `shared`: otherwise one used definition
+    would hide a dead one of the same name.  The methods of one class
+    family, classes with a common base class in the same module (overrides
+    of its methods and siblings implementing its interface), are one
+    definition."""
     used = referenced_names(referring)
-    out = []
+    defs = []  # (file, line, qualified name, bare name, family)
 
-    def visit(file, node, prefix):
+    def visit(file, node, prefix, roots):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                dunder = child.name.startswith("__") and child.name.endswith("__")
-                if not dunder and child.name not in used:
-                    out.append((file, child.lineno, prefix + child.name))
-                visit(file, child, f"{prefix}{child.name}.")
+                family = roots.get(node.name, node.name) if isinstance(node, ast.ClassDef) \
+                    else prefix + child.name
+                defs.append((file, child.lineno, prefix + child.name, child.name, (file, family)))
+                visit(file, child, f"{prefix}{child.name}.", roots)
             else:
-                visit(file, child, prefix)
+                visit(file, child, prefix, roots)
 
     for name, source in defining.items():
-        visit(name, ast.parse(source), "")
-    return sorted(out)
+        tree = ast.parse(source)
+        roots = {}  # class -> its first base class defined in this module, transitively
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            base = next((b.id for b in cls.bases if isinstance(b, ast.Name) and b.id in roots),
+                        None)
+            roots[cls.name] = roots[base] if base else cls.name
+        visit(name, tree, "", roots)
+    families = {}
+    for *_, bare, family in defs:
+        families.setdefault(bare, set()).add(family)
+    return sorted((file, line, qual) for file, line, qual, bare, _ in defs
+                  if not (bare.startswith("__") and bare.endswith("__"))
+                  and (bare not in used or (len(families[bare]) > 1 and bare not in shared)))
 
 
 def test_checker_sees_unreferenced_definitions():
@@ -94,6 +109,26 @@ def test_checker_sees_unreferenced_definitions():
         ("lib.py", 8, "traced"), ("lib.py", 10, "dead"), ("lib.py", 11, "dead.inner")]
 
 
+def test_checker_sees_a_dead_method_behind_a_shared_name():
+    # A.hook is used, B.hook is dead; a bare name cannot tell them apart, so
+    # both are reported unless the name is declared shared
+    lib = ("class A:\n    def hook(self):\n        pass\n"
+           "class B:\n    def hook(self):\n        pass\n")
+    user = "from lib import A, B\nA().hook()\n"
+    assert unreferenced_definitions({"lib.py": lib}, [user]) == [
+        ("lib.py", 2, "A.hook"), ("lib.py", 5, "B.hook")]
+    assert unreferenced_definitions({"lib.py": lib}, [user], ("hook",)) == []
+    # an override, or a sibling's method, of a base class in the same module
+    # is one definition with the base's
+    family = ("class Base:\n    def step(self):\n        pass\n"
+              "class Sub(Base):\n    def step(self):\n        pass\n"
+              "class Sib(Base):\n    def step(self):\n        pass\n"
+              "    def only(self):\n        pass\n"
+              "class Subsub(Sub):\n    def only(self):\n        pass\n")
+    user = "from lib import Sub, Sib, Subsub\nSub().step(); Sib().only()\n"
+    assert unreferenced_definitions({"lib.py": family}, [user]) == [("lib.py", 1, "Base")]
+
+
 # The definitions no route of the package reaches.  perfbench uses the first
 # four as reference routes for its checks, or wraps them by name in its
 # tracer; argparse calls the last.  Code that only the tests call lives in
@@ -102,12 +137,14 @@ PERFBENCH_ENTRY_POINTS = ("direct_sum_modules", "tensor_over_cat",
                           "NakayamaEngine.left_derived_nu",
                           "NakayamaEngine.right_derived_nu_minus")
 ENTRY_POINTS = PERFBENCH_ENTRY_POINTS + ("_Parser.error",)
+# The names more than one class of the package defines, each used as its own.
+SHARED_NAMES = ("identity", "is_zero", "total_dim", "validate")
 
 
 def test_every_definition_is_referenced():
     # from the package itself, apart from the named entry points
     defining = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
-    unreached = unreferenced_definitions(defining, list(defining.values()))
+    unreached = unreferenced_definitions(defining, list(defining.values()), SHARED_NAMES)
     assert sorted(name for _, _, name in unreached) == sorted(ENTRY_POINTS)
 
 

@@ -2,7 +2,9 @@
 exit 0, 1 or 2 without a traceback, an input error is one `error:` line, and
 no message cites line 0.  A bad `.rep` matrix (a wrong shape, an entry not
 in the field, a repeated `mat` line, matrices that break a relation) exits
-1 with one `error:` line citing a `mat` line."""
+1 with one `error:` line citing a `mat` line, and an oversized one (dimensions
+plus matrix entries above io.MAX_REP_SIZE) exits 1 citing the `dim` line
+that crosses the bound, before any matrix is read."""
 
 import contextlib
 import io
@@ -16,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gpquiver import cli
+from gpquiver.io import MAX_REP_SIZE
 
 FIXTURES = cli.fixtures_dir()
 NAMES = sorted(n for n in os.listdir(FIXTURES) if n.endswith((".cat", ".rep")))
@@ -150,6 +153,37 @@ def test_bad_matrix_is_an_error_at_a_mat_line(workdir, mutant):
     assert m, err
     n = int(m.group(1))
     assert n == cited if cited is not None else lines[n - 1].startswith("mat "), err
+
+
+@st.composite
+def oversized_dims(draw):
+    """A fixture .rep whose dim lines cross MAX_REP_SIZE: (its lines, the
+    line an error must cite).  One dim line gets a dimension above the bound,
+    or on a2 (1 -> 2) both get n with 2n + n^2 above it, so the bound is
+    crossed at the later line by the arrow's matrix alone."""
+    name = draw(st.sampled_from(REP_NAMES))
+    lines = FIXTURES_TEXT[name].splitlines()
+    dims = [i for i, line in enumerate(lines) if line.startswith("dim ")]
+    if name.startswith("a2_") and draw(st.booleans()):
+        n = draw(st.integers(500, 3000))
+        for i in dims:
+            lines[i] = lines[i].split("=")[0] + f"= {n}"
+        return lines, max(dims) + 1
+    at = draw(st.sampled_from(dims))
+    lines[at] = lines[at].split("=")[0] + f"= {draw(st.integers(MAX_REP_SIZE + 1, 10**12))}"
+    return lines, at + 1
+
+
+@given(oversized_dims())
+def test_oversized_representation_is_an_error_at_its_dim_line(workdir, mutant):
+    lines, cited = mutant
+    path = workdir / "oversized_mutant.rep"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    status, out, err = run_cli(["nakayama", str(path)])
+    assert (status, out) == (1, "") and err.count("\n") == 1, err
+    m = re.match(rf"error: {re.escape(str(path))}:(\d+): representation too large: \d+, "
+                 rf"above the bound {MAX_REP_SIZE} ", err)
+    assert m and int(m.group(1)) == cited, err
 
 
 def test_mutations():

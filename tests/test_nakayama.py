@@ -3,8 +3,11 @@ import random
 import pytest
 
 import crosscheck
+import derived_oracle
 from conftest import F5, chain, cyclic3, ex322, exterior2, ka2, ka3, loop_sq, square
 
+from gpquiver import modules, nakayama
+from gpquiver.category import Quiver, build_category
 from gpquiver.linalg import GF, QQ, Matrix
 from gpquiver.modules import (
     DerivedValue,
@@ -22,6 +25,7 @@ from gpquiver.modules import (
 )
 from gpquiver.nakayama import NakayamaEngine
 from test_modules import a2_rep, random_module
+from test_sharing import assert_iso, assert_lambda, big_theta, theta
 
 
 def test_i_shriek_a2():
@@ -295,3 +299,63 @@ def test_derived_inconclusive_raises():
     S = crosscheck.simple(C, "1")
     with pytest.raises(InconclusiveError):
         eng.left_derived_nu(S, 5)
+
+
+# -- nu stays inside the presentations of D(C) -------------------------------
+
+
+def linear_a6(field=QQ):
+    """1 -> 2 -> ... -> 6 without relations."""
+    vs = tuple(str(i) for i in range(1, 7))
+    return build_category(Quiver(vs, tuple((f"a{i}", str(i), str(i + 1)) for i in range(1, 6))),
+                          (), field, 6)
+
+
+def test_nu_resolves_no_coefficient_module_past_stage_one(monkeypatch):
+    """nu, nu^- and lambda read stage 1 of the coefficient resolutions only,
+    and give the same modules and unit at engine cutoffs 1 and 16."""
+    cutoffs = []
+    real = modules.projective_resolution
+
+    def counting(m, cutoff):
+        cutoffs.append(cutoff)
+        return real(m, cutoff)
+
+    monkeypatch.setattr(modules, "projective_resolution", counting)
+    monkeypatch.setattr(nakayama, "projective_resolution", counting)
+    out = {}
+    for cutoff in (1, 16):
+        for build in (square, ex322, loop_sq):
+            cat = build(F5)  # a new category: nothing is cached yet
+            F = random_module(cat, random.Random(build.__name__))
+            eng = NakayamaEngine(cat, cutoff)
+            nuF, nmF = eng.nu(F), eng.nu_minus(F)
+            lam = eng.lambda_unit(F, nuF)
+            out.setdefault(cutoff, []).append((nuF.module, nmF.module, lam.dst, lam.mats))
+    assert cutoffs and set(cutoffs) == {1}
+    assert out[1] == out[16]
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_nu_on_projective_coefficients_zero_objects_and_zero_module(field):
+    """On A6, D C(1,-) and D C(-,6) are projective, so their presentations
+    have no P_1; nu, nu^- and lambda still match the oracle through theta and
+    Theta on modules with zero objects, on simples and on the zero module."""
+    cat = linear_a6(field)
+    eng, orc = NakayamaEngine(cat, 4), derived_oracle.TensorNakayamaEngine(cat, 4)
+    assert len(eng.presentation("right", "1").stages) == 1
+    assert len(eng.presentation("left", "6").stages) == 1
+    rng = random.Random(6)
+    mods = [random_module(cat, rng) for _ in range(4)] + [zero_module(cat)]
+    mods += [crosscheck.simple(cat, c) for c in ("1", "3", "6")] + [representable(cat, "2")]
+    assert any(0 in F.dims.values() and not F.is_zero() for F in mods)
+    for F in mods:
+        nuF, nuF_o, nmF, nmF_o = eng.nu(F), orc.nu(F), eng.nu_minus(F), orc.nu_minus(F)
+        th = {c: theta(eng, nuF, nuF_o, c) for c in cat.objects}
+        assert_iso(th, nuF.module, nuF_o.module)
+        assert_iso({c: big_theta(eng, nmF, nmF_o, c) for c in cat.objects},
+                   nmF_o.module, nmF.module)
+        assert_lambda(eng, orc, F, nuF, nuF_o, th)
+    assert eng.nu(zero_module(cat)).module.is_zero()
+    assert eng.lambda_unit(zero_module(cat)).mats == {
+        c: Matrix.zeros(field, 0, 0) for c in cat.objects}

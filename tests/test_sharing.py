@@ -1,6 +1,7 @@
 """What is made once per category: coefficient data and representables,
-nu(F) once per full-route verdict; and nu read off hom bases against the
-tensor route, matrix for matrix."""
+nu(F) once per full-route verdict; and nu, nu^- and lambda read off the
+presentations of D(C) against the tensor and hom-basis oracle routes,
+through canonical isomorphisms."""
 
 import os
 import random
@@ -14,8 +15,9 @@ from gpquiver import cli, modules
 from gpquiver import io as gio
 from gpquiver.basechange import Factorization
 from gpquiver.gorenstein import discrepancy_probe, is_gproj_P
-from gpquiver.linalg import GF, QQ
+from gpquiver.linalg import GF, QQ, Matrix, free_row_coords
 from gpquiver.modules import (
+    ModuleMap,
     hom_basis,
     projective_cover,
     projective_resolution,
@@ -28,51 +30,112 @@ from test_modules import random_module
 F3 = GF(3)
 
 
-def _mats(m):
-    return {a: repr(x) for a, x in m.mats.items()}
+def theta(eng, nuF, oracle, c):
+    """theta at c, production nu F(c) -> the oracle's tensor quotient: g_k (x) v
+    in the Yoneda space (+)_k F(d_k) goes to the class of eps(g_k) (x) v, on
+    the unit columns of the section."""
+    F, t = nuF.source, oracle.data[c]
+    cols = []
+    for d, v in eng.presentation("right", c).stages[0].summands:
+        n = F.dims[d]
+        for j in range(n):
+            col = [F.cat.field.zero()] * t.ambient
+            for i, (x,) in enumerate(v.data):
+                col[t.offsets[d] + i * n + j] = x
+            cols.append(col)
+    amb = crosscheck.from_columns(F.cat.field, cols, t.ambient)
+    return t.proj @ (amb @ crosscheck.section(nuF.frames[c]))
 
 
-def _nu_reprs(eng, mods):
-    """repr of nu on each module, of nu on its cover and on hom basis maps, and
-    of the unit lambda."""
-    out = []
-    nus = [eng.nu(F) for F in mods]
-    for F, nuF in zip(mods, nus):
-        out.append(_mats(nuF.module))
-        cov = projective_cover(F)
-        out.append(_mats(eng.nu_map(eng.nu(cov.module), nuF, cov.epi)))
-        out.append(_mats(eng.lambda_unit(F, nuF)))
-    for (F, nuF), (G, nuG) in zip(zip(mods, nus), zip(mods[1:], nus[1:])):
-        out += [_mats(eng.nu_map(nuF, nuG, phi)) for phi in hom_basis(F, G)[:2]]
-    return out
+def big_theta(eng, nm, oracle, c):
+    """Theta at c, the oracle's hom-basis nu^- G(c) -> production nu^- G(c):
+    a map psi goes to its values psi_{e_m}(xi_m) on the generators of
+    D C(-,c), read in the kernel basis."""
+    f = nm.source.cat.field
+    gens = eng.presentation("left", c).stages[0].summands
+    cols = [[x for e, xi in gens for (x,) in (psi.mats[e] @ xi).data] for psi in oracle.bases[c]]
+    rows = sum(nm.source.dims[e] for e, _ in gens)
+    return free_row_coords(*nm.frames[c], crosscheck.from_columns(f, cols, rows))
+
+
+def assert_iso(iso, src, dst):
+    """iso (object -> matrix) is invertible and intertwines the arrows."""
+    for c, m in iso.items():
+        assert (m.rows, m.cols) == (dst.dims[c], src.dims[c]) and m.rank() == m.rows, c
+    for a, (s, t) in src.cat.arrow_map.items():
+        assert iso[t] @ src.mats[a] == dst.mats[a] @ iso[s], a
+
+
+def assert_square(iso_src, iso_dst, got, want):
+    """iso_dst . got == want . iso_src at every object."""
+    for c in iso_src:
+        assert iso_dst[c] @ got.mats[c] == want.mats[c] @ iso_src[c], c
+
+
+def assert_lambda(eng, orc, F, nuF, nuF_o, th):
+    """Theta . lambda_oracle == nu^-(theta) . lambda, theta: nu F -> nu_o F."""
+    nm_nu, nm_nu_o, nm_to = (eng.nu_minus(nuF.module), orc.nu_minus(nuF_o.module),
+                             eng.nu_minus(nuF_o.module))
+    nu_th = eng.nu_minus_map(nm_nu, nm_to, ModuleMap(nuF.module, nuF_o.module, th, check=False))
+    objs = F.cat.objects
+    assert_square({c: Matrix.identity(F.cat.field, F.dims[c]) for c in objs},
+                  {c: big_theta(eng, nm_to, nm_nu_o, c) for c in objs},
+                  orc.lambda_unit(F, nuF_o, nm_nu_o), eng.lambda_unit(F, nuF, nm_nu).then(nu_th))
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
 @pytest.mark.parametrize("build", [loop_sq, ex322, cyclic3, square])
 def test_tensor_induced_matches_kronecker_oracle(build, field):
-    """Production nu, nu_map and lambda, read off hom bases, against the
-    tensor route of derived_oracle, whose tensor_induced is the Kronecker
-    form: the same matrices, entry for entry."""
+    """Production nu, nu^-, their maps and lambda, read off the presentations
+    of D(C), against the oracle's tensor quotients (nu, through
+    tensor_induced, the Kronecker form) and hom bases (nu^-): theta and Theta
+    are isomorphisms that carry every arrow, every nu_map and nu_minus_map
+    and the unit of one route to the other."""
     cat = build(field)
     rng = random.Random(f"{build.__name__}:{field!r}")
     # zero-dimensional blocks: the zero module, a simple, and the random
     # modules' zero objects
     mods = [random_module(cat, rng) for _ in range(3)]
     mods += [zero_module(cat), crosscheck.simple(cat, cat.objects[-1])]
-    got = _nu_reprs(NakayamaEngine(cat, 4), mods)
-    assert _nu_reprs(derived_oracle.TensorNakayamaEngine(cat, 4), mods) == got
+    eng, orc = NakayamaEngine(cat, 4), derived_oracle.TensorNakayamaEngine(cat, 4)
+    objs = cat.objects
+
+    def both(F):
+        nuF, nuF_o, nm, nm_o = eng.nu(F), orc.nu(F), eng.nu_minus(F), orc.nu_minus(F)
+        th = {c: theta(eng, nuF, nuF_o, c) for c in objs}
+        big = {c: big_theta(eng, nm, nm_o, c) for c in objs}
+        assert_iso(th, nuF.module, nuF_o.module)
+        assert_iso(big, nm_o.module, nm.module)
+        return nuF, nuF_o, th, nm, nm_o, big
+
+    seen = [both(F) for F in mods]
+    for F, (nuF, nuF_o, th, *_) in zip(mods, seen):
+        assert_lambda(eng, orc, F, nuF, nuF_o, th)
+        cov = projective_cover(F)
+        P, P_o, th_p, *_ = both(cov.module)
+        assert_square(th_p, th, eng.nu_map(P, nuF, cov.epi), orc.nu_map(P_o, nuF_o, cov.epi))
+    for (F, a), (G, b) in zip(zip(mods, seen), zip(mods[1:], seen[1:])):
+        for phi in hom_basis(F, G)[:2]:
+            assert_square(a[2], b[2], eng.nu_map(a[0], b[0], phi), orc.nu_map(a[1], b[1], phi))
+            assert_square(a[5], b[5], orc.nu_minus_map(a[4], b[4], phi),
+                          eng.nu_minus_map(a[3], b[3], phi))
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
 def test_nu_based_matches_kronecker_oracle(field):
+    """nu_based through the production engine and through the oracle: theta,
+    fiber by fiber, carries one T-module to the other."""
     T = tensor322(field)
     mods = [module322(T), random_module(T, random.Random(5), max_gens=1)]
     for side in ("left", "right"):
         fact = Factorization(T, side)
+        eng, orc = NakayamaEngine(fact.cat, 4), derived_oracle.TensorNakayamaEngine(fact.cat, 4)
         for F in mods:
-            got = fact.nu_based(F, NakayamaEngine(fact.cat, 4))[0]
-            want = fact.nu_based(F, derived_oracle.TensorNakayamaEngine(fact.cat, 4))[0]
-            assert _mats(got) == _mats(want)
+            got, nus = fact.nu_based(F, eng)
+            want, nus_o = fact.nu_based(F, orc)
+            iso = {fact.pair_obj(d, c): theta(eng, nus[d], nus_o[d], c)
+                   for d in fact.base.objects for c in fact.cat.objects}
+            assert_iso(iso, got, want)
 
 
 def coefficient_resolutions(monkeypatch) -> dict:
