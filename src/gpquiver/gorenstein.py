@@ -125,7 +125,7 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
     # (a) vanishing of the left derived Nakayama functor
     res_f = projective_resolution(f_mod, cutoff)
     a = _vanishing_scan(
-        cert, "l_nu_dims", range(1, res_f.settled() + 1), cat.objects,
+        cert, "l_nu_dims", res_f.settled_degrees(), cat.objects,
         lambda i: lambda c: _derived_dim(res_f, engine.coef_right(c), i, tensor=True),
         l_nu)
     if a == "no":
@@ -137,7 +137,7 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
     nuF = nu_applied.module
     res_dual = projective_resolution(dual(nuF), cutoff)
     b = _vanishing_scan(
-        cert, "r_nu_minus_dims", range(1, res_dual.settled() + 1), cat.objects,
+        cert, "r_nu_minus_dims", res_dual.settled_degrees(), cat.objects,
         lambda i: lambda c: _derived_either_side(engine.res_left(c), nuF, i, False,
                                                  lambda: (res_dual, dual(engine.coef_left(c)))),
         {"functor": "R_nu_minus"})
@@ -272,8 +272,9 @@ def base_gp(n_mod: Module, profile: BaseGorensteinProfile, cutoff: int = 16) -> 
         return Verdict("no", {"reason": "finite-nonzero-projective-dimension",
                               "pdim": res.pdim()}, hyp)
     cert = {}
+    degrees = range(1, profile.g + 1) if known else res.settled_degrees()
     member = _vanishing_scan(
-        cert, "ext_dims", range(1, (profile.g if known else res.settled()) + 1), base.objects,
+        cert, "ext_dims", degrees, base.objects,
         lambda i: lambda c: _derived_dim(res, representable(base, c), i, tensor=False), {})
     if member == "no" or (known and member == "yes"):
         return Verdict(member, cert, hyp)

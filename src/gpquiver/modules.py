@@ -16,9 +16,11 @@ lifted into the kernel of the outgoing one, then its cokernel.
 In a resolution each syzygy stays inside the free stage before it, as the
 canonical kernel basis of the differential, generated by its columns left
 as pivots against the radical; stages[i].epi is d_i: P_i -> P_{i-1} for
-i >= 1.  Coordinates in a canonical kernel basis are read at its free rows,
-with no solve: a kernel's arrows, nu^-'s arrows and maps, and the lift of a
-homology module.  A cokernel's section is the unit columns at the free
+i >= 1.  Stages are built when read, up to the cutoff, into a list that
+resolutions of the module at other cutoffs may share; degree i reads up to
+stage i+1.  Coordinates in a canonical kernel basis are read at its free
+rows, with no solve: a kernel's arrows, nu^-'s arrows and maps, and the lift
+of a homology module.  A cokernel's section is the unit columns at the free
 columns of its projection.
 
 Free modules are known by their generators.  free_module lays out
@@ -32,7 +34,7 @@ a category never changes, and modules are not changed after they are made.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count, takewhile
 
 from .category import BoundQuiverCategory
 from .linalg import LinAlgError, Matrix, ShapeError, direct_sum_many, free_row_coords
@@ -487,51 +489,64 @@ def _span_cover(x: Module, bases: dict) -> Cover:
     return cov
 
 
-@dataclass
 class Resolution:
-    """Projective resolution ... -> P_1 -> P_0 -> M (possibly truncated)."""
+    """The minimal projective resolution ... -> P_1 -> P_0 -> M, at most cutoff
+    stages past P_0; stages holds only those read so far (length() reads all)."""
 
-    module: Module
-    stages: list            # of Cover; stages[i].module = P_i, stages[i].epi = d_i
-    completed: bool
-    cutoff: int
+    def __init__(self, module: Module, cutoff: int, shared: list | None = None):
+        if cutoff < 0:
+            raise ModuleError("cutoff must be nonnegative")
+        self.module, self.cutoff = module, cutoff
+        self.stages, self._shared = [], [] if shared is None else shared
+        self._goes_on = True  # the last stage read has a nonzero syzygy
+
+    def reaches(self, i: int) -> bool:
+        """Whether stage i exists within the cutoff; builds the stages up to it."""
+        stages, shared = self.stages, self._shared
+        while self._goes_on and len(stages) <= min(i, self.cutoff):
+            if len(stages) == len(shared):
+                shared.append(_span_cover(stages[-1].module, stages[-1].syzygy) if stages
+                              else projective_cover(self.module))
+            stages.append(shared[len(stages)])
+            self._goes_on = any(s.cols for s in stages[-1].syzygy.values())
+        return i < len(stages)
+
+    @property
+    def completed(self) -> bool:  # a truncated resolution leaves the cutoff's degree unsettled
+        return self.past_end(self.cutoff) is not None
 
     def length(self) -> int:
+        self.reaches(self.cutoff)
         return len(self.stages) - 1
 
+    def past_end(self, i: int) -> bool | None:
+        """Whether degree i of a derived functor, read off P_{i+1}, is past the
+        end, where it is 0; None where the cutoff leaves it unsettled."""
+        return i >= len(self.stages) if self.reaches(i + 1) or not self._goes_on else None
+
+    def settled_degrees(self):
+        """Degrees 1, 2, ... up to the last one settled, each grown as read."""
+        return takewhile(lambda i: self.past_end(i) is False, count(1))
+
     def stage_module(self, i: int) -> Module:
-        if i < len(self.stages):
-            return self.stages[i].module
-        return zero_module(self.module.cat)
+        return self.stages[i].module if self.reaches(i) else zero_module(self.module.cat)
 
     def pdim(self) -> int | None:
         """Projective dimension of the module, None when the resolution is
         truncated; every stage of a minimal resolution is nonzero."""
         return self.length() if self.completed else None
 
-    def settled(self) -> int:
-        """The highest degree whose derived functors this resolution settles:
-        H_i reads P_{i+1}, so length - 1 when truncated; past the length of
-        a completed one every degree is 0."""
-        return self.length() if self.completed else self.length() - 1
-
     def diff(self, i: int) -> ModuleMap:
-        """The map P_i -> P_{i-1} (zero beyond the computed range)."""
-        if 1 <= i < len(self.stages):
+        """The map P_i -> P_{i-1} (zero beyond the resolution)."""
+        if i >= 1 and self.reaches(i):
             return self.stages[i].epi
         return ModuleMap(self.stage_module(i), self.stage_module(i - 1), {}, check=False)
 
 
 def projective_resolution(m: Module, cutoff: int) -> Resolution:
-    """The minimal resolution of m, at most cutoff stages past P_0: each
-    syzygy is covered inside the free stage before it."""
-    if cutoff < 0:
-        raise ModuleError("cutoff must be nonnegative")
-    stages = [projective_cover(m)]
-    while any(k.cols for k in stages[-1].syzygy.values()) and len(stages) <= cutoff:
-        stages.append(_span_cover(stages[-1].module, stages[-1].syzygy))
-    completed = not any(k.cols for k in stages[-1].syzygy.values())
-    return Resolution(m, stages, completed, cutoff)
+    """The minimal resolution of m, at most cutoff stages past P_0, built as
+    it is read: each syzygy is covered inside the free stage before it."""
+    return Resolution(m, cutoff)
 
 
 # -- Tor and Ext ----------------------------------------------------------
@@ -540,7 +555,7 @@ def projective_resolution(m: Module, cutoff: int) -> Resolution:
 def _diff_images(res: Resolution, j: int) -> tuple:
     """d_j: P_j -> P_{j-1} as _applied_diff reads it: the generator objects of
     P_j and P_{j-1}, empty outside the resolution, and each image's column."""
-    src, dst = ([c for c, _ in res.stages[i].summands] if 0 <= i < len(res.stages) else []
+    src, dst = ([c for c, _ in res.stages[i].summands] if i >= 0 and res.reaches(i) else []
                 for i in (j, j - 1))
     return src, dst, [[row[block_offsets(res.module.cat, src, c)[l]]
                        for row in res.stages[j].epi.mats[c].data]
@@ -589,8 +604,8 @@ def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedVal
     as dim ker d_out - rank d_in."""
     if i < 0:
         raise ModuleError("negative degree")
-    if i > res.settled():
-        return (DerivedValue(0, True) if res.completed
+    if (past := res.past_end(i)) is not False:
+        return (DerivedValue(0, True) if past
                 else DerivedValue(None, False, "resolution truncated below requested degree"))
     cat, acts = res.module.cat, {}
     # tensor: X P_{i+1} -> X P_i -> X P_{i-1}; Hom: X P_{i-1} -> X P_i -> X P_{i+1}

@@ -3,13 +3,13 @@ of nu -| nu^-, derived functors, and the Gorenstein dimension of the
 projectivization endofunctor P.
 
 The coefficient modules D(C(c,-)) (right) and D(C(-,c)) (left), their maps,
-resolutions and the Gorenstein dimension at each cutoff depend on the category
-alone and are kept in its memo (BoundQuiverCategory.cached).  An engine holds
-only the category and the cutoff, so every verdict and sweep over one category
-and cutoff reads the same coefficient data.
+one list of resolution stages per module and side, and the Gorenstein
+dimension at each cutoff are kept in the category's memo (cached).  An engine
+holds only the category and the cutoff, and reads each stage list up to its
+cutoff, so every engine of one category reads the same coefficient stages.
 
 nu and nu^- are read off the presentations P_1 -> P_0 of the coefficient
-modules, kept whatever the cutoff: nu is right exact, nu(C(x,-)) = D C(-,x),
+modules, stages 0-1 of their lists: nu is right exact, nu(C(x,-)) = D C(-,x),
 so nu(F)(c) = coker F (x) d_1, and nu^-(F)(c) = ker Hom(d_1, F), each one
 matrix of F's path actions (Yoneda, modules._applied_diff).  Arrows, maps and
 the unit go through lifts to the P_0s, made once, and are read at free rows
@@ -114,12 +114,16 @@ class NakayamaEngine:
             {a: self.u_map(a).mats[c] for a in cat.arrow_map}, check=False))
 
     def res_right(self, c) -> Resolution:
-        return self.cat.cached(("res_right", c, self.cutoff),
-                               lambda: projective_resolution(self.coef_right(c), self.cutoff))
+        return self._resolution("right", c, self.cutoff)
 
     def res_left(self, c) -> Resolution:
-        return self.cat.cached(("res_left", c, self.cutoff),
-                               lambda: projective_resolution(self.coef_left(c), self.cutoff))
+        return self._resolution("left", c, self.cutoff)
+
+    def _resolution(self, side: str, c, cutoff: int) -> Resolution:
+        """D C(c,-) (side "right") or D C(-,c) resolved over its one stage list."""
+        coef = self.coef_right if side == "right" else self.coef_left
+        return self.cat.cached(("resolution", side, c, cutoff), lambda: Resolution(
+            coef(c), cutoff, self.cat.cached(("stages", side, c), list)))
 
     def u_map(self, arrow: str) -> ModuleMap:
         """D(C(s,-)) -> D(C(t,-)) for a: s -> t (covariant coefficient maps),
@@ -141,8 +145,9 @@ class NakayamaEngine:
 
     def presentation(self, side: str, c) -> Resolution:
         """P_1 -> P_0 -> D C(c,-) (side "right") or D C(-,c), whatever the cutoff."""
-        coef = self.coef_right if side == "right" else self.coef_left
-        return self.cat.cached(("presentation", side, c), lambda: projective_resolution(coef(c), 1))
+        res = self._resolution(side, c, 1)
+        res.reaches(1)
+        return res
 
     def _yoneda(self, what: str, x):
         """A map of free modules nu or nu^- applies F to, made once: d_1 of the
@@ -223,10 +228,10 @@ class NakayamaEngine:
 
     def left_derived_nu_dims(self, f_mod: Module, i: int) -> dict:
         """dim L_i nu (F)(c) per object: Tor over the coefficient resolution,
-        falling back to one resolution of F, made when first needed."""
-        res_f = cache(lambda: projective_resolution(f_mod, self.cutoff))
+        falling back to one resolution of F, built when first read."""
+        res_f = projective_resolution(f_mod, self.cutoff)
         return {c: _derived_either_side(self.res_right(c), f_mod, i, True,
-                                        lambda: (res_f(), self.coef_right(c)))
+                                        lambda: (res_f, self.coef_right(c)))
                 for c in self.cat.objects}
 
     def right_derived_nu_minus_dims(self, f_mod: Module, i: int) -> dict:
@@ -297,8 +302,7 @@ def _past_end(res: Resolution, i: int) -> bool:
     early to settle degree i."""
     if i < 1:
         raise ModuleError("derived functor needs degree >= 1")
-    past = i > res.settled()
-    if past and not res.completed:
+    if (past := res.past_end(i)) is None:
         raise InconclusiveError(f"resolution truncated at {res.length()} < degree {i}+1")
     return past
 

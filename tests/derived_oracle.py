@@ -34,7 +34,8 @@ nu^-(F)(c) = Hom(D C(-,c), F) with coordinates from `hom_coords`.
 each stage's kernel module, by generators spanning a complement of the
 radical (`complement_cover`), followed by the kernel's inclusion.
 `padded_resolution` is a non-minimal resolution of that shape: every cover
-carries one more generator, sent to zero.
+carries one more generator, sent to zero.  Both are `GivenResolution`s,
+built whole up front and read as production resolutions are.
 """
 
 from dataclasses import dataclass
@@ -101,6 +102,18 @@ def complement_cover(m):
     return free_on_generators(m, summands)
 
 
+class GivenResolution(Resolution):
+    """A resolution whose stages are all given, possibly not minimal; it has
+    no stage past them, and goes on past the last one unless completed."""
+
+    def __init__(self, m, stages, completed, cutoff):
+        super().__init__(m, cutoff)
+        self.stages, self._goes_on = stages, not completed
+
+    def reaches(self, i):
+        return i < len(self.stages)
+
+
 def kernel_module_resolution(m, cutoff, cover=complement_cover):
     """A resolution of m through kernel modules, at most cutoff stages past
     P_0: each stage covers the kernel module of the map before it, and its
@@ -109,10 +122,10 @@ def kernel_module_resolution(m, cutoff, cover=complement_cover):
     for _ in range(cutoff):
         k, incl = kernel(stages[-1].epi)
         if k.is_zero():
-            return Resolution(m, stages, True, cutoff)
+            return GivenResolution(m, stages, True, cutoff)
         cov = cover(k)
         stages.append(Cover(cov.module, cov.epi.then(incl), cov.summands))
-    return Resolution(m, stages, kernel(stages[-1].epi)[0].is_zero(), cutoff)
+    return GivenResolution(m, stages, kernel(stages[-1].epi)[0].is_zero(), cutoff)
 
 
 def padded_resolution(m, cutoff):

@@ -16,7 +16,6 @@ from gpquiver.gorenstein import (
     enumerate_representations,
     is_gproj_P,
     is_monic,
-    self_injective_dimension,
 )
 from gpquiver.linalg import Matrix
 from gpquiver.modules import (

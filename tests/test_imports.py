@@ -1,7 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
-every function or class the package defines is referenced from the package
-itself, apart from a short list of entry points that the benchmark harness
-or argparse calls."""
+"""Every name a module of the package or of its tests imports is used in
+that module, and every function or class the package defines is referenced
+from the package itself, apart from a short list of entry points that the
+benchmark harness or argparse calls."""
 
 import ast
 import pathlib
@@ -12,6 +12,7 @@ import gpquiver.cli
 
 SOURCES = sorted(pathlib.Path(gpquiver.cli.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(gpquiver.cli.__file__).parents[2]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -33,7 +34,7 @@ def test_checker_sees_unused_imports():
     assert unused_imports(src) == [(1, "os"), (2, "a"), (3, "z")]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -6,7 +6,6 @@ import crosscheck
 import derived_oracle
 from conftest import F5, chain, cyclic3, ex322, exterior2, ka2, ka3, loop_sq, square
 
-from gpquiver import modules, nakayama
 from gpquiver.category import Quiver, build_category
 from gpquiver.linalg import GF, QQ, Matrix
 from gpquiver.modules import (
@@ -15,8 +14,7 @@ from gpquiver.modules import (
     Module,
     ModuleMap,
     basis_cover,
-    cokernel,
-    direct_sum_modules,
+    dual,
     ext_dim,
     hom_basis,
     representable,
@@ -25,7 +23,7 @@ from gpquiver.modules import (
 )
 from gpquiver.nakayama import NakayamaEngine
 from test_modules import a2_rep, random_module
-from test_sharing import assert_iso, assert_lambda, big_theta, theta
+from test_sharing import assert_iso, assert_lambda, big_theta, count_stages, theta
 
 
 def test_i_shriek_a2():
@@ -267,7 +265,8 @@ def test_derived_dims_fall_back_to_the_other_side():
     injective, whose resolution completes."""
     C = ex322()
     eng = NakayamaEngine(C, 2)
-    assert eng.res_right("1").settled() == eng.res_left("1").settled() == 1
+    for res in (eng.res_right("1"), eng.res_left("1")):
+        assert [res.past_end(i) for i in (1, 2)] == [False, None]
     P, I = representable(C, "1"), eng.coef_left("1")
     zero = DerivedValue(0, True)
     assert eng.left_derived_nu_dims(P, 2)["1"] == zero
@@ -312,28 +311,47 @@ def linear_a6(field=QQ):
 
 
 def test_nu_resolves_no_coefficient_module_past_stage_one(monkeypatch):
-    """nu, nu^- and lambda read stage 1 of the coefficient resolutions only,
-    and give the same modules and unit at engine cutoffs 1 and 16."""
-    cutoffs = []
-    real = modules.projective_resolution
-
-    def counting(m, cutoff):
-        cutoffs.append(cutoff)
-        return real(m, cutoff)
-
-    monkeypatch.setattr(modules, "projective_resolution", counting)
-    monkeypatch.setattr(nakayama, "projective_resolution", counting)
+    """nu, nu^- and lambda build stages 0 and 1 of the coefficient resolutions
+    only, and give the same modules and unit at engine cutoffs 1 and 16;
+    derived, tor and ext at degree i build no stage past i+1 of any
+    resolution they read."""
+    built, made = count_stages(monkeypatch)
     out = {}
     for cutoff in (1, 16):
         for build in (square, ex322, loop_sq):
             cat = build(F5)  # a new category: nothing is cached yet
             F = random_module(cat, random.Random(build.__name__))
             eng = NakayamaEngine(cat, cutoff)
+            del built[:]
             nuF, nmF = eng.nu(F), eng.nu_minus(F)
             lam = eng.lambda_unit(F, nuF)
+            presented = [len(eng.presentation(side, c).stages)
+                         for side in ("right", "left") for c in cat.objects]
+            assert len(built) == sum(presented) and max(presented) <= 2
             out.setdefault(cutoff, []).append((nuF.module, nmF.module, lam.dst, lam.mats))
-    assert cutoffs and set(cutoffs) == {1}
+    assert not made
     assert out[1] == out[16]
+
+    # on ex322 the simple at 2 and the coefficient modules at 1 have
+    # resolutions longer than the cutoff
+    ops = (lambda eng, F, i: eng.left_derived_nu_dims(F, i),
+           lambda eng, F, i: eng.right_derived_nu_minus_dims(F, i),
+           lambda eng, F, i: eng.left_derived_nu(F, i),
+           lambda eng, F, i: eng.right_derived_nu_minus(F, i),
+           lambda eng, F, i: tor_dim(eng.coef_right("1"), F, i, eng.cutoff),
+           lambda eng, F, i: ext_dim(eng.coef_left("1"), F, i, eng.cutoff),
+           lambda eng, F, i: tor_dim(dual(F), eng.coef_left("1"), i, eng.cutoff))
+    for i in (1, 2):
+        for op in ops:
+            cat = ex322(F5)
+            eng = NakayamaEngine(cat, 16)
+            del built[:], made[:]
+            op(eng, crosscheck.simple(cat, "2"), i)
+            # F's resolutions, and the stage lists of the coefficient modules
+            lists = [r.stages for r in made] + [
+                res._shared for c in cat.objects for res in (eng.res_right(c), eng.res_left(c))]
+            assert len(built) == sum(map(len, lists)) > 0
+            assert max(map(len, lists)) <= i + 2
 
 
 @pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])

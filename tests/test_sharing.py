@@ -11,7 +11,7 @@ import pytest
 import crosscheck
 import derived_oracle
 from conftest import cyclic3, ex322, loop_sq, square, tensor322, module322
-from gpquiver import cli, modules
+from gpquiver import cli, modules, nakayama
 from gpquiver import io as gio
 from gpquiver.basechange import Factorization
 from gpquiver.gorenstein import discrepancy_probe, is_gproj_P
@@ -173,9 +173,31 @@ def test_discrepancy_probe_reuses_engines(monkeypatch):
     assert built_once(seen)
 
 
-def test_one_engine_per_category_and_cutoff():
-    """Coefficient data is made once per (category, cutoff): engines of one
-    category and cutoff share it, other cutoffs and other parses do not."""
+def count_stages(monkeypatch) -> tuple:
+    """Count the stages resolutions build, one _span_cover call each, and
+    record the resolutions projective_resolution makes."""
+    built, made = [], []
+    cover, resolve = modules._span_cover, modules.projective_resolution
+
+    def counting(x, bases):
+        built.append(x)
+        return cover(x, bases)
+
+    def recording(m, cutoff):
+        made.append(resolve(m, cutoff))
+        return made[-1]
+
+    monkeypatch.setattr(modules, "_span_cover", counting)
+    for module in (modules, nakayama):
+        monkeypatch.setattr(module, "projective_resolution", recording)
+    return built, made
+
+
+def test_one_engine_per_category_and_cutoff(monkeypatch):
+    """Coefficient data is made once per category: engines of one category
+    and cutoff share their resolutions, and engines at every cutoff share one
+    stage list per side and object, read up to their cutoff; other parses do
+    not."""
     path = os.path.join(cli.fixtures_dir(), "square.cat")
     cat = gio.parse_category(path)
     c = cat.objects[0]
@@ -186,6 +208,26 @@ def test_one_engine_per_category_and_cutoff():
     other = NakayamaEngine(cat, 8).res_right(c)
     assert other is not res and (res.cutoff, other.cutoff) == (4, 8)
     assert NakayamaEngine(gio.parse_category(path), 4).res_right(c) is not res
+
+    built, _ = count_stages(monkeypatch)
+    for order in ((1, 4, 16), (16, 4, 1)):
+        cat = gio.parse_category(path)
+        del built[:]
+        reads = {}
+        for cutoff in order:
+            eng = NakayamaEngine(cat, cutoff)
+            for x in cat.objects:
+                for res in (eng.res_right(x), eng.res_left(x)):
+                    res.length()
+                    reads.setdefault(cutoff, []).append(res.stages)
+        # the longest reads hold every stage built, and the others are their starts
+        assert len(built) == sum(map(len, reads[16])) > sum(map(len, reads[1]))
+        for cutoff in (1, 4):
+            for short, long in zip(reads[cutoff], reads[16]):
+                assert len(short) == min(len(long), cutoff + 1)
+                assert all(a is b for a, b in zip(short, long))
+    fresh, shared = NakayamaEngine(gio.parse_category(path), 16).res_right(c), reads[16][0]
+    assert fresh.length() == len(shared) - 1 and fresh.stages[0] is not shared[0]
 
 
 def test_representables_are_made_once(monkeypatch):
@@ -202,7 +244,7 @@ def test_representables_are_made_once(monkeypatch):
     cat = square(F3)
     rng = random.Random(2)
     for _ in range(4):
-        projective_resolution(random_module(cat, rng), 4)
+        projective_resolution(random_module(cat, rng), 4).length()
     assert made and len(made) == len(set(made)) <= len(cat.objects)
 
 
