@@ -10,28 +10,24 @@ the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .category import BoundQuiverCategory
 from .linalg import Matrix, direct_sum_many, kronecker_product
 from .modules import Module, ModuleMap, ModuleError, basis_cover, block_sum
 from .nakayama import NakayamaEngine
 
 
-@dataclass
 class Factorization:
     """A tensor category together with the choice of which factor is C
     (the direction that the Nakayama functor dualizes); the other factor is
     the base algebra."""
 
-    total: BoundQuiverCategory
-    cat_side: str  # "left" or "right"
-
-    def __post_init__(self):
-        if self.total.tensor_info is None:
+    def __init__(self, total: BoundQuiverCategory, cat_side: str):
+        if total.tensor_info is None:
             raise ModuleError("factorization requires a tensor-product category")
-        if self.cat_side not in ("left", "right"):
+        if cat_side not in ("left", "right"):
             raise ModuleError("cat_side must be 'left' or 'right'")
+        self.total = total
+        self.cat_side = cat_side  # "left" or "right"
 
     @property
     def cat(self) -> BoundQuiverCategory:

@@ -11,7 +11,6 @@ which in function-composition notation is written b*a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .linalg import Field, FieldMismatchError
@@ -53,14 +52,10 @@ MAX_PATHS = 200_000
 Path = tuple  # tuple of arrow names, application order
 
 
-@dataclass(frozen=True)
 class Quiver:
-    vertices: tuple
-    arrows: tuple  # of (name, source, target)
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "arrows", tuple(tuple(a) for a in self.arrows))
+    def __init__(self, vertices, arrows):
+        self.vertices = tuple(vertices)
+        self.arrows = tuple(tuple(a) for a in arrows)  # of (name, source, target)
         names = [a[0] for a in self.arrows]
         if len(set(self.vertices)) != len(self.vertices):
             raise CategoryError("duplicate vertex names")
@@ -71,24 +66,32 @@ class Quiver:
             if s not in vs or t not in vs:
                 raise CategoryError(f"arrow {name} has unknown endpoint")
 
+    def __eq__(self, other):
+        return (type(other) is Quiver and self.vertices == other.vertices
+                and self.arrows == other.arrows)
+
+    def __hash__(self):
+        return hash((self.vertices, self.arrows))
+
     def arrow_map(self) -> dict:
         return {name: (s, t) for name, s, t in self.arrows}
 
 
-@dataclass(frozen=True)
 class Relation:
     """Linear combination of parallel paths, set to zero in the category."""
 
-    terms: tuple  # of (coefficient, path)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((c, tuple(p)) for c, p in self.terms)
-        )
+    def __init__(self, terms):
+        self.terms = tuple((c, tuple(p)) for c, p in terms)  # of (coefficient, path)
         if not self.terms:
             raise CategoryError("relation with no terms")
         if any(not p for _, p in self.terms):
             raise CategoryError("relation paths must be nonempty")
+
+    def __eq__(self, other):
+        return type(other) is Relation and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
 
     def endpoints(self, arrow_map: dict):
         ends = set()
@@ -335,21 +338,36 @@ def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) 
     if witness is not None:
         raise PossiblyInfiniteError(witness, length_cutoff)
 
-    return BoundQuiverCategory(
+    cat = BoundQuiverCategory(
         quiver, relations, field, length_cutoff, quiver.vertices, arrow_map,
         basis, reduction, max_basis_len,
     )
+    # a relation longer than the cutoff has no translate: it holds only if it
+    # already reduces to 0 in what was built
+    for rel, (u, _), span in zip(relations, rel_ends, spans):
+        if span > length_cutoff:
+            value: dict = {}
+            for coef, p in rel.terms:
+                for q, c in cat.reduce_word(u, p).items():
+                    value[q] = add(value.get(q, zero), field.mul(coef, c))
+            if any(value.values()):
+                text = " + ".join(f"{field.fmt(c)} {'*'.join(reversed(p))}" for c, p in rel.terms)
+                raise CategoryError(f"relation {text} is longer than length_cutoff "
+                                    f"{length_cutoff} and does not hold at that cutoff; "
+                                    f"raise length_cutoff to at least {span}")
+    return cat
 
 
-@dataclass
 class TensorInfo:
     """How a tensor-product category decomposes into its two factors."""
 
-    left: BoundQuiverCategory
-    right: BoundQuiverCategory
-    obj_name: dict      # (c, d) -> object of the product
-    left_arrow: dict    # (a, d) -> arrow name
-    right_arrow: dict   # (c, b) -> arrow name
+    def __init__(self, left: BoundQuiverCategory, right: BoundQuiverCategory,
+                 obj_name: dict, left_arrow: dict, right_arrow: dict):
+        self.left = left
+        self.right = right
+        self.obj_name = obj_name        # (c, d) -> object of the product
+        self.left_arrow = left_arrow    # (a, d) -> arrow name
+        self.right_arrow = right_arrow  # (c, b) -> arrow name
 
 
 def tensor_category(C1: BoundQuiverCategory, C2: BoundQuiverCategory) -> BoundQuiverCategory:

@@ -15,22 +15,6 @@ import os
 import sys
 
 from . import io as gio
-from .basechange import Factorization
-from .category import CategoryError
-from .gorenstein import (
-    declared_profile,
-    discrepancy_probe,
-    enumerate_representations,
-    is_gp_functor,
-    is_gproj_P,
-    is_monic,
-    is_p_projective,
-    lifted_class_membership,
-    self_injective_dimension,
-)
-from .linalg import LinAlgError
-from .modules import ModuleError, projective_resolution, tor_dim, ext_dim
-from .nakayama import NakayamaEngine
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -69,11 +53,14 @@ def _load_module(args):
     return m
 
 
-def _engine_for(cat, args) -> NakayamaEngine:
+def _engine_for(cat, args):
+    from .nakayama import NakayamaEngine
     return NakayamaEngine(cat, gio.effective_cutoff(args.cutoff))
 
 
 def _factorization(cat, side):
+    from .basechange import Factorization
+    from .modules import ModuleError
     if cat.tensor_info is None:
         raise ModuleError("this check needs a tensor-category input (--factor)")
     return Factorization(cat, side)
@@ -111,6 +98,7 @@ def cmd_gdim(args):
 
 
 def cmd_resolve(args):
+    from .modules import projective_resolution
     m = _load_module(args)
     res = projective_resolution(m, gio.effective_cutoff(args.cutoff))
     payload = {
@@ -155,25 +143,30 @@ def _dim_payload(args, v):
 
 
 def cmd_tor(args):
+    from .modules import tor_dim
     m = _load_module(args)
     eng = _engine_for(m.cat, args)
     return _dim_payload(args, tor_dim(eng.coef_right(args.object), m, args.degree, eng.cutoff))
 
 
 def cmd_ext(args):
+    from .modules import ext_dim
     m = _load_module(args)
     eng = _engine_for(m.cat, args)
     return _dim_payload(args, ext_dim(eng.coef_left(args.object), m, args.degree, eng.cutoff))
 
 
 def cmd_check(args):
+    from .gorenstein import (declared_profile, discrepancy_probe, is_gp_functor, is_gproj_P,
+                             is_monic, is_p_projective, lifted_class_membership)
+    from .modules import ModuleError
     m = _load_module(args)
     kind = args.kind
     if kind == "discrepancy":
         if m.cat.tensor_info is None:
             raise ModuleError("check discrepancy needs a tensor-category input")
-        out = discrepancy_probe(m, Factorization(m.cat, "right"),
-                                Factorization(m.cat, "left"), gio.effective_cutoff(args.cutoff))
+        out = discrepancy_probe(m, _factorization(m.cat, "right"),
+                                _factorization(m.cat, "left"), gio.effective_cutoff(args.cutoff))
         payload = {"check": kind, "discrepancy": out["discrepancy"]}
         for tag in ("first", "second"):
             payload[tag] = dict(out[tag], verdict=verdict_payload(out[tag]["verdict"]))
@@ -202,6 +195,7 @@ def cmd_check(args):
 
 
 def cmd_profile_base(args):
+    from .gorenstein import self_injective_dimension
     cat = _load_category(args)
     prof = self_injective_dimension(cat, gio.effective_cutoff(args.cutoff))
     payload = {"g": prof.g, "status": prof.status, "tables": prof.tables}
@@ -209,6 +203,8 @@ def cmd_profile_base(args):
 
 
 def cmd_enumerate(args):
+    from .gorenstein import enumerate_representations
+    from .modules import ModuleError
     cat = _load_category(args)
     parts = [p.strip() for p in args.dims.split(",")]
     if len(parts) == 1:
@@ -327,14 +323,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _input_errors() -> tuple:
+    """The exceptions main reports as input errors.  An except clause calls
+    this only when an exception reaches it, so the layers a command did not
+    run are imported only then."""
+    from .category import CategoryError
+    from .linalg import LinAlgError
+    from .modules import ModuleError
+    return gio.ParseError, CategoryError, ModuleError, LinAlgError, ValueError, OSError
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         gio.check_field_override(args.field, "--field")
         cutoff = gio.effective_cutoff(args.cutoff)
         payload, status = args.fn(args)
-    except (gio.ParseError, CategoryError, ModuleError, LinAlgError,
-            FileNotFoundError, ValueError, OSError) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     # every file the command read: its input and the category files behind it
@@ -343,8 +348,12 @@ def main(argv=None) -> int:
                               cutoff=cutoff, field=args.field)
     text = gio.dumps_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     else:
         sys.stdout.write(text)
     return status

@@ -7,7 +7,6 @@ certificate, or an explicit "inconclusive" carrying the blocking cutoff.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .basechange import Factorization
 from .category import BoundQuiverCategory
@@ -29,28 +28,28 @@ from .modules import (
 from .nakayama import NakayamaEngine
 
 
-@dataclass
 class Verdict:
-    member: str  # "yes" | "no" | "inconclusive"
-    certificate: dict = field(default_factory=dict)
-    hypotheses: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.member not in ("yes", "no", "inconclusive"):
-            raise ValueError(f"bad verdict value {self.member!r}")
+    def __init__(self, member: str, certificate: dict | None = None,
+                 hypotheses: dict | None = None):
+        if member not in ("yes", "no", "inconclusive"):
+            raise ValueError(f"bad verdict value {member!r}")
+        self.member = member
+        self.certificate = {} if certificate is None else certificate
+        self.hypotheses = {} if hypotheses is None else hypotheses
 
     @property
     def is_yes(self) -> bool:
         return self.member == "yes"
 
 
-@dataclass
 class BaseGorensteinProfile:
-    base: BoundQuiverCategory
-    g: int | None
-    status: str  # "verified-at-cutoff" | "declared" | "unknown"
-    cutoff: int | None = None
-    tables: dict = field(default_factory=dict)
+    def __init__(self, base: BoundQuiverCategory, g: int | None, status: str,
+                 cutoff: int | None = None, tables: dict | None = None):
+        self.base = base
+        self.g = g
+        self.status = status  # "verified-at-cutoff" | "declared" | "unknown"
+        self.cutoff = cutoff
+        self.tables = {} if tables is None else tables
 
 
 def self_injective_dimension(base: BoundQuiverCategory, cutoff: int = 16) -> BaseGorensteinProfile:

@@ -19,19 +19,6 @@ import json
 import os
 import re
 
-from .category import (
-    BoundQuiverCategory,
-    MAX_PATHS,
-    CategoryError,
-    PathBoundError,
-    Quiver,
-    Relation,
-    build_category,
-    tensor_category,
-)
-from .linalg import FieldMismatchError, Matrix, field_from_name
-from .modules import Module
-
 REPORT_SCHEMA = "gpquiver-report/1"
 DEFAULT_CUTOFF = 16
 
@@ -106,7 +93,8 @@ def format_path(p) -> str:
     return "*".join(reversed(p))
 
 
-def parse_relation_expr(field, text, path="<string>", line_no=None) -> Relation:
+def parse_relation_expr(field, text, path="<string>", line_no=None):
+    from .category import Relation
     terms = []
     for chunk in text.split("+"):
         parts = chunk.strip().split()
@@ -118,13 +106,14 @@ def parse_relation_expr(field, text, path="<string>", line_no=None) -> Relation:
     return Relation(tuple(terms))
 
 
-def format_relation(field, rel: Relation) -> str:
+def format_relation(field, rel) -> str:
     return " + ".join(f"{field.fmt(c)} {format_path(p)}" for c, p in rel.terms)
 
 
 def check_field_override(name, label="field override") -> None:
     """Refuse a bad field override by its name, before any file is read."""
     if name is not None:
+        from .linalg import field_from_name
         try:
             field_from_name(name)
         except ValueError as exc:
@@ -148,7 +137,10 @@ def _section_error(expected, section) -> str:
     return f"unknown section [{section}]"
 
 
-def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiverCategory:
+def parse_category(path, cutoff_override=None, field_override=None):
+    from .category import (MAX_PATHS, CategoryError, PathBoundError, Quiver, build_category,
+                           tensor_category)
+    from .linalg import FieldMismatchError, field_from_name
     check_field_override(field_override)
     section = None
     headers = {}  # section -> line of its first header
@@ -255,7 +247,8 @@ def parse_category(path, cutoff_override=None, field_override=None) -> BoundQuiv
     return cat
 
 
-def parse_matrix(field, text, rows, cols, path="<string>", line_no=None) -> Matrix:
+def parse_matrix(field, text, rows, cols, path="<string>", line_no=None):
+    from .linalg import Matrix
     row_chunks = [r.strip() for r in text.split(";")] if text.strip() else []
     if rows == 0 or cols == 0:
         if any(row_chunks):
@@ -279,7 +272,8 @@ def parse_matrix(field, text, rows, cols, path="<string>", line_no=None) -> Matr
 MAX_REP_SIZE = 250_000
 
 
-def parse_module(path, field_override=None, category=None) -> Module:
+def parse_module(path, field_override=None, category=None):
+    from .modules import Module
     check_field_override(field_override)
     section = None
     header = None

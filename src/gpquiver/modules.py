@@ -33,7 +33,6 @@ a category never changes, and modules are not changed after they are made.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, takewhile
 
 from .category import BoundQuiverCategory
@@ -48,7 +47,6 @@ class InconclusiveError(ModuleError):
     """A definite answer would need a resolution beyond the cutoff."""
 
 
-@dataclass(frozen=True)
 class DerivedValue:
     """Result of a derived-functor dimension count.
 
@@ -56,9 +54,20 @@ class DerivedValue:
     a conclusive value is exact.
     """
 
-    dim: int | None
-    conclusive: bool
-    note: str = ""
+    def __init__(self, dim: int | None, conclusive: bool, note: str = ""):
+        self.dim = dim
+        self.conclusive = conclusive
+        self.note = note
+
+    def __eq__(self, other):
+        return (type(other) is DerivedValue and self.dim == other.dim
+                and self.conclusive == other.conclusive and self.note == other.note)
+
+    def __hash__(self):
+        return hash((self.dim, self.conclusive, self.note))
+
+    def __repr__(self):
+        return f"DerivedValue({self.dim!r}, {self.conclusive!r}, {self.note!r})"
 
 
 class Module:
@@ -406,15 +415,15 @@ def tensor_over_cat(m: Module, f_mod: Module) -> TensorResult:
 # -- projective covers and resolutions ------------------------------------
 
 
-@dataclass
 class Cover:
     """A free module P on generators in M and the map P -> M they give; in a
     resolution, stage i >= 1 maps into P_{i-1}, its epi being d_i."""
 
-    module: Module          # the free module P
-    epi: ModuleMap          # P -> M
-    summands: list          # of (object, generator column in M(object))
-    syzygy: dict | None = None  # canonical kernel basis of epi per object
+    def __init__(self, module: Module, epi: ModuleMap, summands: list, syzygy: dict | None = None):
+        self.module = module      # the free module P
+        self.epi = epi            # P -> M
+        self.summands = summands  # of (object, generator column in M(object))
+        self.syzygy = syzygy      # canonical kernel basis of epi per object
 
 
 def free_module(cat: BoundQuiverCategory, objs: list) -> Module:

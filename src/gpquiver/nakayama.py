@@ -30,7 +30,6 @@ stages i-1, i and i+1 are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .category import BoundQuiverCategory
@@ -54,26 +53,27 @@ from .modules import (
 )
 
 
-@dataclass
 class Applied:
     """nu(F) or nu^-(F) with each object's frame in the Yoneda space (+)_k F(c_k)
     of its presentation's P_0: the cokernel projection and its free columns,
     where the section has unit columns, for nu; the kernel basis for nu^-."""
 
-    module: Module
-    frames: dict  # object -> (projection, free columns) or (kernel basis, free rows)
-    source: Module
+    def __init__(self, module: Module, frames: dict, source: Module):
+        self.module = module
+        self.frames = frames  # object -> (projection, free columns) or (kernel basis, free rows)
+        self.source = source
 
 
-@dataclass
 class GorensteinDimension:
     """Result of the two-sided coefficient pdim computation."""
 
-    value: int | None
-    status: str               # "finite" or "not-Iwanaga-Gorenstein-at-cutoff"
-    left_pdims: dict          # c -> pdim D(C(-,c)) over C, None = unsettled
-    right_pdims: dict         # c -> pdim D(C(c,-)) over C^op, None = unsettled
-    cutoff: int
+    def __init__(self, value: int | None, status: str, left_pdims: dict, right_pdims: dict,
+                 cutoff: int):
+        self.value = value
+        self.status = status            # "finite" or "not-Iwanaga-Gorenstein-at-cutoff"
+        self.left_pdims = left_pdims    # c -> pdim D(C(-,c)) over C, None = unsettled
+        self.right_pdims = right_pdims  # c -> pdim D(C(c,-)) over C^op, None = unsettled
+        self.cutoff = cutoff
 
     @property
     def finite(self) -> bool:

@@ -1,6 +1,6 @@
 """Shared category builders for the test suite."""
 
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from gpquiver.category import Quiver, Relation, build_category
 from gpquiver.linalg import GF, QQ
@@ -132,6 +132,9 @@ F5 = GF(5)
 
 
 # The property tests run inside the tier-1 time budget, on the same examples
-# every run; tests with their own @settings keep them.
-settings.register_profile("tier1", max_examples=25, deadline=None, derandomize=True)
+# every run; tests with their own @settings keep them.  The explain phase is
+# left out: in hypothesis 6.155 it can crash on a failing example (an
+# assertion in its shrinker) and hide the falsifying example it would print.
+settings.register_profile("tier1", max_examples=25, deadline=None, derandomize=True,
+                          phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("tier1")

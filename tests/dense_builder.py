@@ -12,7 +12,7 @@ through it too.
 
 from contextlib import contextmanager
 
-from gpquiver import category, io as gio
+from gpquiver import category
 from gpquiver.category import (
     BoundQuiverCategory,
     CategoryError,
@@ -127,8 +127,8 @@ def dense_build_category(quiver, relations, field, length_cutoff):
 def dense_builder():
     """Build categories with `dense_build_category` inside the block."""
     saved = category.build_category
-    category.build_category = gio.build_category = dense_build_category
+    category.build_category = dense_build_category
     try:
         yield
     finally:
-        category.build_category = gio.build_category = saved
+        category.build_category = saved

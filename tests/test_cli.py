@@ -7,7 +7,7 @@ import time
 import pytest
 
 from dense_builder import dense_builder
-from gpquiver import cli
+from gpquiver import category, cli
 from gpquiver import io as gio
 from test_sharing import built_once, coefficient_resolutions
 
@@ -321,6 +321,12 @@ def test_out_flag_writes_report(tmp_path, capsys):
     assert report["result"]["value"] == 1
 
 
+def test_out_to_a_missing_directory_is_input_error(tmp_path, capsys):
+    status, out, err = run(["fixtures", "--out", str(tmp_path / "missing" / "r.json")], capsys)
+    assert (status, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     texts = []
     for i in range(2):
@@ -406,19 +412,21 @@ def test_cutoff_is_the_resolution_depth_only(capsys):
 
 def test_cutoff_leaves_tensor_factors_at_their_file_length(monkeypatch, capsys):
     lengths = []
-    build = gio.build_category
+    build = category.build_category
 
     def recording_build(quiver, relations, field, length_cutoff):
         lengths.append(length_cutoff)
         return build(quiver, relations, field, length_cutoff)
 
-    monkeypatch.setattr(gio, "build_category", recording_build)
+    monkeypatch.setattr(category, "build_category", recording_build)
     start = time.perf_counter()
     status, report = run_json(
         ["check", "gp", fix("m322.rep"), "--factor", "left", "--cutoff", "4"], capsys)
     # rebuilding the factors at length 4 took about 40 s
     assert time.perf_counter() - start < 20
-    assert lengths == [2, 2]  # ex322.cat and ex322_op.cat as written
+    # ex322.cat and ex322_op.cat as written, their tensor at the sum, then
+    # opposites of these; every build in the process is recorded
+    assert lengths[:3] == [2, 2, 4] and set(lengths) == {2, 4}
     assert report["cutoff"] == 4 and status == 0
 
 
@@ -483,6 +491,32 @@ def test_possibly_infinite_cites_the_cutoff_line(tmp_path, capsys):
         "[category]", "field = Q", "objects = o", "arrow = x: o -> o", "length_cutoff = 3"])
     err = _assert_error_at(["gdim", path], f"{path}:5", capsys)
     assert "possibly-infinite" in err and "length cutoff 3" in err
+
+
+def loop_lines(relations, length_cutoff):
+    lines = ["[category]", "field = Q", "objects = o", "arrow = x: o -> o"]
+    lines += [f"relation = {r}" for r in relations]
+    return lines + [f"length_cutoff = {length_cutoff}"]
+
+
+def test_relation_longer_than_the_cutoff_that_does_not_hold_cites_the_cutoff_line(
+        tmp_path, capsys):
+    # without it x^5 = x^2 != 0, dim 3, and gdim fails later on a cover
+    path = _bad_input(tmp_path, "loop.cat", loop_lines(["1 x*x + -1 x*x*x", "1 x*x*x*x*x"], 4))
+    err = _assert_error_at(["cat-info", path], f"{path}:7", capsys)
+    assert err.endswith(": relation 1 x*x*x*x*x is longer than length_cutoff 4 and does not "
+                        "hold at that cutoff; raise length_cutoff to at least 5\n")
+
+
+@pytest.mark.parametrize("relations, length_cutoff", [
+    (["1 x*x + -1 x*x*x", "1 x*x*x*x*x"], 5),
+    (["1 x*x", "1 x*x*x*x*x"], 4),  # the long relation already reduces to 0
+], ids=["raised-cutoff", "already-zero"])
+def test_relation_longer_than_the_cutoff_that_holds_builds(relations, length_cutoff,
+                                                           tmp_path, capsys):
+    path = _bad_input(tmp_path, "loop.cat", loop_lines(relations, length_cutoff))
+    status, report = run_json(["cat-info", path], capsys)
+    assert (status, report["result"]["total_dim"]) == (0, 2)
 
 
 def test_too_many_tensor_paths_name_the_factors_and_advise_nothing(tmp_path, capsys):

@@ -1,10 +1,16 @@
 """Every name a module of the package or of its tests imports is used in
 that module, and every function or class the package defines is referenced
 from the package itself, apart from a short list of entry points that the
-benchmark harness or argparse calls."""
+benchmark harness or argparse calls.  Each CLI command imports only the
+layers it runs."""
 
 import ast
+import functools
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -153,3 +159,67 @@ def test_perfbench_still_uses_its_entry_points():
     used = referenced_names([p.read_text(encoding="utf-8")
                              for p in sorted((ROOT / "perfbench").rglob("*.py"))])
     assert [e for e in PERFBENCH_ENTRY_POINTS if e.split(".")[-1] not in used] == []
+
+
+@functools.cache
+def imports(path: pathlib.Path) -> list:
+    """(module, whether the statement is at module level) of each import in
+    the file; a relative module is named without its leading dots."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = set(map(id, tree.body))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, id(node) in top) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.module or "", id(node) in top))
+    return found
+
+
+def test_no_source_imports_dataclasses():
+    # importing dataclasses loads inspect, and each decorated class is built
+    # by generated code: start-up every command would pay
+    assert [(p.name, m) for p in SOURCES for m, _ in imports(p)
+            if m.split(".")[0] == "dataclasses"] == []
+
+
+@pytest.mark.parametrize("name", ["category", "linalg", "modules", "nakayama", "gorenstein",
+                                  "basechange"])
+def test_layers_import_only_at_module_level(name):
+    # the layers are the benchmarks' hot paths: an import in a function body
+    # runs on every call
+    assert [m for m, top in imports(SOURCES[0].parent / f"{name}.py") if not top] == []
+
+
+# One process runs these commands in turn; after each, the gpquiver modules
+# loaded so far are those of the commands run: cli.py and io.py, then the
+# layers each command adds.
+LAYERS_ADDED = [
+    (["fixtures"], {"cli", "io"}),
+    (["cat-info", "chain2.cat"], {"category", "linalg"}),
+    (["resolve", "a2_incl.rep"], {"modules"}),
+    (["nakayama", "a2_incl.rep"], {"nakayama"}),
+    (["check", "monic", "a2_incl.rep"], {"gorenstein", "basechange"}),
+]
+
+RUN_COMMANDS = """\
+import contextlib, io, json, sys
+from gpquiver import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(argv)
+    print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("gpquiver."))]))
+"""
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    fixtures = pathlib.Path(gpquiver.cli.fixtures_dir())
+    argvs = [[str(fixtures / a) if "." in a else a for a in argv] for argv, _ in LAYERS_ADDED]
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parents[1]))
+    proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded, expected = set(), []
+    for _, added in LAYERS_ADDED:
+        loaded |= added
+        expected.append([0, sorted(f"gpquiver.{m}" for m in loaded)])
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == expected
