@@ -10,7 +10,7 @@ the generators.
 
 from __future__ import annotations
 
-from .category import BoundQuiverCategory
+from .category import BoundQuiverCategory, tensor_name
 from .linalg import Matrix, direct_sum_many, kronecker_product
 from .modules import Module, ModuleMap, ModuleError, basis_cover, block_sum
 from .nakayama import NakayamaEngine
@@ -22,54 +22,35 @@ class Factorization:
     the base algebra."""
 
     def __init__(self, total: BoundQuiverCategory, cat_side: str):
-        if total.tensor_info is None:
+        if total.factors is None:
             raise ModuleError("factorization requires a tensor-product category")
         if cat_side not in ("left", "right"):
             raise ModuleError("cat_side must be 'left' or 'right'")
         self.total = total
         self.cat_side = cat_side  # "left" or "right"
+        left, right = total.factors
+        self.cat, self.base = (left, right) if cat_side == "left" else (right, left)
 
-    @property
-    def cat(self) -> BoundQuiverCategory:
-        info = self.total.tensor_info
-        return info.left if self.cat_side == "left" else info.right
-
-    @property
-    def base(self) -> BoundQuiverCategory:
-        info = self.total.tensor_info
-        return info.right if self.cat_side == "left" else info.left
-
-    def pair_obj(self, base_obj, cat_obj) -> str:
-        info = self.total.tensor_info
+    def name(self, base_part, cat_part) -> str:
+        """The object or arrow of the total category pairing a base object or
+        arrow with a C object or arrow."""
         if self.cat_side == "left":
-            return info.obj_name[(cat_obj, base_obj)]
-        return info.obj_name[(base_obj, cat_obj)]
-
-    def cat_arrow_at(self, base_obj, cat_arrow) -> str:
-        info = self.total.tensor_info
-        if self.cat_side == "left":
-            return info.left_arrow[(cat_arrow, base_obj)]
-        return info.right_arrow[(base_obj, cat_arrow)]
-
-    def base_arrow_at(self, base_arrow, cat_obj) -> str:
-        info = self.total.tensor_info
-        if self.cat_side == "left":
-            return info.right_arrow[(cat_obj, base_arrow)]
-        return info.left_arrow[(base_arrow, cat_obj)]
+            return tensor_name(cat_part, base_part)
+        return tensor_name(base_part, cat_part)
 
     # -- slicing -----------------------------------------------------------
 
     def fiber(self, F: Module, base_obj) -> Module:
         """The C-module F(base_obj, -)."""
         C = self.cat
-        dims = {c: F.dims[self.pair_obj(base_obj, c)] for c in C.objects}
-        mats = {a: F.mats[self.cat_arrow_at(base_obj, a)] for a in C.arrow_map}
+        dims = {c: F.dims[self.name(base_obj, c)] for c in C.objects}
+        mats = {a: F.mats[self.name(base_obj, a)] for a in C.arrow_map}
         return Module(C, dims, mats, check=False)
 
     def base_map(self, F: Module, base_arrow, fibers: dict) -> ModuleMap:
         """The C-module map F(d, -) -> F(d', -) induced by a base arrow."""
         d, d2 = self.base.arrow_map[base_arrow]
-        mats = {c: F.mats[self.base_arrow_at(base_arrow, c)] for c in self.cat.objects}
+        mats = {c: F.mats[self.name(base_arrow, c)] for c in self.cat.objects}
         return ModuleMap(fibers[d], fibers[d2], mats, check=False)
 
     def fibers(self, F: Module) -> dict:
@@ -81,34 +62,19 @@ class Factorization:
 
     # -- pushing nu through the base action --------------------------------
 
-    def nu_based(self, F: Module, engine: NakayamaEngine) -> tuple:
-        """nu applied fiberwise, returning (T-module, per-fiber nu(F(d,-)))."""
-        if engine.cat != self.cat:
-            raise ModuleError("engine category does not match the factorization")
-        fibs = self.fibers(F)
-        nus = {d: engine.nu(fibs[d]) for d in self.base.objects}
-        dims = {}
-        mats = {}
-        for d in self.base.objects:
-            for c in self.cat.objects:
-                dims[self.pair_obj(d, c)] = nus[d].module.dims[c]
-            for a in self.cat.arrow_map:
-                mats[self.cat_arrow_at(d, a)] = nus[d].module.mats[a]
-        for b in self.base.arrow_map:
-            d, d2 = self.base.arrow_map[b]
-            pushed = engine.nu_map(nus[d], nus[d2], self.base_map(F, b, fibs))
-            for c in self.cat.objects:
-                mats[self.base_arrow_at(b, c)] = pushed.mats[c]
-        return Module(self.total, dims, mats, check=False), nus
-
     def i_star_nu_components(self, F: Module, engine: NakayamaEngine) -> dict:
         """The base-module components of i^*(nu F): one Lambda_B-module per
-        object of C, sliced out of nu_based's T-module."""
-        nuF, _ = self.nu_based(F, engine)
+        object c of C, whose value at d is nu(F(d, -))(c) and whose base
+        arrows act by the maps nu pushes the base action through."""
+        if engine.cat != self.cat:
+            raise ModuleError("engine category does not match the factorization")
         B = self.base
-        return {c: Module(B, {d: nuF.dims[self.pair_obj(d, c)] for d in B.objects},
-                          {b: nuF.mats[self.base_arrow_at(b, c)] for b in B.arrow_map},
-                          check=False)
+        fibs = self.fibers(F)
+        nus = {d: engine.nu(fibs[d]) for d in B.objects}
+        pushed = {b: engine.nu_map(nus[d], nus[d2], self.base_map(F, b, fibs))
+                  for b, (d, d2) in B.arrow_map.items()}
+        return {c: Module(B, {d: nus[d].module.dims[c] for d in B.objects},
+                          {b: m.mats[c] for b, m in pushed.items()}, check=False)
                 for c in self.cat.objects}
 
     # -- the P endofunctor on based representations ------------------------
@@ -127,14 +93,14 @@ class Factorization:
         for d in B.objects:
             cov = basis_cover(self.fiber(F, d))
             for x in C.objects:
-                dims[self.pair_obj(d, x)] = cov.module.dims[x]
-                eps[self.pair_obj(d, x)] = cov.epi.mats[x]
+                dims[self.name(d, x)] = cov.module.dims[x]
+                eps[self.name(d, x)] = cov.epi.mats[x]
             for a in C.arrow_map:
-                mats[self.cat_arrow_at(d, a)] = cov.module.mats[a]
+                mats[self.name(d, a)] = cov.module.mats[a]
         for b in B.arrow_map:
             for x in C.objects:
-                mats[self.base_arrow_at(b, x)] = direct_sum_many(f, [
-                    kronecker_product(F.mats[self.base_arrow_at(b, c)],
+                mats[self.name(b, x)] = direct_sum_many(f, [
+                    kronecker_product(F.mats[self.name(b, c)],
                                       Matrix.identity(f, C.hom_dim(c, x)))
                     for c in C.objects])
         PF = Module(T, dims, mats, check=False)

@@ -139,7 +139,7 @@ class BoundQuiverCategory:
         self.max_basis_len = max_basis_len
         self._op = None
         self._memo: dict = {}
-        self.tensor_info = None
+        self.factors = None  # (C1, C2) for C1 (x) C2, named by tensor_name
         self.source_files = ()  # the files it was parsed from, if any
 
     # -- hom space access -------------------------------------------------
@@ -358,61 +358,33 @@ def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) 
     return cat
 
 
-class TensorInfo:
-    """How a tensor-product category decomposes into its two factors."""
-
-    def __init__(self, left: BoundQuiverCategory, right: BoundQuiverCategory,
-                 obj_name: dict, left_arrow: dict, right_arrow: dict):
-        self.left = left
-        self.right = right
-        self.obj_name = obj_name        # (c, d) -> object of the product
-        self.left_arrow = left_arrow    # (a, d) -> arrow name
-        self.right_arrow = right_arrow  # (c, b) -> arrow name
+def tensor_name(x, y) -> str:
+    """The name in C1 (x) C2 of a pair: objects (c, d), and arrows (a, d) and
+    (c, b) for arrows a of C1 and b of C2."""
+    return f"{x}|{y}"
 
 
 def tensor_category(C1: BoundQuiverCategory, C2: BoundQuiverCategory) -> BoundQuiverCategory:
     if C1.field != C2.field:
         raise FieldMismatchError("tensor factors over different fields")
-    obj_name = {(c, d): f"{c}|{d}" for c in C1.objects for d in C2.objects}
-    if len(set(obj_name.values())) != len(obj_name):
+    n = tensor_name
+    objects = tuple(n(c, d) for c in C1.objects for d in C2.objects)
+    if len(set(objects)) != len(objects):
         raise CategoryError("object name clash in tensor product")
-    arrows = []
-    left_arrow = {}
-    right_arrow = {}
-    for name, s, t in C1.quiver.arrows:
-        for d in C2.objects:
-            an = f"{name}|{d}"
-            arrows.append((an, obj_name[(s, d)], obj_name[(t, d)]))
-            left_arrow[(name, d)] = an
-    for c in C1.objects:
-        for name, s, t in C2.quiver.arrows:
-            an = f"{c}|{name}"
-            arrows.append((an, obj_name[(c, s)], obj_name[(c, t)]))
-            right_arrow[(c, name)] = an
+    arrows = [(n(a, d), n(s, d), n(t, d)) for a, s, t in C1.quiver.arrows for d in C2.objects]
+    arrows += [(n(c, b), n(c, s), n(c, t)) for c in C1.objects for b, s, t in C2.quiver.arrows]
     if len(set(a[0] for a in arrows)) != len(arrows):
         raise CategoryError("arrow name clash in tensor product")
-    quiver = Quiver(tuple(obj_name[(c, d)] for c in C1.objects for d in C2.objects), tuple(arrows))
 
-    f = C1.field
-    relations = []
-    for rel in C1.relations:
-        for d in C2.objects:
-            relations.append(Relation(tuple(
-                (coef, tuple(left_arrow[(a, d)] for a in p)) for coef, p in rel.terms
-            )))
-    for rel in C2.relations:
-        for c in C1.objects:
-            relations.append(Relation(tuple(
-                (coef, tuple(right_arrow[(c, b)] for b in p)) for coef, p in rel.terms
-            )))
-    amap1, amap2 = C1.arrow_map, C2.arrow_map
-    for name1, s1, t1 in C1.quiver.arrows:
-        for name2, s2, t2 in C2.quiver.arrows:
-            relations.append(Relation((
-                (f.one(), (left_arrow[(name1, s2)], right_arrow[(t1, name2)])),
-                (f.neg(f.one()), (right_arrow[(s1, name2)], left_arrow[(name1, t2)])),
-            )))
+    f, one = C1.field, C1.field.one()
+    relations = [Relation(tuple((coef, tuple(n(a, d) for a in p)) for coef, p in rel.terms))
+                 for rel in C1.relations for d in C2.objects]
+    relations += [Relation(tuple((coef, tuple(n(c, b) for b in p)) for coef, p in rel.terms))
+                  for rel in C2.relations for c in C1.objects]
+    relations += [Relation(((one, (n(a, s2), n(t1, b))), (f.neg(one), (n(s1, b), n(a, t2)))))
+                  for a, s1, t1 in C1.quiver.arrows for b, s2, t2 in C2.quiver.arrows]
 
-    T = build_category(quiver, tuple(relations), f, C1.length_cutoff + C2.length_cutoff)
-    T.tensor_info = TensorInfo(C1, C2, obj_name, left_arrow, right_arrow)
+    T = build_category(Quiver(objects, arrows), tuple(relations), f,
+                       C1.length_cutoff + C2.length_cutoff)
+    T.factors = (C1, C2)
     return T

@@ -61,7 +61,7 @@ def _engine_for(cat, args):
 def _factorization(cat, side):
     from .basechange import Factorization
     from .modules import ModuleError
-    if cat.tensor_info is None:
+    if cat.factors is None:
         raise ModuleError("this check needs a tensor-category input (--factor)")
     return Factorization(cat, side)
 
@@ -84,7 +84,7 @@ def cmd_cat_info(args):
         "total_dim": cat.total_dim(),
         "hom_dims": hom,
         "hom_bases": basis,
-        "tensor": cat.tensor_info is not None,
+        "tensor": cat.factors is not None,
     }
     return payload, EXIT_OK
 
@@ -129,8 +129,7 @@ def cmd_derived(args):
     payload = {
         "functor": args.functor,
         "degree": args.degree,
-        "dims": {c: {"dim": v.dim if v.conclusive else None,
-                     "conclusive": v.conclusive} for c, v in vals.items()},
+        "dims": {c: {"dim": v.dim, "conclusive": v.conclusive} for c, v in vals.items()},
     }
     ok = all(v.conclusive for v in vals.values())
     return payload, (EXIT_OK if ok else EXIT_INCONCLUSIVE)
@@ -138,7 +137,7 @@ def cmd_derived(args):
 
 def _dim_payload(args, v):
     payload = {"object": args.object, "degree": args.degree,
-               "dim": v.dim if v.conclusive else None, "conclusive": v.conclusive}
+               "dim": v.dim, "conclusive": v.conclusive}
     return payload, (EXIT_OK if v.conclusive else EXIT_INCONCLUSIVE)
 
 
@@ -163,7 +162,7 @@ def cmd_check(args):
     m = _load_module(args)
     kind = args.kind
     if kind == "discrepancy":
-        if m.cat.tensor_info is None:
+        if m.cat.factors is None:
             raise ModuleError("check discrepancy needs a tensor-category input")
         out = discrepancy_probe(m, _factorization(m.cat, "right"),
                                 _factorization(m.cat, "left"), gio.effective_cutoff(args.cutoff))

@@ -85,12 +85,12 @@ def _vanishing_scan(cert: dict, key: str, degrees, objects, row_at,
     for i in degrees:
         at = row_at(i)
         if isinstance(at, dict):
-            table[i] = {c: v.dim if v.conclusive else None for c, v in at.items()}
+            table[i] = {c: v.dim for c, v in at.items()}
             at = at.__getitem__
         row = table.setdefault(i, {})
         for c in objects:
             v = at(c)
-            row[c] = v.dim if v.conclusive else None
+            row[c] = v.dim
             if v.conclusive and v.dim > 0:
                 cert["failure"] = dict(failure, degree=i, object=c, dim=v.dim)
                 return "no"

@@ -54,20 +54,21 @@ class DerivedValue:
     a conclusive value is exact.
     """
 
-    def __init__(self, dim: int | None, conclusive: bool, note: str = ""):
+    def __init__(self, dim: int | None):
         self.dim = dim
-        self.conclusive = conclusive
-        self.note = note
+
+    @property
+    def conclusive(self) -> bool:
+        return self.dim is not None
 
     def __eq__(self, other):
-        return (type(other) is DerivedValue and self.dim == other.dim
-                and self.conclusive == other.conclusive and self.note == other.note)
+        return type(other) is DerivedValue and self.dim == other.dim
 
     def __hash__(self):
-        return hash((self.dim, self.conclusive, self.note))
+        return hash(self.dim)
 
     def __repr__(self):
-        return f"DerivedValue({self.dim!r}, {self.conclusive!r}, {self.note!r})"
+        return f"DerivedValue({self.dim!r})"
 
 
 class Module:
@@ -614,15 +615,14 @@ def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedVal
     if i < 0:
         raise ModuleError("negative degree")
     if (past := res.past_end(i)) is not False:
-        return (DerivedValue(0, True) if past
-                else DerivedValue(None, False, "resolution truncated below requested degree"))
+        return DerivedValue(0 if past else None)
     cat, acts = res.module.cat, {}
     # tensor: X P_{i+1} -> X P_i -> X P_{i-1}; Hom: X P_{i-1} -> X P_i -> X P_{i+1}
     d_out, d_in = (_applied_diff(cat, x, *_diff_images(res, j), tensor, acts)
                    for j in ((i, i + 1) if tensor else (i + 1, i)))
     if not (d_out @ d_in).is_zero():
         raise LinAlgError("homology: composite differential is nonzero")
-    return DerivedValue(d_out.cols - d_out.rank() - d_in.rank(), True)
+    return DerivedValue(d_out.cols - d_out.rank() - d_in.rank())
 
 
 def _derived_either_side(res: Resolution, x: Module, i: int, tensor: bool,
@@ -630,10 +630,7 @@ def _derived_either_side(res: Resolution, x: Module, i: int, tensor: bool,
     """_derived_dim over (res, x); where res is truncated below degree i, over
     the other side's pair (resolution, module), which other() builds then."""
     v = _derived_dim(res, x, i, tensor)
-    if v.conclusive:
-        return v
-    v = _derived_dim(*other(), i, tensor)
-    return v if v.conclusive else DerivedValue(None, False, "both sides truncated at cutoff")
+    return v if v.conclusive else _derived_dim(*other(), i, tensor)
 
 
 def tor_dim(m_right: Module, f_mod: Module, i: int, cutoff: int,

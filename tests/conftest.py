@@ -111,7 +111,7 @@ def module322(T):
     from gpquiver.modules import Module, representable
     from gpquiver.nakayama import precomposition
 
-    lam2 = T.tensor_info.right
+    lam2 = T.factors[1]
     q2 = representable(lam2, "2")
     s = precomposition(lam2, "bo")
     dims = {"1|1": 0, "1|2": 0, "2|1": q2.dims["1"], "2|2": q2.dims["2"]}

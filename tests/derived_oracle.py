@@ -145,21 +145,21 @@ def p_counit_kronecker(fact, F):
     for d in B.objects:
         fib = fact.fiber(F, d)
         for x in C.objects:
-            dims[fact.pair_obj(d, x)] = sum(C.hom_dim(c, x) * fib.dims[c] for c in C.objects)
+            dims[fact.name(d, x)] = sum(C.hom_dim(c, x) * fib.dims[c] for c in C.objects)
             acc = Matrix.zeros(f, fib.dims[x], 0)
             for c in C.objects:
                 for p in C.hom_basis_paths(c, x):
                     acc = acc.hstack(fib.act_path(c, p))
-            eps[fact.pair_obj(d, x)] = acc
+            eps[fact.name(d, x)] = acc
         for a in C.arrow_map:
-            mats[fact.cat_arrow_at(d, a)] = direct_sum_many(f, [
+            mats[fact.name(d, a)] = direct_sum_many(f, [
                 kronecker_product(reps[c].mats[a], Matrix.identity(f, fib.dims[c]))
                 for c in C.objects])
     for b in B.arrow_map:
         for x in C.objects:
-            mats[fact.base_arrow_at(b, x)] = direct_sum_many(f, [
+            mats[fact.name(b, x)] = direct_sum_many(f, [
                 kronecker_product(Matrix.identity(f, C.hom_dim(c, x)),
-                                  F.mats[fact.base_arrow_at(b, c)])
+                                  F.mats[fact.name(b, c)])
                 for c in C.objects])
     PF = Module(T, dims, mats, check=False)
     return PF, ModuleMap(PF, F, eps, check=False)
@@ -292,9 +292,9 @@ def _homology_dim(d_out, d_in):
 def _out_of_range(res, i):
     n = res.length()
     if not res.completed and i > n - 1:
-        return DerivedValue(None, False, "resolution truncated below requested degree")
+        return DerivedValue(None)
     if i > n:
-        return DerivedValue(0, True)
+        return DerivedValue(0)
     return None
 
 
@@ -302,7 +302,7 @@ def _tor(res, tens, cat, i, induced):
     n = res.length()
     d_out = Matrix.zeros(cat.field, 0, tens[0].dim) if i == 0 else induced(i)
     d_in = Matrix.zeros(cat.field, tens[i].dim, 0) if i + 1 > n else induced(i + 1)
-    return DerivedValue(_homology_dim(d_out, d_in), True)
+    return DerivedValue(_homology_dim(d_out, d_in))
 
 
 def tor_from_resolution_of_right(res, f_mod, i):
@@ -352,4 +352,4 @@ def ext_from_resolution(res, n_mod, i):
 
     d_out = delta(i) if i + 1 <= n else Matrix.zeros(f, 0, len(bases[i]))
     d_in = delta(i - 1) if i >= 1 else Matrix.zeros(f, len(bases[0]), 0)
-    return DerivedValue(_homology_dim(d_out, d_in), True)
+    return DerivedValue(_homology_dim(d_out, d_in))

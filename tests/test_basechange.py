@@ -1,8 +1,11 @@
 """Slicing tensor-category modules into fibers and pushing nu through."""
 
+from collections import Counter
+
 import derived_oracle
-from conftest import module322, tensor322
+from conftest import ka2, loop_sq, module322, tensor322
 from gpquiver.basechange import Factorization
+from gpquiver.category import tensor_category
 from gpquiver.gorenstein import splitting_section
 from gpquiver.modules import dual, representable
 from gpquiver.nakayama import NakayamaEngine
@@ -55,18 +58,54 @@ def test_base_map_is_module_map(setup322):
             fact.base_map(M, b, fibs).validate()
 
 
-def test_nu_based_matches_cokernel_formula(setup322):
+def test_i_star_nu_matches_cokernel_formula(setup322):
     # for a representation (M1 -u-> M2, loop v) the value of nu over the
     # arrow vertex is Coker u and over the loop vertex Coker v
     T, M = setup322
     fact = Factorization(T, "left")
     engine = NakayamaEngine(fact.cat, cutoff=8)
-    nuM, _ = fact.nu_based(M, engine)
-    nuM.validate()
+    comps = fact.i_star_nu_components(M, engine)
+    # nu F is a T-module: each fiber's nu is a C-module, each pushed base
+    # action a C-module map, and each component a base module built of them
+    fibs = fact.fibers(M)
+    nus = {d: engine.nu(fibs[d]) for d in fact.base.objects}
+    for nu in nus.values():
+        nu.module.validate()
+    for b, (d, d2) in fact.base.arrow_map.items():
+        pushed = engine.nu_map(nus[d], nus[d2], fact.base_map(M, b, fibs))
+        pushed.validate()
+        for c in fact.cat.objects:
+            assert comps[c].mats[b] == pushed.mats[c]
+    for mod in comps.values():
+        mod.validate()
     # value at the arrow vertex is Coker v, at the loop vertex Coker u:
     # fiber over base object 1 has u = 0 into k and v = 0, fiber over base
     # object 2 has u = 0 into k^2 and v of rank one
-    assert nuM.dims == {"1|1": 1, "1|2": 1, "2|1": 1, "2|2": 2}
+    assert {fact.name(d, c): comps[c].dims[d] for c in comps for d in fact.base.objects} == {
+        "1|1": 1, "1|2": 1, "2|1": 1, "2|2": 2}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("build", [tensor322, lambda: tensor_category(ka2(), loop_sq())],
+                         ids=["ex322", "ka2-loop_sq"])
+def test_total_category_is_named_by_fact_name(build, side):
+    """Each object of the total category is name(d, c) for one pair of a base
+    object and a C object; each arrow is name(d, a) for a C arrow a or
+    name(b, c) for a base arrow b, between the names of its endpoints."""
+    fact = Factorization(build(), side)
+    B, C, T = fact.base, fact.cat, fact.total
+    objects = Counter(fact.name(d, c) for d in B.objects for c in C.objects)
+    assert sorted(objects) == sorted(T.objects) and set(objects.values()) == {1}
+    arrows = Counter()
+    for d in B.objects:
+        for a, (s, t) in C.arrow_map.items():
+            arrows[fact.name(d, a)] += 1
+            assert T.arrow_map[fact.name(d, a)] == (fact.name(d, s), fact.name(d, t))
+    for b, (s, t) in B.arrow_map.items():
+        for c in C.objects:
+            arrows[fact.name(b, c)] += 1
+            assert T.arrow_map[fact.name(b, c)] == (fact.name(s, c), fact.name(t, c))
+    assert sorted(arrows) == sorted(T.arrow_map) and set(arrows.values()) == {1}
 
 
 def test_i_star_nu_components(setup322):

@@ -12,6 +12,7 @@ from gpquiver.category import (
     Relation,
     build_category,
     tensor_category,
+    tensor_name,
 )
 from gpquiver.linalg import GF, QQ
 
@@ -172,10 +173,12 @@ def test_tensor_a2_a2_matches_square():
 def test_tensor_hom_dims_multiply():
     C1, C2 = ka2(), loop_sq()
     T = tensor_category(C1, C2)
-    info = T.tensor_info
-    for (c1, d1), n1 in info.obj_name.items():
-        for (c2, d2), n2 in info.obj_name.items():
-            assert T.hom_dim(n1, n2) == C1.hom_dim(c1, c2) * C2.hom_dim(d1, d2)
+    pairs = [(c, d) for c in C1.objects for d in C2.objects]
+    assert T.objects == tuple(tensor_name(c, d) for c, d in pairs)
+    for c1, d1 in pairs:
+        for c2, d2 in pairs:
+            assert (T.hom_dim(tensor_name(c1, d1), tensor_name(c2, d2))
+                    == C1.hom_dim(c1, c2) * C2.hom_dim(d1, d2))
 
 
 def test_tensor_over_f5():

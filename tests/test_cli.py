@@ -541,6 +541,22 @@ def test_tensor_over_different_fields_cites_its_header(tmp_path, capsys):
     assert err.endswith("tensor factors over different fields\n")
 
 
+# tensor names are "left|right", so a '|' inside a factor's names can make
+# two objects or two arrows of the product coincide: refused at the header
+@pytest.mark.parametrize("kind, left, right", [
+    ("object", ["objects = x|y, x", "arrow = p: x -> x|y"],
+     ["objects = z, y|z", "arrow = q: z -> y|z"]),
+    ("arrow", ["objects = x|y, w", "arrow = x: w -> x|y"],
+     ["objects = y|z, s", "arrow = z: s -> y|z"]),
+], ids=["object", "arrow"])
+def test_tensor_name_clash_cites_its_header(kind, left, right, tmp_path, capsys):
+    for name, lines in (("l.cat", left), ("r.cat", right)):
+        _bad_input(tmp_path, name, ["[category]", "field = Q", *lines])
+    path = _bad_input(tmp_path, "t.cat", ["[tensor]", "left = l.cat", "right = r.cat"])
+    err = _assert_error_at(["cat-info", path], f"{path}:1", capsys)
+    assert err == f"error: {path}:1: {kind} name clash in tensor product\n"
+
+
 # a file a [tensor] or a representation references is cited by its path
 # from the directory the command was run in, as the named file is
 @pytest.mark.parametrize("name, lines, cmd", [

@@ -66,9 +66,11 @@ def test_module_round_trip(name, tmp_path):
 
 def test_tensor_fixture_supports_both_factorizations():
     t = gio.parse_category(fix("ex322_tensor.cat"))
-    assert t.tensor_info is not None
-    for side in ("left", "right"):
+    left, right = (gio.parse_category(fix(n)) for n in ("ex322.cat", "ex322_op.cat"))
+    assert t.factors == (left, right)
+    for side, cat, base in (("left", left, right), ("right", right, left)):
         fact = Factorization(t, side)
+        assert (fact.cat, fact.base) == (cat, base)
         assert set(fact.cat.objects) == {"1", "2"}
 
 

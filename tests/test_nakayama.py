@@ -268,17 +268,17 @@ def test_derived_dims_fall_back_to_the_other_side():
     for res in (eng.res_right("1"), eng.res_left("1")):
         assert [res.past_end(i) for i in (1, 2)] == [False, None]
     P, I = representable(C, "1"), eng.coef_left("1")
-    zero = DerivedValue(0, True)
+    zero = DerivedValue(0)
     assert eng.left_derived_nu_dims(P, 2)["1"] == zero
     assert eng.right_derived_nu_minus_dims(I, 2)["1"] == zero
     assert tor_dim(eng.coef_right("1"), P, 2, 2) == zero
     assert tor_dim(eng.coef_right("1"), P, 2, 2, resolution=eng.res_right("1")) == zero
     assert ext_dim(I, I, 2, 2) == zero
     assert ext_dim(I, I, 2, 2, resolution=eng.res_left("1")) == zero
-    # both sides truncated: inconclusive, with one note
+    # both sides truncated: inconclusive
     S = crosscheck.simple(C, "1")
-    assert tor_dim(eng.coef_right("1"), S, 2, 2) == DerivedValue(
-        None, False, "both sides truncated at cutoff")
+    v = tor_dim(eng.coef_right("1"), S, 2, 2)
+    assert v == DerivedValue(None) and not v.conclusive
 
 
 def test_nu_minus_recovers_mono_source_on_a2():

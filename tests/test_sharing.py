@@ -122,20 +122,27 @@ def test_tensor_induced_matches_kronecker_oracle(build, field):
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
-def test_nu_based_matches_kronecker_oracle(field):
-    """nu_based through the production engine and through the oracle: theta,
-    fiber by fiber, carries one T-module to the other."""
+def test_i_star_nu_matches_kronecker_oracle(field):
+    """i^*(nu F) through the production engine and through the oracle: theta,
+    fiber by fiber, carries each fiber's nu and each component of one route
+    to the other's."""
     T = tensor322(field)
     mods = [module322(T), random_module(T, random.Random(5), max_gens=1)]
     for side in ("left", "right"):
         fact = Factorization(T, side)
         eng, orc = NakayamaEngine(fact.cat, 4), derived_oracle.TensorNakayamaEngine(fact.cat, 4)
         for F in mods:
-            got, nus = fact.nu_based(F, eng)
-            want, nus_o = fact.nu_based(F, orc)
-            iso = {fact.pair_obj(d, c): theta(eng, nus[d], nus_o[d], c)
-                   for d in fact.base.objects for c in fact.cat.objects}
-            assert_iso(iso, got, want)
+            got = fact.i_star_nu_components(F, eng)
+            want = fact.i_star_nu_components(F, orc)
+            fibs = fact.fibers(F)
+            nus = {d: eng.nu(fibs[d]) for d in fact.base.objects}
+            nus_o = {d: orc.nu(fibs[d]) for d in fact.base.objects}
+            for d in fact.base.objects:
+                assert_iso({c: theta(eng, nus[d], nus_o[d], c) for c in fact.cat.objects},
+                           nus[d].module, nus_o[d].module)
+            for c in fact.cat.objects:
+                assert_iso({d: theta(eng, nus[d], nus_o[d], c) for d in fact.base.objects},
+                           got[c], want[c])
 
 
 def coefficient_resolutions(monkeypatch) -> dict:
