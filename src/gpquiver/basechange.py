@@ -56,20 +56,24 @@ class Factorization:
     def fibers(self, F: Module) -> dict:
         return {d: self.fiber(F, d) for d in self.base.objects}
 
-    def restrict_to_cat(self, F: Module) -> Module:
-        """Underlying C-module: direct sum of all fibers, base order."""
-        return block_sum(self.cat, [self.fiber(F, d) for d in self.base.objects])
+    def restrict_to_cat(self, F: Module, fibs: dict | None = None) -> Module:
+        """Underlying C-module: direct sum of all fibers, base order; fibs,
+        when given, is fibers(F)."""
+        fibs = fibs or self.fibers(F)
+        return block_sum(self.cat, [fibs[d] for d in self.base.objects])
 
     # -- pushing nu through the base action --------------------------------
 
-    def i_star_nu_components(self, F: Module, engine: NakayamaEngine) -> dict:
+    def i_star_nu_components(self, F: Module, engine: NakayamaEngine,
+                             fibs: dict | None = None) -> dict:
         """The base-module components of i^*(nu F): one Lambda_B-module per
         object c of C, whose value at d is nu(F(d, -))(c) and whose base
-        arrows act by the maps nu pushes the base action through."""
+        arrows act by the maps nu pushes the base action through; fibs,
+        when given, is fibers(F)."""
         if engine.cat != self.cat:
             raise ModuleError("engine category does not match the factorization")
         B = self.base
-        fibs = self.fibers(F)
+        fibs = fibs or self.fibers(F)
         nus = {d: engine.nu(fibs[d]) for d in B.objects}
         pushed = {b: engine.nu_map(nus[d], nus[d2], self.base_map(F, b, fibs))
                   for b, (d, d2) in B.arrow_map.items()}

@@ -12,6 +12,7 @@ from .basechange import Factorization
 from .category import BoundQuiverCategory
 from .linalg import Matrix, PrimeField
 from .modules import (
+    Cover,
     Module,
     ModuleMap,
     ModuleError,
@@ -240,8 +241,10 @@ def is_p_projective(f_mod: Module, engine: NakayamaEngine,
 # -- Gorenstein projectivity over the base ---------------------------------
 
 
-def is_base_projective(n_mod: Module) -> Verdict:
-    cov = projective_cover(n_mod)
+def is_base_projective(n_mod: Module, cov: Cover | None = None) -> Verdict:
+    """Projective exactly when the syzygy of the projective cover, made here
+    unless given (a resolution's stage 0), is zero."""
+    cov = cov or projective_cover(n_mod)
     kernel_dims = {c: k.cols for c, k in cov.syzygy.items()}
     if not any(kernel_dims.values()):
         return Verdict("yes", {"reason": "projective",
@@ -260,10 +263,11 @@ def base_gp(n_mod: Module, profile: BaseGorensteinProfile, cutoff: int = 16) -> 
     base = n_mod.cat
     hyp = {"base_self_injective_dimension": profile.g,
            "profile_status": profile.status, "cutoff": cutoff}
-    proj = is_base_projective(n_mod)
+    res = projective_resolution(n_mod, cutoff)
+    res.reaches(0)
+    proj = is_base_projective(n_mod, res.stages[0])
     if proj.is_yes:
         return Verdict("yes", proj.certificate, hyp)
-    res = projective_resolution(n_mod, cutoff)
     known = profile.g is not None
     if not known and res.completed:
         # finite projective dimension: Gorenstein projective would force
@@ -292,7 +296,8 @@ def _components_of_i_star_nu(f_mod: Module, engine: NakayamaEngine,
     """(restriction to the C-direction, base-valued components of i^*(nu F))."""
     if fact is None:
         return f_mod, dict(engine.nu(f_mod).module.dims)
-    return fact.restrict_to_cat(f_mod), fact.i_star_nu_components(f_mod, engine)
+    fibs = fact.fibers(f_mod)
+    return fact.restrict_to_cat(f_mod, fibs), fact.i_star_nu_components(f_mod, engine, fibs)
 
 
 def _gp_regime(engine: NakayamaEngine, profile: BaseGorensteinProfile | None) -> str:

@@ -135,16 +135,20 @@ class RationalField(Field):
         return str(a)
 
     def _encode_rows(self, rows):
-        """Primitive integer multiples: denominators cleared by their lcm,
-        reading only the nonzero entries."""
+        """Primitive integer multiples: a row of ints copied, any other row
+        with its denominators cleared by their lcm, reading only the nonzero
+        entries; then divided by the content."""
         out = []
         for row in rows:
-            new = [0] * len(row)
-            if nz := list(compress(range(len(row)), row)):
+            if set(map(type, row)) <= {int}:
+                new = row.copy()
+            else:
+                new = [0] * len(row)
+                nz = list(compress(range(len(row)), row))
                 den = lcm(*[row[j].denominator for j in nz])
                 for j in nz:
                     new[j] = row[j].numerator * (den // row[j].denominator)
-                self._tidy_row(new, nz)
+            self._tidy_row(new, None)
             out.append(new)
         return out
 

@@ -16,11 +16,13 @@ lifted into the kernel of the outgoing one, then its cokernel.
 In a resolution each syzygy stays inside the free stage before it, as the
 canonical kernel basis of the differential, generated by its columns left
 as pivots against the radical; stages[i].epi is d_i: P_i -> P_{i-1} for
-i >= 1.  Stages are built when read, up to the cutoff, into a list that
-resolutions of the module at other cutoffs may share; degree i reads up to
-stage i+1.  Coordinates in a canonical kernel basis are read at its free
-rows, with no solve: a kernel's arrows, nu^-'s arrows and maps, and the lift
-of a homology module.  A cokernel's section is the unit columns at the free
+i >= 1, and the summand vectors of stage i are d_i's generator images, in
+P_{i-1}, which _applied_diff reads without rescanning the epi.  Stages are
+built when read, up to the cutoff, into a list that resolutions of the
+module at other cutoffs may share; degree i reads up to stage i+1.
+Coordinates in a canonical kernel basis are read at its free rows, with no
+solve: a kernel's arrows, nu^-'s arrows and maps, and the lift of a
+homology module.  A cokernel's section is the unit columns at the free
 columns of its projection.
 
 Free modules are known by their generators.  free_module lays out
@@ -418,7 +420,9 @@ def tensor_over_cat(m: Module, f_mod: Module) -> TensorResult:
 
 class Cover:
     """A free module P on generators in M and the map P -> M they give; in a
-    resolution, stage i >= 1 maps into P_{i-1}, its epi being d_i."""
+    resolution, stage i >= 1 maps into P_{i-1}, its epi being d_i.  A summand
+    vector is its generator's image under epi, in epi's target: the column
+    of epi at the generator's identity-path row."""
 
     def __init__(self, module: Module, epi: ModuleMap, summands: list, syzygy: dict | None = None):
         self.module = module      # the free module P
@@ -479,17 +483,19 @@ def _span_cover(x: Module, bases: dict) -> Cover:
     """The minimal cover, mapping into x, of the submodule spanned by the
     columns of bases[c] at each c, with its syzygy.  The generators at c are
     the columns of bases[c] that are pivots of one rref of [rad | bases[c]],
-    rad spanning the images of the arrows into c; the elimination that gives
-    the syzygy also checks that the cover is onto the span."""
+    rad spanning the images of the arrows into c, stacked as row lists; the
+    elimination that gives the syzygy also checks that the cover is onto the
+    span."""
     cat = x.cat
+    f = cat.field
     summands = []
     for c in cat.objects:
-        rad = Matrix.zeros(cat.field, x.dims[c], 0)
-        for name, (s, t) in cat.arrow_map.items():
-            if t == c:
-                rad = rad.hstack(x.mats[name] @ bases[s])
-        _, pivots = rad.hstack(bases[c]).rref()
-        summands += [(c, bases[c].col(j - rad.cols)) for j in pivots if j >= rad.cols]
+        rad = [x.mats[name] @ bases[s] for name, (s, t) in cat.arrow_map.items() if t == c]
+        width, basis = sum(r.cols for r in rad), bases[c].data
+        stacked = [[e for r in rad for e in r.data[i]] + row for i, row in enumerate(basis)]
+        _, pivots = Matrix._adopt(f, stacked, len(basis), width + bases[c].cols).rref()
+        summands += [(c, Matrix._adopt(f, [[row[j - width]] for row in basis], len(basis), 1))
+                     for j in pivots if j >= width]
     cov = free_on_generators(x, summands)
     cov.syzygy = {}
     for c in cat.objects:
@@ -564,12 +570,12 @@ def projective_resolution(m: Module, cutoff: int) -> Resolution:
 
 def _diff_images(res: Resolution, j: int) -> tuple:
     """d_j: P_j -> P_{j-1} as _applied_diff reads it: the generator objects of
-    P_j and P_{j-1}, empty outside the resolution, and each image's column."""
+    P_j and P_{j-1}, empty outside the resolution, and each generator's image,
+    its summand vector (Cover)."""
     src, dst = ([c for c, _ in res.stages[i].summands] if i >= 0 and res.reaches(i) else []
                 for i in (j, j - 1))
-    return src, dst, [[row[block_offsets(res.module.cat, src, c)[l]]
-                       for row in res.stages[j].epi.mats[c].data]
-                      for l, c in enumerate(src)] if src and dst else []
+    images = [[row[0] for row in v.data] for _, v in res.stages[j].summands] if src and dst else []
+    return src, dst, images
 
 
 def _applied_diff(cat: BoundQuiverCategory, x: Module, src: list, dst: list, images: list,
@@ -584,28 +590,39 @@ def _applied_diff(cat: BoundQuiverCategory, x: Module, src: list, dst: list, ima
     between X(b_k) and X(c_l) is sum_p coef_p X(p):
       Hom case (X over cat): (+)_k X(b_k) -> (+)_l X(c_l);
       tensor case (X over the opposite, paths reversed): (+)_l X(c_l) -> (+)_k X(b_k).
-    acts caches X's path actions; calls on one X may share it.
+    A block's first term with coefficient 1 is written as row slices, any
+    other term added at the nonzero entries of X(p).  acts caches X's path
+    actions; calls on one X may share it.
     """
     f = x.cat.field
+    add, mul = f.add, f.mul
     src_off = list(accumulate((x.dims[c] for c in src), initial=0))
     dst_off = list(accumulate((x.dims[c] for c in dst), initial=0))
     rows, cols = (dst_off[-1], src_off[-1]) if tensor else (src_off[-1], dst_off[-1])
     data = [[f.zero()] * cols for _ in range(rows)]
+    starts = {}
     for l, (c, image) in enumerate(zip(src, images)):
-        starts = block_offsets(cat, dst, c)
+        if c not in starts:
+            starts[c] = block_offsets(cat, dst, c)
         for k, b in enumerate(dst):
-            for row, p in enumerate(cat.hom_basis_paths(b, c), starts[k]):
-                coef = image[row]
-                if not coef:
+            r0, c0 = (dst_off[k], src_off[l]) if tensor else (src_off[l], dst_off[k])
+            fresh = True
+            for row, p in enumerate(cat.hom_basis_paths(b, c), starts[c][k]):
+                if not (coef := image[row]):
                     continue
                 key = (c, tuple(reversed(p))) if tensor else (b, p)
                 if key not in acts:
                     acts[key] = x.act_path(*key)
-                r0, c0 = (dst_off[k], src_off[l]) if tensor else (src_off[l], dst_off[k])
-                for r, block_row in enumerate(acts[key].data):
-                    out = data[r0 + r]
-                    for s, v in enumerate(block_row):
-                        out[c0 + s] = f.add(out[c0 + s], f.mul(coef, v))
+                if fresh and coef == 1:
+                    for r, block_row in enumerate(acts[key].data, r0):
+                        data[r][c0:c0 + len(block_row)] = block_row
+                else:
+                    for r, block_row in enumerate(acts[key].data, r0):
+                        out = data[r]
+                        for s, v in enumerate(block_row, c0):
+                            if v:
+                                out[s] = add(out[s], mul(coef, v))
+                fresh = False
     return Matrix._adopt(f, data, rows, cols)
 
 

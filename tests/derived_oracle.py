@@ -30,9 +30,15 @@ arrows and maps through `tensor_induced`, and lambda from the columns of the
 quotient map at xi_i (x) e_j; and nu^- and its maps off hom bases,
 nu^-(F)(c) = Hom(D C(-,c), F) with coordinates from `hom_coords`.
 
+`applied_diff_by_entries` is the Yoneda matrix of `_applied_diff` built one
+entry at a time: every term of every block added at every entry of X(p),
+with no row slices and no skipped multiplication.
+
 `kernel_module_resolution` resolves through kernel modules: the cover of
 each stage's kernel module, by generators spanning a complement of the
-radical (`complement_cover`), followed by the kernel's inclusion.
+radical (`complement_cover`), followed by the kernel's inclusion, which
+also carries its generators' vectors into the stage before, as in a
+production `Cover`.
 `padded_resolution` is a non-minimal resolution of that shape: every cover
 carries one more generator, sent to zero.  Both are `GivenResolution`s,
 built whole up front and read as production resolutions are.
@@ -49,6 +55,7 @@ from gpquiver.modules import (
     ModuleMap,
     Resolution,
     _map_columns,
+    block_offsets,
     direct_sum_modules,
     free_on_generators,
     hom_basis,
@@ -102,6 +109,29 @@ def complement_cover(m):
     return free_on_generators(m, summands)
 
 
+def applied_diff_by_entries(cat, x, src, dst, images, tensor):
+    """_applied_diff(cat, x, src, dst, images, tensor, {}) entry by entry."""
+    f = x.cat.field
+    src_off = [sum(x.dims[c] for c in src[:l]) for l in range(len(src) + 1)]
+    dst_off = [sum(x.dims[b] for b in dst[:k]) for k in range(len(dst) + 1)]
+    rows, cols = (dst_off[-1], src_off[-1]) if tensor else (src_off[-1], dst_off[-1])
+    data = [[f.zero()] * cols for _ in range(rows)]
+    for l, (c, image) in enumerate(zip(src, images)):
+        starts = block_offsets(cat, dst, c)
+        for k, b in enumerate(dst):
+            for row, p in enumerate(cat.hom_basis_paths(b, c), starts[k]):
+                coef = image[row]
+                if not coef:
+                    continue
+                block = x.act_path(c, tuple(reversed(p))) if tensor else x.act_path(b, p)
+                r0, c0 = (dst_off[k], src_off[l]) if tensor else (src_off[l], dst_off[k])
+                for r, block_row in enumerate(block.data):
+                    out = data[r0 + r]
+                    for s, v in enumerate(block_row):
+                        out[c0 + s] = f.add(out[c0 + s], f.mul(coef, v))
+    return Matrix(f, data, rows, cols)
+
+
 class GivenResolution(Resolution):
     """A resolution whose stages are all given, possibly not minimal; it has
     no stage past them, and goes on past the last one unless completed."""
@@ -124,7 +154,8 @@ def kernel_module_resolution(m, cutoff, cover=complement_cover):
         if k.is_zero():
             return GivenResolution(m, stages, True, cutoff)
         cov = cover(k)
-        stages.append(Cover(cov.module, cov.epi.then(incl), cov.summands))
+        stages.append(Cover(cov.module, cov.epi.then(incl),
+                            [(c, incl.mats[c] @ v) for c, v in cov.summands]))
     return GivenResolution(m, stages, kernel(stages[-1].epi)[0].is_zero(), cutoff)
 
 

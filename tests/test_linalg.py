@@ -247,22 +247,23 @@ BIG = GF(2**61 - 1)
 def eliminations(draw):
     """A matrix of up to 12 x 12 over QQ or GF(2^61 - 1) for the integer-row
     elimination: rational entries with denominators up to 97, all-integer
-    rows, or a rank-deficient product of thin factors; in half the examples
-    every row's leading entry is negative."""
+    rows, each row one or the other at random, or a rank-deficient product
+    of thin factors; in half the examples every row's leading entry is
+    negative."""
     field = draw(st.sampled_from((QQ, BIG)))
     rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
-    kind = draw(st.sampled_from(("rational", "integer", "thin")))
+    kind = draw(st.sampled_from(("rational", "integer", "mixed", "thin")))
     density = draw(st.sampled_from((0.3, 0.7, 1.0)))
     rng = random.Random(draw(st.integers(0, 2**32)))
 
-    def entry():
+    def entry(integral):
         if rng.random() >= density:
             return 0
-        den = 1 if kind == "integer" else rng.randrange(1, 98)
-        return Fraction(rng.randrange(-99, 100), den)
+        return Fraction(rng.randrange(-99, 100), 1 if integral else rng.randrange(1, 98))
 
     def dense(r, c):
-        return [[entry() for _ in range(c)] for _ in range(r)]
+        return [[entry(integral) for _ in range(c)] for integral in (
+            kind == "integer" or kind == "mixed" and rng.random() < 0.5 for _ in range(r))]
 
     if kind == "thin":
         inner = rng.randrange(1, 4)
@@ -278,6 +279,8 @@ def eliminations(draw):
 
 @given(eliminations(), st.integers(0, 2**32))
 @example(mat([[Fraction(-1, 97), Fraction(2, 89)], [Fraction(-3, 2), 0]]), 0)
+@example(mat([[0, 6, -9, 3], [Fraction(1, 2), 0, 1, Fraction(-3, 4)], [0, 0, 0, 0],
+              [-2, 4, 0, 2], [1, Fraction(5, 7), 0, -1], [4, -2, 1, 0]]), 1)
 @settings(max_examples=60)
 def test_integer_rows_agree_with_dense_reference(a, seed):
     rng = random.Random(seed)

@@ -1,17 +1,19 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import crosscheck
 import derived_oracle
-from conftest import cyclic3, ex322, ka2, ka3, loop_sq, square
+from conftest import cyclic3, ex322, exterior2, ka2, ka3, loop_sq, square
 
 from gpquiver.linalg import GF, QQ, LinAlgError, Matrix
 from gpquiver.modules import (
     Module,
     ModuleError,
     ModuleMap,
+    _applied_diff,
     _derived_dim,
     _map_columns,
     cokernel,
@@ -411,6 +413,29 @@ def test_free_covers_match_path_oracle(make, field):
             assert cov.module == total
             assert cov.epi.mats == epi
             cov.epi.validate()
+
+
+@pytest.mark.parametrize("make", [loop_sq, exterior2, square, ex322])
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "Q"])
+def test_applied_diff_matches_entrywise_reference(make, field):
+    # blocks of several path terms, led by a coefficient 1 or another one,
+    # and whole zero blocks, on the Hom and the tensor side, against the
+    # entry-by-entry reference; a second call reads the cached path actions
+    C = make(field)
+    rng = random.Random(53)
+    z, one = field.zero(), field.one()
+    coefs = [z, one, one, field.of(2), field.neg(one), field.of(Fraction(1, 2))]
+    for _ in range(4):
+        src = [rng.choice(C.objects) for _ in range(rng.randrange(1, 4))]
+        dst = [rng.choice(C.objects) for _ in range(rng.randrange(1, 4))]
+        images = [[coef for b in dst
+                   for coef in ([z] * C.hom_dim(b, c) if rng.random() < 0.25 else
+                                rng.choices(coefs, k=C.hom_dim(b, c)))] for c in src]
+        for x, tensor in ((random_module(C, rng), False), (dual(random_module(C, rng)), True)):
+            want = derived_oracle.applied_diff_by_entries(C, x, src, dst, images, tensor)
+            acts = {}
+            for _ in range(2):
+                assert repr(_applied_diff(C, x, src, dst, images, tensor, acts)) == repr(want)
 
 
 @pytest.mark.parametrize("make", [ka2, loop_sq, square, ex322])

@@ -226,6 +226,25 @@ def test_resolution_matches_kernel_module_oracle(cat, seed, cutoff):
                                for k, obj in enumerate(objs) if obj == c)
 
 
+# three resolutions per example; 10 keep the test inside the tier-1 budget
+@settings(max_examples=10)
+@given(bound_quivers(), st.integers(0, 2**32))
+def test_summand_vectors_are_generator_images(cat, seed):
+    # the Cover contract that _diff_images reads d_j by: each summand vector
+    # is the column of the stage's epi at its generator's identity-path row,
+    # in production, kernel-module and padded resolutions
+    rng = random.Random(seed)
+    F = random_module(cat, rng)
+    for res in (projective_resolution(F, 3), derived_oracle.kernel_module_resolution(F, 3),
+                derived_oracle.padded_resolution(F, 3)):
+        res.length()
+        for stage in res.stages:
+            objs = [c for c, _ in stage.summands]
+            for l, (c, v) in enumerate(stage.summands):
+                row = block_offsets(cat, objs, c)[l]
+                assert [[r[row]] for r in stage.epi.mats[c].data] == v.data
+
+
 # each example resolves every coefficient module of a fresh engine; 10 keep
 # the test inside the tier-1 time budget
 @settings(max_examples=10)
