@@ -152,10 +152,10 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
         for c in cat.objects
     }
     cert["lambda_ranks"] = lam_table
-    if not lam.is_iso():
-        bad = next(c for c in cat.objects
-                   if lam_table[c]["rank"] != lam_table[c]["src_dim"]
-                   or lam_table[c]["src_dim"] != lam_table[c]["dst_dim"])
+    # an iso exactly where every component is square of full rank
+    bad = next((c for c, t in lam_table.items()
+                if not t["rank"] == t["src_dim"] == t["dst_dim"]), None)
+    if bad is not None:
         cert["failure"] = {"functor": "lambda", "object": bad}
         return Verdict("no", cert, hyp)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
+from operator import mul
 
 
 class LinAlgError(Exception):
@@ -84,6 +85,10 @@ class Field:
     def neg(self, a):
         raise NotImplementedError
 
+    def dot(self, row, vec):
+        """sum_i row[i] * vec[i], one canonical scalar."""
+        raise NotImplementedError
+
     def inv(self, a):
         raise NotImplementedError
 
@@ -121,6 +126,10 @@ class RationalField(Field):
 
     def neg(self, a):
         return -a
+
+    def dot(self, row, vec):
+        r = sum(map(mul, row, vec))
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def inv(self, a):
         n, d = a.numerator, a.denominator
@@ -238,6 +247,9 @@ class PrimeField(Field):
 
     def neg(self, a):
         return (-a) % self.p
+
+    def dot(self, row, vec):
+        return sum(map(mul, row, vec)) % self.p
 
     def inv(self, a):
         if a % self.p == 0:

@@ -9,7 +9,10 @@ off the Hom system of F -> DM, since D(M (x)_C F) = Hom_C(F, DM).  A module
 applied to a map of free modules, given by the images of its generators, is
 one matrix of its path actions (Yoneda, _applied_diff): Tor and Ext over a
 projective resolution, and nu and nu^- over the presentations of D(C), are
-read off it, without building tensor quotients or Hom systems.  Homology
+read off it, without building tensor quotients or Hom systems.  The map is
+compiled once into its nonzero terms (_free_map: source and target block,
+path, reversed path, coefficient), which depend on the map alone, so
+_applied_diff reads only the module's dims and path actions.  Homology
 modules are built from kernel and cokernel alone: the incoming differential
 lifted into the kernel of the outgoing one, then its cokernel.
 
@@ -17,9 +20,10 @@ In a resolution each syzygy stays inside the free stage before it, as the
 canonical kernel basis of the differential, generated by its columns left
 as pivots against the radical; stages[i].epi is d_i: P_i -> P_{i-1} for
 i >= 1, and the summand vectors of stage i are d_i's generator images, in
-P_{i-1}, which _applied_diff reads without rescanning the epi.  Stages are
-built when read, up to the cutoff, into a list that resolutions of the
-module at other cutoffs may share; degree i reads up to stage i+1.
+P_{i-1}, compiled without rescanning the epi when d_i is first read and kept
+on the stage's Cover.  Stages are built when read, up to the cutoff, into a
+list that resolutions of the module at other cutoffs may share, with their
+compiled differentials; degree i reads up to stage i+1.
 Coordinates in a canonical kernel basis are read at its free rows, with no
 solve: a kernel's arrows, nu^-'s arrows and maps, and the lift of a
 homology module.  A cokernel's section is the unit columns at the free
@@ -422,13 +426,16 @@ class Cover:
     """A free module P on generators in M and the map P -> M they give; in a
     resolution, stage i >= 1 maps into P_{i-1}, its epi being d_i.  A summand
     vector is its generator's image under epi, in epi's target: the column
-    of epi at the generator's identity-path row."""
+    of epi at the generator's identity-path row.  diff is d_i as
+    _applied_diff reads it (_free_map), made when _diff_images first reads
+    it and kept for every resolution over the stage list."""
 
     def __init__(self, module: Module, epi: ModuleMap, summands: list, syzygy: dict | None = None):
         self.module = module      # the free module P
         self.epi = epi            # P -> M
         self.summands = summands  # of (object, generator column in M(object))
         self.syzygy = syzygy      # canonical kernel basis of epi per object
+        self.diff = None          # _free_map of d_i, once read
 
 
 def free_module(cat: BoundQuiverCategory, objs: list) -> Module:
@@ -447,18 +454,21 @@ def block_offsets(cat: BoundQuiverCategory, objs: list, x) -> list:
 def free_on_generators(m: Module, summands: list) -> Cover:
     """free_module on the summand objects, with the action map sending the
     generator of C(c,-) to its chosen vector in M(c).  The image of a path
-    p.a is M(a) applied to the image of p, each prefix computed once."""
+    p.a is M(a) applied to the image of p, each prefix computed once as a
+    plain list, one dot product per row of M(a)."""
     cat = m.cat
+    dot = cat.field.dot
     rows = {x: [[] for _ in range(m.dims[x])] for x in cat.objects}
     for c, vec in summands:
-        images = {(): vec}
+        images = {(): [r[0] for r in vec.data]}
         for x in cat.objects:
             for p in cat.hom_basis_paths(c, x):
                 for k in range(1, len(p) + 1):
                     if p[:k] not in images:
-                        images[p[:k]] = m.mats[p[k - 1]] @ images[p[:k - 1]]
-                for row, entry in zip(rows[x], images[p].data):
-                    row += entry
+                        prev = images[p[:k - 1]]
+                        images[p[:k]] = [dot(row, prev) for row in m.mats[p[k - 1]].data]
+                for row, entry in zip(rows[x], images[p]):
+                    row.append(entry)
     total = free_module(cat, [c for c, _ in summands])
     epi = {x: Matrix._adopt(cat.field, rows[x], m.dims[x], total.dims[x]) for x in cat.objects}
     return Cover(total, ModuleMap(total, m, epi, check=False), summands)
@@ -476,31 +486,35 @@ def basis_cover(m: Module) -> Cover:
 
 def projective_cover(m: Module) -> Cover:
     """The minimal projective cover of m, with its syzygy."""
-    return _span_cover(m, {c: Matrix.identity(m.cat.field, m.dims[c]) for c in m.cat.objects})
+    return _span_cover(m, None)
 
 
-def _span_cover(x: Module, bases: dict) -> Cover:
+def _span_cover(x: Module, bases: dict | None) -> Cover:
     """The minimal cover, mapping into x, of the submodule spanned by the
-    columns of bases[c] at each c, with its syzygy.  The generators at c are
-    the columns of bases[c] that are pivots of one rref of [rad | bases[c]],
-    rad spanning the images of the arrows into c, stacked as row lists; the
-    elimination that gives the syzygy also checks that the cover is onto the
-    span."""
+    columns of bases[c] at each c, or of x itself where bases is None, with
+    its syzygy.  The generators at c are the columns of bases[c] (of the
+    identity) that are pivots of one rref of [rad | bases[c]], rad spanning
+    the images of the arrows into c, stacked as row lists; the elimination
+    that gives the syzygy also checks that the cover is onto the span."""
     cat = x.cat
     f = cat.field
-    summands = []
+    summands, spans = [], {}
     for c in cat.objects:
-        rad = [x.mats[name] @ bases[s] for name, (s, t) in cat.arrow_map.items() if t == c]
-        width, basis = sum(r.cols for r in rad), bases[c].data
-        stacked = [[e for r in rad for e in r.data[i]] + row for i, row in enumerate(basis)]
-        _, pivots = Matrix._adopt(f, stacked, len(basis), width + bases[c].cols).rref()
-        summands += [(c, Matrix._adopt(f, [[row[j - width]] for row in basis], len(basis), 1))
+        into = [(name, s) for name, (s, t) in cat.arrow_map.items() if t == c]
+        if bases is None:
+            rad, basis = [x.mats[name] for name, _ in into], Matrix.identity(f, x.dims[c])
+        else:
+            rad, basis = [x.mats[name] @ bases[s] for name, s in into], bases[c]
+        width, spans[c] = sum(r.cols for r in rad), basis.cols
+        stacked = [[e for r in rad for e in r.data[i]] + row for i, row in enumerate(basis.data)]
+        _, pivots = Matrix._adopt(f, stacked, basis.rows, width + basis.cols).rref()
+        summands += [(c, Matrix._adopt(f, [[row[j - width]] for row in basis.data], basis.rows, 1))
                      for j in pivots if j >= width]
     cov = free_on_generators(x, summands)
     cov.syzygy = {}
     for c in cat.objects:
         rank, cov.syzygy[c], _ = cov.epi.mats[c].kernel_basis()
-        if rank != bases[c].cols:
+        if rank != spans[c]:
             raise ModuleError("projective cover failed to surject (radical not nilpotent?)")
     return cov
 
@@ -568,61 +582,86 @@ def projective_resolution(m: Module, cutoff: int) -> Resolution:
 # -- Tor and Ext ----------------------------------------------------------
 
 
+def _free_map(cat: BoundQuiverCategory, src: list, dst: list, images: list) -> tuple:
+    """The map of free modules (+)_l C(c_l,-) -> (+)_k C(b_k,-) over cat,
+    src = [c_l] and dst = [b_k], that sends generator l to images[l], its
+    column at c_l (free_module layout), as _applied_diff reads it:
+    (src, dst, blocks).  Block (l, k, terms) holds the nonzero terms
+    coef p.g_k of generator l's image, p a basis path of C(b_k, c_l), each
+    as ((b_k, p), (c_l, p reversed), coef), the path's keys on the Hom and
+    the tensor side, in basis order; blocks with no term are left out."""
+    blocks, starts = [], {}
+    for l, (c, image) in enumerate(zip(src, images)):
+        if c not in starts:
+            starts[c] = block_offsets(cat, dst, c)
+        for k, b in enumerate(dst):
+            row = starts[c][k]
+            terms = [((b, p), (c, p[::-1]), coef) for p, coef in
+                     zip(cat.hom_basis_paths(b, c), image[row:starts[c][k + 1]]) if coef]
+            if terms:
+                blocks.append((l, k, terms))
+    return src, dst, blocks
+
+
 def _diff_images(res: Resolution, j: int) -> tuple:
-    """d_j: P_j -> P_{j-1} as _applied_diff reads it: the generator objects of
-    P_j and P_{j-1}, empty outside the resolution, and each generator's image,
-    its summand vector (Cover)."""
+    """d_j: P_j -> P_{j-1} as _applied_diff reads it (_free_map): the
+    generator objects of P_j and P_{j-1}, empty outside the resolution, and
+    each generator's image, its summand vector (Cover), compiled once per
+    stage, on its Cover."""
     src, dst = ([c for c, _ in res.stages[i].summands] if i >= 0 and res.reaches(i) else []
                 for i in (j, j - 1))
-    images = [[row[0] for row in v.data] for _, v in res.stages[j].summands] if src and dst else []
-    return src, dst, images
+    if not (src and dst):
+        return src, dst, []
+    stage = res.stages[j]
+    if stage.diff is None:
+        stage.diff = _free_map(stage.module.cat, src, dst,
+                               [[row[0] for row in v.data] for _, v in stage.summands])
+    return stage.diff
 
 
-def _applied_diff(cat: BoundQuiverCategory, x: Module, src: list, dst: list, images: list,
-                  tensor: bool, acts: dict) -> Matrix:
-    """X applied to the map of free modules (+)_l C(c_l,-) -> (+)_k C(b_k,-)
-    over cat, src = [c_l] and dst = [b_k], that sends generator l to
-    images[l], its column at c_l (free_module layout).
+def _applied_diff(x: Module, diff: tuple, tensor: bool, acts: dict) -> Matrix:
+    """X applied to diff = (src, dst, blocks), a map of free modules
+    (+)_l C(c_l,-) -> (+)_k C(b_k,-) from _free_map.
 
     By Yoneda, Hom(C(c,-), X) = X(c) and C(-,c) (x) X = X(c), so both sides
     are sums of X over generator objects.  With generator l going to
     sum_k sum_p coef_p p.g_k (p a basis path of C(b_k, c_l)), the block
     between X(b_k) and X(c_l) is sum_p coef_p X(p):
-      Hom case (X over cat): (+)_k X(b_k) -> (+)_l X(c_l);
+      Hom case (X over the map's category): (+)_k X(b_k) -> (+)_l X(c_l);
       tensor case (X over the opposite, paths reversed): (+)_l X(c_l) -> (+)_k X(b_k).
-    A block's first term with coefficient 1 is written as row slices, any
-    other term added at the nonzero entries of X(p).  acts caches X's path
-    actions; calls on one X may share it.
+    Only X's dims and path actions are read here: a block where X vanishes
+    at either end is skipped, a block's first term with coefficient 1 is
+    written as row slices, any other term added at the nonzero entries of
+    X(p).  acts caches X's path actions; calls on one X may share it.
     """
-    f = x.cat.field
-    add, mul = f.add, f.mul
-    src_off = list(accumulate((x.dims[c] for c in src), initial=0))
-    dst_off = list(accumulate((x.dims[c] for c in dst), initial=0))
+    f, dims = x.cat.field, x.dims
+    src, dst, blocks = diff
+    src_off = list(accumulate((dims[c] for c in src), initial=0))
+    dst_off = list(accumulate((dims[c] for c in dst), initial=0))
     rows, cols = (dst_off[-1], src_off[-1]) if tensor else (src_off[-1], dst_off[-1])
     data = [[f.zero()] * cols for _ in range(rows)]
-    starts = {}
-    for l, (c, image) in enumerate(zip(src, images)):
-        if c not in starts:
-            starts[c] = block_offsets(cat, dst, c)
-        for k, b in enumerate(dst):
-            r0, c0 = (dst_off[k], src_off[l]) if tensor else (src_off[l], dst_off[k])
-            fresh = True
-            for row, p in enumerate(cat.hom_basis_paths(b, c), starts[c][k]):
-                if not (coef := image[row]):
-                    continue
-                key = (c, tuple(reversed(p))) if tensor else (b, p)
-                if key not in acts:
-                    acts[key] = x.act_path(*key)
-                if fresh and coef == 1:
-                    for r, block_row in enumerate(acts[key].data, r0):
-                        data[r][c0:c0 + len(block_row)] = block_row
-                else:
-                    for r, block_row in enumerate(acts[key].data, r0):
-                        out = data[r]
-                        for s, v in enumerate(block_row, c0):
-                            if v:
-                                out[s] = add(out[s], mul(coef, v))
-                fresh = False
+    if not (rows and cols):
+        return Matrix._adopt(f, data, rows, cols)
+    add, mul = f.add, f.mul
+    for l, k, terms in blocks:
+        if not (dims[src[l]] and dims[dst[k]]):
+            continue
+        r0, c0 = (dst_off[k], src_off[l]) if tensor else (src_off[l], dst_off[k])
+        fresh = True
+        for hom_key, op_key, coef in terms:
+            key = op_key if tensor else hom_key
+            if (act := acts.get(key)) is None:
+                act = acts[key] = x.act_path(*key)
+            if fresh and coef == 1:
+                for r, block_row in enumerate(act.data, r0):
+                    data[r][c0:c0 + len(block_row)] = block_row
+            else:
+                for r, block_row in enumerate(act.data, r0):
+                    out = data[r]
+                    for s, v in enumerate(block_row, c0):
+                        if v:
+                            out[s] = add(out[s], mul(coef, v))
+            fresh = False
     return Matrix._adopt(f, data, rows, cols)
 
 
@@ -633,9 +672,9 @@ def _derived_dim(res: Resolution, x: Module, i: int, tensor: bool) -> DerivedVal
         raise ModuleError("negative degree")
     if (past := res.past_end(i)) is not False:
         return DerivedValue(0 if past else None)
-    cat, acts = res.module.cat, {}
+    acts = {}
     # tensor: X P_{i+1} -> X P_i -> X P_{i-1}; Hom: X P_{i-1} -> X P_i -> X P_{i+1}
-    d_out, d_in = (_applied_diff(cat, x, *_diff_images(res, j), tensor, acts)
+    d_out, d_in = (_applied_diff(x, _diff_images(res, j), tensor, acts)
                    for j in ((i, i + 1) if tensor else (i + 1, i)))
     if not (d_out @ d_in).is_zero():
         raise LinAlgError("homology: composite differential is nonzero")

@@ -12,9 +12,13 @@ nu and nu^- are read off the presentations P_1 -> P_0 of the coefficient
 modules, stages 0-1 of their lists: nu is right exact, nu(C(x,-)) = D C(-,x),
 so nu(F)(c) = coker F (x) d_1, and nu^-(F)(c) = ker Hom(d_1, F), each one
 matrix of F's path actions (Yoneda, modules._applied_diff).  Arrows, maps and
-the unit go through lifts to the P_0s, made once, and are read at free rows
-with no solve.  The tensor D(C) (x)_C F stays in modules as tensor_over_cat.
-Both halves of D(C) are written in the dual of C's path basis.
+the unit go through lifts to the P_0s, and are read at free rows with no
+solve.  Each d_1 and each lift is compiled once into its nonzero path terms
+(modules._free_map) and kept in the category's memo (_yoneda); d_1 is the
+compiled differential of stage 1, on its Cover, which Tor and Ext over the
+coefficient resolutions read too.  The tensor D(C) (x)_C F stays in modules
+as tensor_over_cat.  Both halves of D(C) are written in the dual of C's path
+basis.
 
 The adjoint triple i_! -| i^* -| i_* around evaluation, the counit sigma of
 nu -| nu^- and the triangle identities check these routes; they live with
@@ -43,6 +47,7 @@ from .modules import (
     _applied_diff,
     _derived_either_side,
     _diff_images,
+    _free_map,
     dual,
     dual_map,
     homology_of_modules,
@@ -150,7 +155,7 @@ class NakayamaEngine:
         return res
 
     def _yoneda(self, what: str, x):
-        """A map of free modules nu or nu^- applies F to, made once: d_1 of the
+        """A map of free modules nu or nu^- applies F to, compiled once: d_1 of the
         presentation of D C(x,-) ("right") or D C(-,x) ("left"); lifts to the P_0s
         of u_x ("u") and w_x ("w"), x an arrow; for each generator xi_m of
         D C(-,x), at e_m, a lift of xi_m in D C(e_m, x) to the P_0 of D C(e_m,-)."""
@@ -172,12 +177,12 @@ class NakayamaEngine:
         """nu(F)(c) = coker F (x) d_1 over the presentation of D C(c,-), a
         quotient of (+)_k F(d_k); a: s -> t acts by F applied to the lift of
         u_a, between the section at s and the projection at t."""
-        cat, op, acts, frames = self.cat, self.cat.opposite(), {}, {}
+        cat, acts, frames = self.cat, {}, {}
         for c in cat.objects:
-            _, k, free = _applied_diff(op, f_mod, *self._yoneda("right", c), True,
+            _, k, free = _applied_diff(f_mod, self._yoneda("right", c), True,
                                        acts).transpose().kernel_basis()
             frames[c] = (k.transpose(), free)
-        mats = {a: frames[t][0] @ _applied_diff(op, f_mod, *self._yoneda("u", a), True, acts)
+        mats = {a: frames[t][0] @ _applied_diff(f_mod, self._yoneda("u", a), True, acts)
                 .submatrix(range(frames[t][0].cols), frames[s][1])
                 for a, (s, t) in cat.arrow_map.items()}
         return Applied(Module(cat, {c: p.rows for c, (p, _) in frames.items()}, mats,
@@ -195,9 +200,9 @@ class NakayamaEngine:
         subspace of (+)_k F(e_k); a: s -> t acts by F applied to the lift of
         w_a, read at the free rows at t."""
         cat, acts = self.cat, {}
-        frames = {c: _applied_diff(cat, f_mod, *self._yoneda("left", c), False,
+        frames = {c: _applied_diff(f_mod, self._yoneda("left", c), False,
                                    acts).kernel_basis()[1:] for c in cat.objects}
-        mats = {a: _read(frames[t], _applied_diff(cat, f_mod, *self._yoneda("w", a), False,
+        mats = {a: _read(frames[t], _applied_diff(f_mod, self._yoneda("w", a), False,
                                                   acts) @ frames[s][0])
                 for a, (s, t) in cat.arrow_map.items()}
         return Applied(Module(cat, {c: k.cols for c, (k, _) in frames.items()}, mats,
@@ -215,12 +220,12 @@ class NakayamaEngine:
         """The unit F -> nu^- nu F: e_j in F(c) goes to the map D C(-,c) -> nu F
         sending each generator xi_m, at e_m, to the class of xi_m (x) e_j in
         nu F(e_m), read at the free rows of nu^- nu F (c)."""
-        cat, op, acts, mats = self.cat, self.cat.opposite(), {}, {}
+        cat, acts, mats = self.cat, {}, {}
         nuF = nuF or self.nu(f_mod)
         nm = nm or self.nu_minus(nuF.module)
         for c in cat.objects:
             rows = [r for e, lift in self._yoneda("xi", c) for r in
-                    (nuF.frames[e][0] @ _applied_diff(op, f_mod, *lift, True, acts)).data]
+                    (nuF.frames[e][0] @ _applied_diff(f_mod, lift, True, acts)).data]
             mats[c] = _read(nm.frames[c], Matrix._adopt(cat.field, rows, len(rows), f_mod.dims[c]))
         return ModuleMap(f_mod, nm.module, mats, check=False)
 
@@ -284,9 +289,10 @@ class NakayamaEngine:
 
 def _lifted(vectors: list, cover) -> tuple:
     """The map of free modules sending generator l, at c_l, to a preimage
-    under the cover of vectors[l] = (c_l, v), as _applied_diff reads it."""
-    return ([c for c, _ in vectors], [b for b, _ in cover.summands],
-            [[r[0] for r in cover.epi.mats[c].solve(v).data] for c, v in vectors])
+    under the cover of vectors[l] = (c_l, v), compiled as _applied_diff
+    reads it (_free_map)."""
+    return _free_map(cover.module.cat, [c for c, _ in vectors], [b for b, _ in cover.summands],
+                     [[r[0] for r in cover.epi.mats[c].solve(v).data] for c, v in vectors])
 
 
 def _read(frame: tuple, b: Matrix) -> Matrix:

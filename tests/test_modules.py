@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from gpquiver.modules import (
     ModuleMap,
     _applied_diff,
     _derived_dim,
+    _free_map,
     _map_columns,
     cokernel,
     direct_sum_modules,
@@ -415,27 +416,50 @@ def test_free_covers_match_path_oracle(make, field):
             cov.epi.validate()
 
 
+def vanishing_at(M, zs):
+    """M modulo the submodule generated by its values at the objects zs, so
+    zero there."""
+    f = M.cat.field
+    gens = [(z, Matrix.identity(f, M.dims[z]).col(j)) for z in zs for j in range(M.dims[z])]
+    return cokernel(free_on_generators(M, gens).epi)[0]
+
+
 @pytest.mark.parametrize("make", [loop_sq, exterior2, square, ex322])
 @pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "Q"])
 def test_applied_diff_matches_entrywise_reference(make, field):
     # blocks of several path terms, led by a coefficient 1 or another one,
     # and whole zero blocks, on the Hom and the tensor side, against the
-    # entry-by-entry reference; a second call reads the cached path actions
+    # entry-by-entry reference; X vanishes at no object, at generator objects
+    # of one side of the map, of both sides, or everywhere; a second call
+    # reads the cached path actions
     C = make(field)
     rng = random.Random(53)
     z, one = field.zero(), field.one()
     coefs = [z, one, one, field.of(2), field.neg(one), field.of(Fraction(1, 2))]
+    seen = set()
     for _ in range(4):
         src = [rng.choice(C.objects) for _ in range(rng.randrange(1, 4))]
         dst = [rng.choice(C.objects) for _ in range(rng.randrange(1, 4))]
         images = [[coef for b in dst
                    for coef in ([z] * C.hom_dim(b, c) if rng.random() < 0.25 else
                                 rng.choices(coefs, k=C.hom_dim(b, c)))] for c in src]
-        for x, tensor in ((random_module(C, rng), False), (dual(random_module(C, rng)), True)):
-            want = derived_oracle.applied_diff_by_entries(C, x, src, dst, images, tensor)
-            acts = {}
-            for _ in range(2):
-                assert repr(_applied_diff(C, x, src, dst, images, tensor, acts)) == repr(want)
+        diff = _free_map(C, src, dst, images)
+        M, N = random_module(C, rng), random_module(C, rng)
+        for n in range(len(C.objects) + 1):
+            for zs in combinations(C.objects, n):
+                seen.add((bool(set(zs) & set(src)), bool(set(zs) & set(dst)), n))
+                for x, tensor in ((vanishing_at(M, zs), False),
+                                  (dual(vanishing_at(N, zs)), True)):
+                    assert all(x.dims[c] == 0 for c in zs)
+                    want = derived_oracle.applied_diff_by_entries(C, x, src, dst, images, tensor)
+                    acts = {}
+                    for _ in range(2):
+                        assert repr(_applied_diff(x, diff, tensor, acts)) == repr(want)
+    everywhere = len(C.objects)
+    assert (True, True, everywhere) in seen
+    if everywhere > 1:  # some objects only: at src's alone, at dst's alone, at both
+        assert {(True, False), (False, True), (True, True)} <= {
+            (s, d) for s, d, n in seen if n < everywhere}
 
 
 @pytest.mark.parametrize("make", [ka2, loop_sq, square, ex322])

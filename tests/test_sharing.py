@@ -11,7 +11,7 @@ import pytest
 import crosscheck
 import derived_oracle
 from conftest import cyclic3, ex322, loop_sq, square, tensor322, module322
-from gpquiver import cli, modules, nakayama
+from gpquiver import cli, gorenstein, modules, nakayama
 from gpquiver import io as gio
 from gpquiver.basechange import Factorization
 from gpquiver.gorenstein import discrepancy_probe, is_gproj_P
@@ -25,7 +25,7 @@ from gpquiver.modules import (
     zero_module,
 )
 from gpquiver.nakayama import NakayamaEngine
-from test_modules import random_module
+from test_modules import random_module, vanishing_at
 
 F3 = GF(3)
 
@@ -270,3 +270,53 @@ def test_full_route_computes_nu_once(monkeypatch):
     assert (v.member, v.certificate["route"]) == ("yes", "full")
     assert "lambda_ranks" in v.certificate
     assert len(calls) == 1
+
+
+def record_compiles(monkeypatch) -> list:
+    """Record every map of free modules compiled (_free_map): resolution
+    stages in modules, presentations and lifts in nakayama."""
+    compiled, compile_map = [], modules._free_map
+
+    def recording(*args):
+        compiled.append(compile_map(*args))
+        return compiled[-1]
+
+    for module in (modules, nakayama):
+        monkeypatch.setattr(module, "_free_map", recording)
+    return compiled
+
+
+def test_maps_of_free_modules_are_compiled_once(monkeypatch):
+    """Presentations, lifts and coefficient stages are compiled once per
+    category: after warm and a first module, nu, nu^-, lambda and L_1 nu on a
+    fresh module compile only stages of its own resolution.  A full-route
+    verdict compiles each stage it reads at most once: a stage compiled
+    twice would leave its first compilation on no stage."""
+    cat = square(F3)
+    compiled = record_compiles(monkeypatch)
+    _, made = count_stages(monkeypatch)
+    monkeypatch.setattr(gorenstein, "projective_resolution", modules.projective_resolution)
+    # at cutoff 1, L_1 nu at c4 (pdim D C(c4,-) = 2) falls back to resolving F
+    eng = NakayamaEngine(cat, 1)
+    rng = random.Random(3)
+    first, fresh = random_module(cat, rng), random_module(cat, rng)
+    eng.gorenstein_dimension()  # warm: every coefficient stage built, none compiled
+    assert not compiled
+
+    def read(F):
+        eng.nu(F), eng.nu_minus(F), eng.lambda_unit(F), eng.left_derived_nu_dims(F, 1)
+
+    read(first)
+    del compiled[:], made[:]
+    read(fresh)
+    own = [st.diff for res in made if res.module is fresh for st in res.stages]
+    assert compiled and all(any(d is o for o in own) for d in compiled)
+
+    del compiled[:], made[:]
+    eng = NakayamaEngine(cat, 8)
+    simple = vanishing_at(representable(cat, "c1"), cat.objects[1:])  # pdim 2
+    assert is_gproj_P(simple, eng, force_full=True).certificate["route"] == "full"
+    stages = [st for res in made for st in res.stages] + [
+        st for c in cat.objects for res in (eng.res_right(c), eng.res_left(c))
+        for st in res.stages]
+    assert compiled and all(any(d is st.diff for st in stages) for d in compiled)
