@@ -103,7 +103,7 @@ def cmd_resolve(args):
     res = projective_resolution(m, gio.effective_cutoff(args.cutoff))
     payload = {
         "completed": res.completed,
-        "stages": [res.stage_module(i).dim_vector() for i in range(res.length() + 1)],
+        "stages": [res.stage_dims(i) for i in range(res.length() + 1)],
     }
     return payload, (EXIT_OK if res.completed else EXIT_INCONCLUSIVE)
 

@@ -16,14 +16,14 @@ _applied_diff reads only the module's dims and path actions.  Homology
 modules are built from kernel and cokernel alone: the incoming differential
 lifted into the kernel of the outgoing one, then its cokernel.
 
-In a resolution each syzygy stays inside the free stage before it, as the
-canonical kernel basis of the differential, generated by its columns left
-as pivots against the radical; stages[i].epi is d_i: P_i -> P_{i-1} for
-i >= 1, and the summand vectors of stage i are d_i's generator images, in
-P_{i-1}, compiled without rescanning the epi when d_i is first read and kept
-on the stage's Cover.  Stages are built when read, up to the cutoff, into a
-list that resolutions of the module at other cutoffs may share, with their
-compiled differentials; degree i reads up to stage i+1.
+A cover's tops at c are the unit vectors where no radical vector ends (has
+its last nonzero coordinate).  Resolution stage i >= 1 covers the syzygy of
+stage i-1 in the coordinates of its canonical kernel basis K, where ker K E
+= ker E (Green-Solberg-Zacharia); its summand vectors, columns of K, are
+d_i's generator images, compiled when d_i is first read.  A stage's free
+module and epi d_i are built only when read.  Stages are built when read,
+up to the cutoff, into a list that resolutions of the module at other
+cutoffs may share; degree i reads up to stage i+1.
 Coordinates in a canonical kernel basis are read at its free rows, with no
 solve: a kernel's arrows, nu^-'s arrows and maps, and the lift of a
 homology module.  A cokernel's section is the unit columns at the free
@@ -39,6 +39,8 @@ a category never changes, and modules are not changed after they are made.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import cached_property
 from itertools import accumulate, compress, count, takewhile
 
 from .category import BoundQuiverCategory
@@ -423,19 +425,30 @@ def tensor_over_cat(m: Module, f_mod: Module) -> TensorResult:
 
 
 class Cover:
-    """A free module P on generators in M and the map P -> M they give; in a
-    resolution, stage i >= 1 maps into P_{i-1}, its epi being d_i.  A summand
-    vector is its generator's image under epi, in epi's target: the column
-    of epi at the generator's identity-path row.  diff is d_i as
-    _applied_diff reads it (_free_map), made when _diff_images first reads
-    it and kept for every resolution over the stage list."""
+    """A free module P on generators in M and the map P -> M they give, each
+    given or built when first read, onto being M or the stage whose free
+    module is M; stage i >= 1 of a resolution maps into P_{i-1} by d_i.  A
+    summand vector is its generator's image under epi, in M.  syzygy is the
+    canonical kernel basis of epi per object.  diff is d_i as _applied_diff
+    reads it (_free_map), made when _diff_images first reads it."""
 
-    def __init__(self, module: Module, epi: ModuleMap, summands: list, syzygy: dict | None = None):
-        self.module = module      # the free module P
-        self.epi = epi            # P -> M
+    def __init__(self, module: Module | None, epi: ModuleMap | None, summands: list,
+                 syzygy: dict | None = None, onto=None):
+        if module is not None:
+            self.module, self.epi = module, epi
         self.summands = summands  # of (object, generator column in M(object))
-        self.syzygy = syzygy      # canonical kernel basis of epi per object
+        self.syzygy, self.onto = syzygy, onto
         self.diff = None          # _free_map of d_i, once read
+
+    @cached_property
+    def epi(self) -> ModuleMap:
+        onto = self.onto.module if isinstance(self.onto, Cover) else self.onto
+        return ModuleMap(free_module(onto.cat, [c for c, _ in self.summands]), onto,
+                         _images(onto, self.summands), check=False)
+
+    @cached_property
+    def module(self) -> Module:
+        return self.epi.src
 
 
 def free_module(cat: BoundQuiverCategory, objs: list) -> Module:
@@ -451,14 +464,14 @@ def block_offsets(cat: BoundQuiverCategory, objs: list, x) -> list:
     return list(accumulate((cat.hom_dim(c, x) for c in objs), initial=0))
 
 
-def free_on_generators(m: Module, summands: list) -> Cover:
-    """free_module on the summand objects, with the action map sending the
-    generator of C(c,-) to its chosen vector in M(c).  The image of a path
-    p.a is M(a) applied to the image of p, each prefix computed once as a
-    plain list, one dot product per row of M(a)."""
+def _images(m: Module, summands: list) -> dict:
+    """At each x, the images in M(x) of the basis paths of the free module on
+    the summands' generators: p.a goes to M(a) applied to p's image, each
+    prefix computed once as a plain list, one dot product per row of M(a)."""
     cat = m.cat
     dot = cat.field.dot
     rows = {x: [[] for _ in range(m.dims[x])] for x in cat.objects}
+    width = dict.fromkeys(cat.objects, 0)
     for c, vec in summands:
         images = {(): [r[0] for r in vec.data]}
         for x in cat.objects:
@@ -469,9 +482,13 @@ def free_on_generators(m: Module, summands: list) -> Cover:
                         images[p[:k]] = [dot(row, prev) for row in m.mats[p[k - 1]].data]
                 for row, entry in zip(rows[x], images[p]):
                     row.append(entry)
-    total = free_module(cat, [c for c, _ in summands])
-    epi = {x: Matrix._adopt(cat.field, rows[x], m.dims[x], total.dims[x]) for x in cat.objects}
-    return Cover(total, ModuleMap(total, m, epi, check=False), summands)
+                width[x] += 1
+    return {x: Matrix._adopt(cat.field, r, m.dims[x], width[x]) for x, r in rows.items()}
+
+
+def free_on_generators(m: Module, summands: list) -> Cover:
+    """The free module on the summands' generators, sent to their vectors."""
+    return Cover(None, None, summands, onto=m)
 
 
 def basis_cover(m: Module) -> Cover:
@@ -485,38 +502,52 @@ def basis_cover(m: Module) -> Cover:
 
 
 def projective_cover(m: Module) -> Cover:
-    """The minimal projective cover of m, with its syzygy."""
-    return _span_cover(m, None)
-
-
-def _span_cover(x: Module, bases: dict | None) -> Cover:
-    """The minimal cover, mapping into x, of the submodule spanned by the
-    columns of bases[c] at each c, or of x itself where bases is None, with
-    its syzygy.  The generators at c are the columns of bases[c] (of the
-    identity) that are pivots of one rref of [rad | bases[c]], rad spanning
-    the images of the arrows into c, stacked as row lists; the elimination
-    that gives the syzygy also checks that the cover is onto the span."""
-    cat = x.cat
-    f = cat.field
-    summands, spans = [], {}
+    """The minimal projective cover of m, with its syzygy.  The generators at
+    c are the e_k, ascending, at which no vector of rad M(c) = sum im M(a)
+    ends: e_k is in rad + <e_j: j < k> exactly when one does, and the ends
+    are the pivots of one rref of the arrows' columns, reversed.  Computing
+    the syzygy checks that the generators' images span."""
+    cat, f = m.cat, m.cat.field
+    z, o = f.zero(), f.one()
+    summands = []
     for c in cat.objects:
-        into = [(name, s) for name, (s, t) in cat.arrow_map.items() if t == c]
-        if bases is None:
-            rad, basis = [x.mats[name] for name, _ in into], Matrix.identity(f, x.dims[c])
-        else:
-            rad, basis = [x.mats[name] @ bases[s] for name, s in into], bases[c]
-        width, spans[c] = sum(r.cols for r in rad), basis.cols
-        stacked = [[e for r in rad for e in r.data[i]] + row for i, row in enumerate(basis.data)]
-        _, pivots = Matrix._adopt(f, stacked, basis.rows, width + basis.cols).rref()
-        summands += [(c, Matrix._adopt(f, [[row[j - width]] for row in basis.data], basis.rows, 1))
-                     for j in pivots if j >= width]
-    cov = free_on_generators(x, summands)
-    cov.syzygy = {}
-    for c in cat.objects:
-        rank, cov.syzygy[c], _ = cov.epi.mats[c].kernel_basis()
-        if rank != spans[c]:
+        n = m.dims[c]
+        rad = [list(v[::-1]) for name, (_, t) in cat.arrow_map.items() if t == c
+               for v in zip(*m.mats[name].data)]
+        ends = {n - 1 - j for j in Matrix._adopt(f, rad, len(rad), n).rref()[1]}
+        summands += [(c, Matrix._adopt(f, [[o if i == k else z] for i in range(n)], n, 1))
+                     for k in range(n) if k not in ends]
+    syzygy = {}
+    for c, image in _images(m, summands).items():
+        rank, syzygy[c], _ = image.kernel_basis()
+        if rank != m.dims[c]:
             raise ModuleError("projective cover failed to surject (radical not nilpotent?)")
-    return cov
+    return Cover(None, None, summands, syzygy, m)
+
+
+def _syzygy_cover(cat: BoundQuiverCategory, prev: Cover) -> Cover:
+    """The minimal cover of prev's syzygy Omega, mapping into prev's free
+    module: Omega(a) is P(a) K_s read at the free rows of K_t, P(a) applied
+    block by block from the representables; K has full column rank."""
+    z = cat.field.zero()
+    objs, K = [c for c, _ in prev.summands], prev.syzygy
+    offsets = {x: block_offsets(cat, objs, x) for x in cat.objects}
+    mats = {}
+    for a, (s, t) in cat.arrow_map.items():
+        src, dst = offsets[s], offsets[t]
+        rows = []
+        for r in _free_rows(K[t]):
+            k = bisect_right(dst, r) - 1
+            rows.append([z] * src[k] + representable(cat, objs[k]).mats[a].data[r - dst[k]]
+                        + [z] * (src[-1] - src[k + 1]))
+        mats[a] = Matrix._adopt(cat.field, rows, len(rows), src[-1]) @ K[s]
+    cov = projective_cover(Module(cat, {c: k.cols for c, k in K.items()}, mats, check=False))
+    return Cover(None, None, [(c, K[c] @ v) for c, v in cov.summands], cov.syzygy, prev)
+
+
+def _free_rows(k: Matrix) -> list:
+    """The free rows of a canonical kernel basis: each column ends at its own."""
+    return [max(compress(range(k.rows), col)) for col in zip(*k.data)]
 
 
 class Resolution:
@@ -535,7 +566,7 @@ class Resolution:
         stages, shared = self.stages, self._shared
         while self._goes_on and len(stages) <= min(i, self.cutoff):
             if len(stages) == len(shared):
-                shared.append(_span_cover(stages[-1].module, stages[-1].syzygy) if stages
+                shared.append(_syzygy_cover(self.module.cat, stages[-1]) if stages
                               else projective_cover(self.module))
             stages.append(shared[len(stages)])
             self._goes_on = any(s.cols for s in stages[-1].syzygy.values())
@@ -557,6 +588,11 @@ class Resolution:
     def settled_degrees(self):
         """Degrees 1, 2, ... up to the last one settled, each grown as read."""
         return takewhile(lambda i: self.past_end(i) is False, count(1))
+
+    def stage_dims(self, i: int) -> dict:
+        """The dimension vector of P_i, read off its generators."""
+        objs = [c for c, _ in self.stages[i].summands] if self.reaches(i) else []
+        return {x: block_offsets(self.module.cat, objs, x)[-1] for x in self.module.cat.objects}
 
     def stage_module(self, i: int) -> Module:
         return self.stages[i].module if self.reaches(i) else zero_module(self.module.cat)
@@ -614,7 +650,7 @@ def _diff_images(res: Resolution, j: int) -> tuple:
         return src, dst, []
     stage = res.stages[j]
     if stage.diff is None:
-        stage.diff = _free_map(stage.module.cat, src, dst,
+        stage.diff = _free_map(res.module.cat, src, dst,
                                [[row[0] for row in v.data] for _, v in stage.summands])
     return stage.diff
 
@@ -716,9 +752,7 @@ def homology_of_modules(d_out: ModuleMap, d_in: ModuleMap) -> Module:
     K, incl = kernel(d_out)
     lift = {}
     for c, k in incl.mats.items():
-        # each column of a canonical kernel basis ends at its free row
-        free = [max(compress(range(k.rows), col)) for col in zip(*k.data)]
-        lift[c] = free_row_coords(k, free, d_in.mats[c])
+        lift[c] = free_row_coords(k, _free_rows(k), d_in.mats[c])
         if lift[c] is None:
             raise LinAlgError("homology: composite differential is nonzero")
     return cokernel(ModuleMap(d_in.src, K, lift, check=False))[0]

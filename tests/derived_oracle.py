@@ -42,6 +42,12 @@ production `Cover`.
 `padded_resolution` is a non-minimal resolution of that shape: every cover
 carries one more generator, sent to zero.  Both are `GivenResolution`s,
 built whole up front and read as production resolutions are.
+
+`span_cover` is the cover a resolution stage had before stages covered
+their syzygy in kernel coordinates: each syzygy stays inside the dense free
+stage before it, and its generators are the basis columns left as pivots
+by one rref of [rad | basis], rad the images of the arrows into the object.
+`span_stages` is the minimal resolution built from it, stage by stage.
 """
 
 from dataclasses import dataclass
@@ -130,6 +136,42 @@ def applied_diff_by_entries(cat, x, src, dst, images, tensor):
                     for s, v in enumerate(block_row):
                         out[c0 + s] = f.add(out[c0 + s], f.mul(coef, v))
     return Matrix(f, data, rows, cols)
+
+
+def span_cover(x, bases):
+    """The minimal cover, mapping into x, of the submodule spanned by the
+    columns of bases[c] at each c, or of x itself where bases is None, with
+    its syzygy: the generators at c are the columns of bases[c] (of the
+    identity) that are pivots of one rref of [rad | bases[c]], rad spanning
+    the images of the arrows into c."""
+    cat = x.cat
+    f = cat.field
+    summands, spans = [], {}
+    for c in cat.objects:
+        into = [(name, s) for name, (s, t) in cat.arrow_map.items() if t == c]
+        if bases is None:
+            rad, basis = [x.mats[name] for name, _ in into], Matrix.identity(f, x.dims[c])
+        else:
+            rad, basis = [x.mats[name] @ bases[s] for name, s in into], bases[c]
+        width, spans[c] = sum(r.cols for r in rad), basis.cols
+        stacked = [[e for r in rad for e in r.data[i]] + row for i, row in enumerate(basis.data)]
+        _, pivots = Matrix(f, stacked, basis.rows, width + basis.cols).rref()
+        summands += [(c, basis.col(j - width)) for j in pivots if j >= width]
+    cov = free_on_generators(x, summands)
+    cov.syzygy = {}
+    for c in cat.objects:
+        rank, cov.syzygy[c], _ = cov.epi.mats[c].kernel_basis()
+        assert rank == spans[c], "the cover is onto the span"
+    return cov
+
+
+def span_stages(m, cutoff):
+    """The stages of the minimal resolution of m, at most cutoff past P_0,
+    each syzygy covered inside the free stage before it (span_cover)."""
+    stages = [span_cover(m, None)]
+    while len(stages) <= cutoff and any(k.cols for k in stages[-1].syzygy.values()):
+        stages.append(span_cover(stages[-1].module, stages[-1].syzygy))
+    return stages
 
 
 class GivenResolution(Resolution):

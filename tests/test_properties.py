@@ -19,8 +19,9 @@ import derived_oracle
 from dense_builder import dense_build_category, dense_builder
 from gpquiver.category import PossiblyInfiniteError, Quiver, Relation, build_category
 from gpquiver.gorenstein import is_gproj_P, is_p_projective, splitting_section
-from gpquiver.linalg import GF, QQ
+from gpquiver.linalg import GF, QQ, Matrix
 from gpquiver.modules import (
+    Module,
     ModuleMap,
     Resolution,
     _derived_dim,
@@ -224,6 +225,41 @@ def test_resolution_matches_kernel_module_oracle(cat, seed, cutoff):
                 starts = block_offsets(cat, objs, c)
                 assert not any(any(d_next.mats[c].data[starts[k]])
                                for k, obj in enumerate(objs) if obj == c)
+
+
+def rebased(m, rng):
+    """m in a random basis at each object: M(a) becomes T_t M(a) T_s^-1."""
+    f, span = m.cat.field, getattr(m.cat.field, "p", 5)
+    T = {}
+    for c in m.cat.objects:
+        n = m.dims[c]
+        while (t := Matrix(f, [[f.of(rng.randrange(span)) for _ in range(n)]
+                               for _ in range(n)], n, n)).rank() < n:
+            pass
+        T[c] = t
+    inv = {c: t.solve(Matrix.identity(f, t.rows)) for c, t in T.items()}
+    return Module(m.cat, m.dims, {a: T[t] @ m.mats[a] @ inv[s]
+                                  for a, (s, t) in m.cat.arrow_map.items()})
+
+
+@given(bound_quivers(), st.integers(0, 2**32), st.integers(1, 3))
+def test_syzygy_covers_match_span_cover_oracle(cat, seed, cutoff):
+    # each stage covers its syzygy in kernel coordinates, its tops read off
+    # the radical: the same generators, summand vectors, syzygy bases, free
+    # module and epi (built when read) and length as covering each syzygy
+    # inside the dense free stage before it, on a random module, a simple
+    # and an injective, each in a random basis
+    rng = random.Random(seed)
+    c0 = rng.choice(cat.objects)
+    for F in (random_module(cat, rng), crosscheck.simple(cat, c0),
+              dual(representable(cat.opposite(), c0))):
+        M = rebased(F, rng)
+        res, oracle = projective_resolution(M, cutoff), derived_oracle.span_stages(M, cutoff)
+        assert res.length() == len(oracle) - 1
+        for stage, want in zip(res.stages, oracle):
+            assert stage.summands == want.summands
+            assert stage.syzygy == want.syzygy
+            assert stage.module == want.module and stage.epi.mats == want.epi.mats
 
 
 # three resolutions per example; 10 keep the test inside the tier-1 budget

@@ -181,21 +181,22 @@ def test_discrepancy_probe_reuses_engines(monkeypatch):
 
 
 def count_stages(monkeypatch) -> tuple:
-    """Count the stages resolutions build, one _span_cover call each, and
-    record the resolutions projective_resolution makes."""
+    """Count the stages resolutions build, one projective_cover call each
+    (stage i >= 1 covers the syzygy before it), and record the resolutions
+    projective_resolution makes, through every module's binding of it."""
     built, made = [], []
-    cover, resolve = modules._span_cover, modules.projective_resolution
+    cover, resolve = modules.projective_cover, modules.projective_resolution
 
-    def counting(x, bases):
-        built.append(x)
-        return cover(x, bases)
+    def counting(m):
+        built.append(m)
+        return cover(m)
 
     def recording(m, cutoff):
         made.append(resolve(m, cutoff))
         return made[-1]
 
-    monkeypatch.setattr(modules, "_span_cover", counting)
-    for module in (modules, nakayama):
+    monkeypatch.setattr(modules, "projective_cover", counting)
+    for module in (modules, nakayama, gorenstein):
         monkeypatch.setattr(module, "projective_resolution", recording)
     return built, made
 
@@ -295,7 +296,6 @@ def test_maps_of_free_modules_are_compiled_once(monkeypatch):
     cat = square(F3)
     compiled = record_compiles(monkeypatch)
     _, made = count_stages(monkeypatch)
-    monkeypatch.setattr(gorenstein, "projective_resolution", modules.projective_resolution)
     # at cutoff 1, L_1 nu at c4 (pdim D C(c4,-) = 2) falls back to resolving F
     eng = NakayamaEngine(cat, 1)
     rng = random.Random(3)
@@ -320,3 +320,31 @@ def test_maps_of_free_modules_are_compiled_once(monkeypatch):
         st for c in cat.objects for res in (eng.res_right(c), eng.res_left(c))
         for st in res.stages]
     assert compiled and all(any(d is st.diff for st in stages) for d in compiled)
+
+
+def test_verdict_path_builds_no_free_module(monkeypatch):
+    """Resolution stages are known by their generators and syzygies: once
+    the coefficient stages are built (gdim, as the benchmark's warm does) and
+    a first module has made the presentations' lifts, a fresh module's
+    full-route verdict, nu, nu^-, lambda, L_1 nu, base_gp and resolution
+    length build no free module."""
+    cat = square(F3)
+    eng = NakayamaEngine(cat, 8)
+    profile = gorenstein.self_injective_dimension(cat, 8)
+    rng = random.Random(5)
+    first = random_module(cat, rng)
+    fresh = [random_module(cat, rng), vanishing_at(representable(cat, "c1"), cat.objects[1:])]
+    eng.gorenstein_dimension()
+
+    def read(F):
+        assert is_gproj_P(F, eng, force_full=True).certificate["route"] == "full"
+        eng.nu(F), eng.nu_minus(F), eng.lambda_unit(F), eng.left_derived_nu_dims(F, 1)
+        gorenstein.base_gp(F, profile, 8)
+        return projective_resolution(F, 8).length()
+
+    read(first)
+    built, free_module = [], modules.free_module
+    monkeypatch.setattr(modules, "free_module",
+                        lambda cat, objs: built.append(objs) or free_module(cat, objs))
+    assert max(map(read, fresh)) == 2
+    assert not built
