@@ -176,6 +176,30 @@ def imports(path: pathlib.Path) -> list:
     return found
 
 
+def third_party_imports(source: str) -> list:
+    """Each module an absolute import of the source names whose top-level
+    package is not in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+    return [m for m in found if m.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_checker_sees_third_party_imports():
+    src = "import os.path\nimport numpy as np\nfrom . import io\nfrom .linalg import QQ\n" \
+          "from __future__ import annotations\nfrom sympy.core import S\n"
+    assert third_party_imports(src) == ["numpy", "sympy.core"]
+
+
+def test_sources_import_only_the_standard_library():
+    # the package has no dependencies: it stays stdlib-only
+    assert [(p.name, m) for p in SOURCES
+            for m in third_party_imports(p.read_text(encoding="utf-8"))] == []
+
+
 def test_no_source_imports_dataclasses():
     # importing dataclasses loads inspect, and each decorated class is built
     # by generated code: start-up every command would pay
