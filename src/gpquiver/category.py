@@ -1,17 +1,22 @@
 """Finite k-linear categories presented by a quiver with relations.
 
 Hom spaces are path spans modulo the two-sided ideal generated by the
-relations. For each pair of objects, the relation translates q*r*p inside the
-length cutoff are reduced as sparse rows over the paths of the pair, largest
-path in (length, lex) order first; the reduced row echelon form gives the
-basis (the paths without a pivot) and the rewrite of every other path.
+relations. Paths are ordered by (length, lex), and the relations are
+completed to the reduced Groebner basis of the ideal for that order
+(Bergman, The diamond lemma for ring theory, Adv. Math. 29, 1978; Green,
+Noncommutative Groebner bases, and projective resolutions, Progr. Math.
+173, 1999): monic rules tip -> tail, each tip the largest path of its rule,
+no tip inside another tip, and every tail path normal. A path is normal
+when no tip lies inside it. The normal paths from c to d are the basis of
+Hom(c, d), and rewriting tips by their tails takes every path to its
+normal form, the same whatever the order of the rewrites.
 Paths are stored in application order: the tuple ("a", "b") means "a then b",
 which in function-composition notation is written b*a.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from heapq import heappop, heappush
 
 from .linalg import Field, FieldMismatchError
 
@@ -32,22 +37,32 @@ class PossiblyInfiniteError(CategoryError):
         )
 
 
-class PathBoundError(CategoryError):
-    """More paths, or relation translates of one pair, than MAX_PATHS;
-    `count` says which and how many."""
+# Completion need not end: an ideal may have no finite Groebner basis, and
+# below a long cutoff an infinite-dimensional category has more normal paths
+# than memory holds. So a build counts its work, in units of well under a
+# microsecond and a few bytes: each rule and each term a reduction scans,
+# the terms weighted by their length times the number of tip lengths; each
+# rule scanned when a new rule arrives; each overlap queued; each arrow of a
+# listed normal path. Past MAX_WORK units it is refused, within a second.
+# Lambda(k^8), of dimension 256, takes about 8,500 units.
+MAX_WORK = 200_000
 
-    def __init__(self, count, cutoff):
-        self.count = count
-        super().__init__(f"{count}, above the bound {MAX_PATHS}; lower length_cutoff "
-                         f"(now {cutoff}): it only needs to exceed the longest nonzero path")
 
+class _Work:
+    """The units of work left to one build, or to one normal form."""
 
-# Guard against runaway path enumeration before the cutoff is reached, and on
-# the relation translates of one object pair, counted before any is built.
-# Lambda(k^4) has 77,370 translates at length 7 and builds in about a second;
-# at length 8 it has 364,090 and is refused, and at length 9 its 349,525
-# paths are.  Both refusals ask for a lower length_cutoff.
-MAX_PATHS = 200_000
+    def __init__(self, cutoff):
+        self.cutoff = cutoff
+        self.left = MAX_WORK
+
+    def spend(self, units=1):
+        self.left -= units
+        if self.left < 0:
+            raise CategoryError(
+                f"gave up after {MAX_WORK} units of work completing the relations and "
+                f"listing normal paths (length_cutoff {self.cutoff}): the relations may have "
+                f"no finite Groebner basis, or the category may be infinite-dimensional")
+
 
 Path = tuple  # tuple of arrow names, application order
 
@@ -115,28 +130,24 @@ def _path_key(p: Path):
 class BoundQuiverCategory:
     """Immutable category with explicit hom bases and composition.
 
-    Basis labels are surviving paths; every path of length up to the cutoff
-    has a stored rewrite into basis paths of smaller (length, lex) order.
+    Basis labels are normal paths, and `rules`, the reduced Groebner basis,
+    rewrite every other path into them (see the module docstring).
     Values that depend on the category alone (its representables, the
     coefficient modules of D(C) and their resolutions at each cutoff) are
     made once and kept in `cached`; that is safe because the category never
     changes.
     """
 
-    def __init__(self, quiver, relations, field, length_cutoff, objects, arrow_map,
-                 basis, reduction, max_basis_len):
+    def __init__(self, quiver, relations, field, length_cutoff, basis, rules):
         self.quiver = quiver
         self.relations = tuple(relations)
         self.field: Field = field
         self.length_cutoff = length_cutoff
-        self.objects = tuple(objects)
-        self.arrow_map = arrow_map
+        self.objects = quiver.vertices
+        self.arrow_map = quiver.arrow_map()
         self._basis = basis
-        self._basis_index = {
-            pair: {p: i for i, p in enumerate(paths)} for pair, paths in basis.items()
-        }
-        self._reduction = reduction
-        self.max_basis_len = max_basis_len
+        self._rules = rules
+        self._normal_forms: dict = {}
         self._op = None
         self._memo: dict = {}
         self.factors = None  # (C1, C2) for C1 (x) C2, named by tensor_name
@@ -153,31 +164,15 @@ class BoundQuiverCategory:
     def total_dim(self) -> int:
         return sum(len(b) for b in self._basis.values())
 
-    def path_target(self, c, p: Path):
-        return c if not p else self.arrow_map[p[-1]][1]
-
     def reduce_word(self, c, word: Path) -> dict:
-        """Express an arbitrary composable word as a basis combination."""
-        d = self.path_target(c, word)
-        if len(word) <= self.length_cutoff:
-            if word in self._basis_index.get((c, d), {}):
-                return {word: self.field.one()}
-            table = self._reduction.get((c, d), {})
-            if word in table:
-                return dict(table[word])
-            return {}
-        # long word: rewrite a cutoff-length prefix, which strictly shortens
-        head, tail = word[:self.length_cutoff], word[self.length_cutoff:]
-        out: dict = {}
-        f = self.field
-        for bp, coef in self.reduce_word(c, head).items():
-            for q, c2 in self.reduce_word(c, bp + tail).items():
-                acc = f.add(out.get(q, f.zero()), f.mul(coef, c2))
-                if not acc:
-                    out.pop(q, None)
-                else:
-                    out[q] = acc
-        return out
+        """The normal form of a composable word from c: basis paths, largest
+        first, with their nonzero coefficients."""
+        if not word:
+            return {(): self.field.one()}
+        if word not in self._normal_forms:
+            self._normal_forms[word] = _reduce({word: self.field.one()}, self._rules,
+                                               self.field, _Work(self.length_cutoff))
+        return dict(self._normal_forms[word])
 
     def cached(self, key, make):
         """make(), called once per category and key; later calls return the
@@ -209,42 +204,99 @@ class BoundQuiverCategory:
         return hash((self.quiver, self.field, tuple(sorted(self._basis))))
 
 
-def _eliminate(row: dict, prow: dict, factor, field) -> None:
-    """row -= factor * prow, in place, dropping the entries that cancel."""
-    sub, mul = field.sub, field.mul
-    for j, c in prow.items():
-        if j in row:
-            new = sub(row[j], mul(factor, c))
-            if new:
-                row[j] = new
+def _inside(part: Path, word: Path) -> bool:
+    n = len(part)
+    return any(word[i:i + n] == part for i in range(len(word) - n + 1))
+
+
+def _tip_at(word: Path, rules: dict, lengths):
+    """(i, tip) for the first tip of `rules` inside word, at word[i:], or None."""
+    for i in range(len(word)):
+        for n in lengths:
+            if word[i:i + n] in rules:
+                return i, word[i:i + n]
+    return None
+
+
+def _reduce(poly: dict, rules: dict, field, work: _Work) -> dict:
+    """The normal form of a combination of parallel paths (path -> nonzero
+    scalar): rewrite its largest path that has a tip inside until none has,
+    each step making the paths it rewrites smaller. Paths come out largest
+    first."""
+    work.spend(len(rules))
+    lengths = sorted({len(t) for t in rules})
+    todo, out = dict(poly), {}
+    zero = field.zero()
+    while todo:
+        word = max(todo, key=_path_key)
+        work.spend(len(todo) + len(word) * len(lengths))
+        coef = todo.pop(word)
+        hit = _tip_at(word, rules, lengths)
+        if hit is None:
+            out[word] = coef
+            continue
+        i, tip = hit
+        for path, c in rules[tip].items():
+            new = word[:i] + path + word[i + len(tip):]
+            acc = field.add(todo.get(new, zero), field.mul(coef, c))
+            if acc:
+                todo[new] = acc
             else:
-                del row[j]
+                todo.pop(new, None)
+    return out
+
+
+def _complete(relations, field, work: _Work) -> dict:
+    """The reduced Groebner basis of the ideal the relations generate, as
+    tip -> tail: the rule tip = tail. Every relation and
+    every overlap of two tips, smallest overlap first, is reduced; what is
+    left becomes a new rule, whose tip sends the rules with that tip inside
+    their own tip back to be reduced and is rewritten in the others' tails."""
+    rules: dict = {}
+    todo = []
+    for rel in relations:
+        poly: dict = {}
+        for coef, p in rel.terms:
+            poly[p] = field.add(poly.get(p, field.zero()), coef)
+        todo.append({p: c for p, c in poly.items() if c})
+    overlaps: list = []  # heap of (length, word, tip at its start, tip at its end)
+    while todo or overlaps:
+        if todo:
+            poly = todo.pop()
         else:
-            row[j] = field.neg(mul(factor, c))
-
-
-def _add_row(pivots: dict, row: dict, field) -> None:
-    """Reduce a sparse row (column -> nonzero scalar) against the pivot rows,
-    each keyed by its lead (smallest) column and normalized to 1 there; keep
-    what is left as a new pivot row."""
-    while row:
-        lead = min(row)
-        prow = pivots.get(lead)
-        if prow is None:
-            inv = field.inv(row[lead])
-            pivots[lead] = {j: field.mul(inv, c) for j, c in row.items()}
-            return
-        _eliminate(row, prow, row[lead], field)
-
-
-def _back_substitute(pivots: dict, field) -> None:
-    """Clear every pivot column from the other pivot rows, rightmost pivot
-    first: a reduced row holds its lead and free columns only, so one pass
-    over each row's pivot columns leaves the reduced row echelon form."""
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for j in [j for j in row if j != lead and j in pivots]:
-            _eliminate(row, pivots[j], row[j], field)
+            _, word, left, right = heappop(overlaps)
+            if left not in rules or right not in rules:
+                continue
+            poly = {p + word[len(left):]: c for p, c in rules[left].items()}
+            for p, c in rules[right].items():
+                p = word[:len(word) - len(right)] + p
+                acc = field.sub(poly.get(p, field.zero()), c)
+                if acc:
+                    poly[p] = acc
+                else:
+                    poly.pop(p, None)
+        poly = _reduce(poly, rules, field, work)
+        if not poly:
+            continue
+        work.spend(len(rules))
+        tip, lead = next(iter(poly.items()))
+        inv = field.neg(field.inv(lead))
+        for old in [t for t in rules if _inside(tip, t)]:
+            back = {p: field.neg(c) for p, c in rules.pop(old).items()}
+            back[old] = field.one()
+            todo.append(back)
+        rules[tip] = {p: field.mul(inv, c) for p, c in poly.items() if p != tip}
+        for t, tail in rules.items():
+            if t != tip and any(_inside(tip, p) for p in tail):
+                rules[t] = _reduce(tail, rules, field, work)
+        for t in rules:
+            for a, b in ((t, tip), (tip, t)) if t != tip else ((tip, tip),):
+                for k in range(1, min(len(a), len(b))):
+                    if a[len(a) - k:] == b[:k]:
+                        work.spend()
+                        word = a + b[k:]
+                        heappush(overlaps, (len(word), word, a, b))
+    return rules
 
 
 def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) -> BoundQuiverCategory:
@@ -252,110 +304,35 @@ def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) 
         raise CategoryError("length_cutoff must be at least 1")
     arrow_map = quiver.arrow_map()
     relations = tuple(relations)
-    rel_ends = [r.endpoints(arrow_map) for r in relations]
-    spans = [max(len(p) for _, p in r.terms) for r in relations]
+    for rel in relations:
+        rel.endpoints(arrow_map)
+    work = _Work(length_cutoff)
+    rules = _complete(relations, field, work)
 
-    # enumerate composable paths by length, per (source, target) pair
-    by_level: list[list[tuple]] = [[(c, c, ()) for c in quiver.vertices]]
-    total = len(by_level[0])
+    # list the normal paths from each object by length: a path one arrow
+    # longer than a normal path is normal unless a tip ends it
+    lengths = sorted({len(t) for t in rules})
     out_arrows: dict = {c: [] for c in quiver.vertices}
     for name, s, t in quiver.arrows:
         out_arrows[s].append((name, t))
-    for _ in range(length_cutoff):
-        level = []
-        for c, d, p in by_level[-1]:
-            for name, t in out_arrows[d]:
-                level.append((c, t, p + (name,)))
-        total += len(level)
-        if total > MAX_PATHS:
-            raise PathBoundError(f"{total} paths up to length {len(by_level)}", length_cutoff)
-        by_level.append(level)
-
-    paths_by_pair: dict = {}
-    for level in by_level:
-        for c, d, p in level:
-            paths_by_pair.setdefault((c, d), []).append(p)
-
-    # count the relation translates q * r * p of each pair before building any
-    into: dict = {}    # u -> (x, number of paths x -> u of each length)
-    out_of: dict = {}  # v -> (y, number of paths v -> y of each length or less)
-    for (c, d), paths in paths_by_pair.items():
-        lengths = [0] * (length_cutoff + 1)
-        for p in paths:
-            lengths[len(p)] += 1
-        into.setdefault(d, []).append((c, lengths))
-        out_of.setdefault(c, []).append((d, list(accumulate(lengths))))
-    translates: dict = {}
-    for (u, v), span in zip(rel_ends, spans):
-        room = length_cutoff - span
-        for x, pre in into.get(u, ()):
-            for y, upto in out_of.get(v, ()):
-                n = sum(pre[k] * upto[room - k] for k in range(room + 1))
-                translates[(x, y)] = translates.get((x, y), 0) + n
-    for pair, n in sorted(translates.items()):
-        if n > MAX_PATHS:
-            raise PathBoundError(f"Hom{pair} has {n} relation translates", length_cutoff)
-
     basis: dict = {}
-    reduction: dict = {}
-    max_basis_len = 0
-    witness = None
-    add, zero = field.add, field.zero()
-    for pair, paths in sorted(paths_by_pair.items()):
-        x, y = pair
-        cols_desc = sorted(paths, key=_path_key, reverse=True)
-        col_idx = {p: j for j, p in enumerate(cols_desc)}
-        # stream each translate, as a row over col_idx, into the reduction
-        pivots: dict = {}
-        for rel, (u, v), span in zip(relations, rel_ends, spans):
-            posts = paths_by_pair.get((v, y), ())
-            for q in paths_by_pair.get((x, u), ()):  # stored by length
-                if len(q) + span > length_cutoff:
-                    break
-                for p in posts:
-                    if len(q) + span + len(p) > length_cutoff:
-                        break
-                    row: dict = {}
-                    for coef, term in rel.terms:
-                        j = col_idx[q + term + p]
-                        row[j] = add(row.get(j, zero), coef)
-                    _add_row(pivots, {j: c for j, c in row.items() if c}, field)
-        _back_substitute(pivots, field)
-        table = {}
-        for lead in sorted(pivots):
-            table[cols_desc[lead]] = {cols_desc[j]: field.neg(c)
-                                      for j, c in sorted(pivots[lead].items()) if j != lead}
-        surviving = [p for j, p in enumerate(cols_desc) if j not in pivots]
-        surviving.sort(key=_path_key)
-        basis[pair] = tuple(surviving)
-        reduction[pair] = table
-        if surviving:
-            blen = len(surviving[-1])
-            if blen > max_basis_len:
-                max_basis_len = blen
-            if blen >= length_cutoff and witness is None:
-                witness = pair
-    if witness is not None:
-        raise PossiblyInfiniteError(witness, length_cutoff)
-
-    cat = BoundQuiverCategory(
-        quiver, relations, field, length_cutoff, quiver.vertices, arrow_map,
-        basis, reduction, max_basis_len,
-    )
-    # a relation longer than the cutoff has no translate: it holds only if it
-    # already reduces to 0 in what was built
-    for rel, (u, _), span in zip(relations, rel_ends, spans):
-        if span > length_cutoff:
-            value: dict = {}
-            for coef, p in rel.terms:
-                for q, c in cat.reduce_word(u, p).items():
-                    value[q] = add(value.get(q, zero), field.mul(coef, c))
-            if any(value.values()):
-                text = " + ".join(f"{field.fmt(c)} {'*'.join(reversed(p))}" for c, p in rel.terms)
-                raise CategoryError(f"relation {text} is longer than length_cutoff "
-                                    f"{length_cutoff} and does not hold at that cutoff; "
-                                    f"raise length_cutoff to at least {span}")
-    return cat
+    for c in sorted(quiver.vertices):
+        level = [((), c)]
+        while level:
+            if len(level[0][0]) == length_cutoff:
+                raise PossiblyInfiniteError((c, min(d for _, d in level)), length_cutoff)
+            for p, d in level:
+                basis.setdefault((c, d), []).append(p)
+            nxt = []
+            for p, d in level:
+                for name, t in out_arrows[d]:
+                    q = p + (name,)
+                    if not any(q[-n:] in rules for n in lengths if n <= len(q)):
+                        work.spend(len(q))
+                        nxt.append((q, t))
+            level = nxt
+    basis = {pair: tuple(sorted(paths, key=_path_key)) for pair, paths in sorted(basis.items())}
+    return BoundQuiverCategory(quiver, relations, field, length_cutoff, basis, rules)
 
 
 def tensor_name(x, y) -> str:

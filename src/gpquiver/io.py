@@ -138,8 +138,7 @@ def _section_error(expected, section) -> str:
 
 
 def parse_category(path, cutoff_override=None, field_override=None):
-    from .category import (MAX_PATHS, CategoryError, PathBoundError, Quiver, build_category,
-                           tensor_category)
+    from .category import CategoryError, Quiver, build_category, tensor_category
     from .linalg import FieldMismatchError, field_from_name
     check_field_override(field_override)
     section = None
@@ -195,13 +194,6 @@ def parse_category(path, cutoff_override=None, field_override=None):
                  for side, (i, ref) in pending["tensor"].items()}
         try:
             cat = tensor_category(parts["left"], parts["right"])
-        except PathBoundError as exc:
-            total = sum(c.length_cutoff for c in parts.values())
-            factors = " and ".join(f"{parts[s].length_cutoff} in {pending['tensor'][s][1]!r}"
-                                   for s in ("left", "right"))
-            raise ParseError(path, headers["tensor"], f"{exc.count}, above the bound {MAX_PATHS}; "
-                             f"the tensor's length_cutoff {total} is the sum of its factors': "
-                             f"{factors}") from exc
         except (CategoryError, FieldMismatchError) as exc:
             raise ParseError(path, headers["tensor"], str(exc)) from exc
         cat.source_files = (path, *parts["left"].source_files, *parts["right"].source_files)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import gpquiver.cli
 from crosscheck import right_inverse, serialize_category, serialize_module
+from dense_builder import paths_by_pair
 from gpquiver import io as gio
 from gpquiver.category import build_category
 from gpquiver.linalg import QQ, Matrix
@@ -105,9 +106,10 @@ def parsed(cat, m):
        st.integers(0, 2**32))
 def test_every_layer_returns_canonical_scalars_over_q(cat, seed):
     rng = random.Random(seed)
-    tables = [cat._reduction, cat.opposite()._reduction]
-    assert_canonical("reductions", [x for t in tables for rows in t.values()
-                                    for row in rows.values() for x in row.values()])
+    # the normal form of every path up to the cutoff, on both sides
+    words = [(c, s, p) for c in (cat, cat.opposite())
+             for (s, _), paths in paths_by_pair(c.quiver, c.length_cutoff).items() for p in paths]
+    assert_canonical("reductions", [x for c, s, p in words for x in c.reduce_word(s, p).values()])
     F = parsed(cat, rational_change(random_module(cat, rng), rng))
     assert_canonical("parse", module_entries(F))
 

@@ -1,7 +1,10 @@
 import json
 import os
 import re
+import resource
 import shutil
+import subprocess
+import sys
 import time
 
 import pytest
@@ -453,37 +456,34 @@ def exterior_text(n, field, length_cutoff):
 
 
 def test_too_many_relation_translates_is_input_error(tmp_path, capsys):
+    # Lambda(k^4) at length 8 has 364,090 relation translates, once refused
+    # by their count; the completion never lists them and builds it at once
     p = tmp_path / "l4.cat"
     p.write_text(exterior_text(4, "F2", 8))
     start = time.perf_counter()
-    status, out, err = run(["cat-info", str(p)], capsys)
+    status, report = run_json(["cat-info", str(p)], capsys)
     assert time.perf_counter() - start < 5
-    assert (status, out) == (1, "")
-    assert "364090 relation translates" in err and "length_cutoff (now 8)" in err
+    assert (status, report["result"]["total_dim"]) == (0, 16)
 
 
 def test_too_many_paths_is_input_error_asking_for_a_lower_cutoff(tmp_path, capsys):
+    # Lambda(k^4) at length 9 has 349,525 paths, once refused by their count
     p = tmp_path / "l4.cat"
     p.write_text(exterior_text(4, "F5", 9))
-    status, out, err = run(["cat-info", str(p)], capsys)
-    assert (status, out) == (1, "")
-    assert "349525 paths up to length 9" in err and "lower length_cutoff (now 9)" in err
-    assert "possibly-infinite" not in err
+    status, report = run_json(["cat-info", str(p)], capsys)
+    assert (status, report["result"]["total_dim"]) == (0, 16)
 
 
-# a refused build is cited at the length_cutoff line, or at the header when
-# the default applies
-@pytest.mark.parametrize("keep_cutoff, at, now", [(True, 3, 9), (False, 1, 16)],
-                         ids=["length-cutoff", "default"])
-def test_too_many_paths_cite_the_cutoff_line(keep_cutoff, at, now, tmp_path, capsys):
+# a longer cutoff, also the default 16, costs a finite category nothing: both
+# were once refused at the length_cutoff line or the header
+@pytest.mark.parametrize("keep_cutoff", [True, False], ids=["length-cutoff", "default"])
+def test_too_many_paths_cite_the_cutoff_line(keep_cutoff, tmp_path, capsys):
     lines = exterior_text(4, "F5", 9).splitlines()
     if not keep_cutoff:
         lines.remove("length_cutoff = 9")
     path = _bad_input(tmp_path, "l4.cat", lines)
-    err = _assert_error_at(["cat-info", path], f"{path}:{at}", capsys)
-    assert err.endswith(f": 349525 paths up to length 9, above the bound 200000; lower "
-                        f"length_cutoff (now {now}): it only needs to exceed the longest "
-                        f"nonzero path\n")
+    status, report = run_json(["cat-info", path], capsys)
+    assert (status, report["result"]["total_dim"]) == (0, 16)
 
 
 def test_possibly_infinite_cites_the_cutoff_line(tmp_path, capsys):
@@ -501,11 +501,13 @@ def loop_lines(relations, length_cutoff):
 
 def test_relation_longer_than_the_cutoff_that_does_not_hold_cites_the_cutoff_line(
         tmp_path, capsys):
-    # without it x^5 = x^2 != 0, dim 3, and gdim fails later on a cover
+    # x^5 = 0 is longer than the cutoff 4; a truncated build could not impose
+    # it and was refused, but x*x = x*x*x gives x^2 = x^5 and the completion
+    # builds k[x]/(x^2), dim 2
     path = _bad_input(tmp_path, "loop.cat", loop_lines(["1 x*x + -1 x*x*x", "1 x*x*x*x*x"], 4))
-    err = _assert_error_at(["cat-info", path], f"{path}:7", capsys)
-    assert err.endswith(": relation 1 x*x*x*x*x is longer than length_cutoff 4 and does not "
-                        "hold at that cutoff; raise length_cutoff to at least 5\n")
+    status, report = run_json(["cat-info", path], capsys)
+    assert (status, report["result"]["total_dim"]) == (0, 2)
+    assert report["result"]["hom_bases"] == {"o->o": ["id", "x"]}
 
 
 @pytest.mark.parametrize("relations, length_cutoff", [
@@ -520,16 +522,60 @@ def test_relation_longer_than_the_cutoff_that_holds_builds(relations, length_cut
 
 
 def test_too_many_tensor_paths_name_the_factors_and_advise_nothing(tmp_path, capsys):
-    # Lambda(k^3) needs length_cutoff 4, so neither factor can go lower
+    # Lambda(k^3) (x) Lambda(k^3) at length 8 was refused for its paths; it
+    # is Lambda(k^6) up to signs, self-injective of dimension 64
     for name in ("l3.cat", "l3b.cat"):
         (tmp_path / name).write_text(exterior_text(3, "F5", 4))
     path = _bad_input(tmp_path, "t.cat", ["# Lambda(k^3) twice", "[tensor]",
                                           "right = l3b.cat", "left = l3.cat"])
-    err = _assert_error_at(["gdim", path], f"{path}:2", capsys)
-    assert err.endswith("paths up to length 7, above the bound 200000; the tensor's "
-                        "length_cutoff 8 is the sum of its factors': 4 in 'l3.cat' "
-                        "and 4 in 'l3b.cat'\n")
-    assert "lower" not in err
+    status, report = run_json(["cat-info", path], capsys)
+    assert (status, report["result"]["total_dim"]) == (0, 64)
+    status, report = run_json(["gdim", path], capsys)
+    assert (status, report["result"]["value"]) == (0, 0)
+
+
+def test_exterior_algebra_on_six_generators_builds(tmp_path, capsys):
+    # 335,923 paths up to length 7 were once refused; dim 64, self-injective
+    p = tmp_path / "l6.cat"
+    p.write_text(exterior_text(6, "F5", 7))
+    status, report = run_json(["gdim", str(p)], capsys)
+    assert (status, report["result"]["value"]) == (0, 0)
+
+
+RUN_CLI = "import sys\nfrom gpquiver import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+
+
+def _limited_memory():
+    # 1 GB of address space, as `ulimit -v 1000000`
+    resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+
+def truncated_loop_lines(n):
+    """k[x]/(x^n): n normal paths, up to x^(n-1)."""
+    return ["[category]", "field = F3", "objects = o", "arrow = x: o -> o",
+            f"relation = 1 {'*'.join('x' * n)}", f"length_cutoff = {n + 1}"]
+
+
+# an ideal with no finite Groebner basis, and a tensor too big to list:
+# each factor k[x]/(x^400) builds, and its square has 160,000 basis paths
+@pytest.mark.parametrize("lines, at", [
+    (["[category]", "field = F2", "objects = o", "arrow = a0: o -> o", "arrow = a1: o -> o",
+      "arrow = a2: o -> o", "relation = 1 a2*a2*a0 + 1 a2*a2",
+      "relation = 1 a2*a1*a2 + 1 a2*a1*a0", "length_cutoff = 4"], 9),
+    (["[tensor]", "left = x400.cat", "right = x400.cat"], 1),
+], ids=["completion", "tensor"])
+def test_work_past_the_bound_is_input_error_at_the_cutoff_line(lines, at, tmp_path):
+    (tmp_path / "x400.cat").write_text("\n".join(truncated_loop_lines(400)) + "\n")
+    path = _bad_input(tmp_path, "big.cat", lines)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI, "cat-info", path], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limited_memory)
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {path}:{at}: gave up after {category.MAX_WORK} units ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_tensor_over_different_fields_cites_its_header(tmp_path, capsys):

@@ -16,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import crosscheck
 import derived_oracle
-from dense_builder import dense_build_category, dense_builder
-from gpquiver.category import PossiblyInfiniteError, Quiver, Relation, build_category
+from dense_builder import dense_build_category, dense_builder, paths_by_pair
+from gpquiver.category import (CategoryError, PossiblyInfiniteError, Quiver, Relation,
+                               build_category)
 from gpquiver.gorenstein import is_gproj_P, is_p_projective, splitting_section
 from gpquiver.linalg import GF, QQ, Matrix
 from gpquiver.modules import (
@@ -109,24 +110,48 @@ def presentations(draw):
     return quiver, tuple(relations), field, cutoff
 
 
-def _tables(cat):
-    op = cat.opposite()
-    return repr((cat._basis, cat._reduction, cat.max_basis_len, op._basis, op._reduction))
+def _tables(cat, cutoff):
+    """The hom bases, and the normal form, largest path first, of every path
+    up to the cutoff."""
+    bases = [cat.hom_basis_paths(c, d) for c in cat.objects for d in cat.objects]
+    return bases, [(p, list(cat.reduce_word(c, p).items()))
+                   for (c, _), paths in paths_by_pair(cat.quiver, cutoff).items() for p in paths]
+
+
+def _assert_consistent(cat):
+    """Each relation reduces to 0, and composing basis paths is associative."""
+    f = cat.field
+    for rel in cat.relations:
+        value = {}
+        for coef, p in rel.terms:
+            for q, c in cat.reduce_word(cat.arrow_map[p[0]][0], p).items():
+                value[q] = f.add(value.get(q, f.zero()), f.mul(coef, c))
+        assert not any(value.values())
+    objs = cat.objects
+    for a, b, c, d in itertools.product(objs, repeat=4):
+        for p in cat.hom_basis_paths(a, b):
+            for q in cat.hom_basis_paths(b, c):
+                pq = crosscheck.compose(cat, a, b, c, {p: f.one()}, {q: f.one()})
+                for r in cat.hom_basis_paths(c, d):
+                    qr = crosscheck.compose(cat, b, c, d, {q: f.one()}, {r: f.one()})
+                    assert (crosscheck.compose(cat, a, c, d, pq, {r: f.one()})
+                            == crosscheck.compose(cat, a, b, d, {p: f.one()}, qr))
 
 
 @given(bound_quivers())
 def test_builder_agrees_with_dense_oracle(cat):
-    # the reduced row echelon form is unique, so the sparse builder keeps
-    # the dense one's bases, reduction tables and their order
+    # an acyclic quiver has no path as long as its cutoff, so the dense
+    # oracle is exact there; both sides, and the opposite's too
+    _assert_consistent(cat)
     with dense_builder():
         oracle = dense_build_category(cat.quiver, cat.relations, cat.field, cat.length_cutoff)
-        expected = _tables(oracle)
-    assert _tables(cat) == expected
+        for built, want in ((cat, oracle), (cat.opposite(), oracle.opposite())):
+            assert _tables(built, cat.length_cutoff) == _tables(want, cat.length_cutoff)
 
 
 def _trinomial():
-    """k<x, y, z>/(xx + yy + zz, all words of length 3): the table entry
-    of zz has two terms, so its order is checked as well."""
+    """k<x, y, z>/(xx + yy + zz, all words of length 3): the normal form of
+    zz has two terms, so its order is checked as well."""
     quiver = Quiver(("o",), tuple((a, "o", "o") for a in "xyz"))
     one = QQ.one()
     rels = [Relation(((one, ("x", "x")), (one, ("y", "y")), (one, ("z", "z"))))]
@@ -134,21 +159,55 @@ def _trinomial():
     return quiver, tuple(rels), QQ, 4
 
 
-# 50 examples take under a second
+def _two_loops():
+    """k<a, b>/(aa, bb, ab + baba): a truncated build at length 5 kept ab and
+    abab (dim 6); the consequence aba = 0 needs a translate of length 5 and
+    ab = 0 one of length 6, so the dense oracle is stable from 7 on."""
+    quiver = Quiver(("o",), (("a", "o", "o"), ("b", "o", "o")))
+    one = QQ.one()
+    rels = (Relation(((one, ("a", "a")),)), Relation(((one, ("b", "b")),)),
+            Relation(((one, ("a", "b")), (one, ("b", "a", "b", "a")))))
+    return quiver, rels, QQ, 5
+
+
+# the dense oracle's rows grow with the square of the paths: three loops at
+# one object have 3,280 paths up to length 7, and such an example took 16 s
+DENSE_PATHS = 1000
+
+
+# 50 examples take about a second
 @settings(max_examples=50)
 @given(presentations())
 @example(_trinomial())
+@example(_two_loops())
 def test_builder_agrees_with_dense_oracle_on_cyclic_quivers(presentation):
-    # the same, also on the witness of a category still growing at its cutoff
-    def build(builder):
-        try:
-            return _tables(builder(*presentation))
-        except PossiblyInfiniteError as exc:
-            return exc.pair, exc.cutoff
-
+    # the completion is exact at any cutoff; the dense oracle only once every
+    # consequence of the relations shows inside its cutoff: wherever it is
+    # stable, the same at the next two cutoffs, the two agree
+    quiver, relations, field, cutoff = presentation
+    try:
+        cat = build_category(*presentation)
+    except PossiblyInfiniteError as exc:
+        cat, refused = None, exc.pair
+    except CategoryError:  # past the work bound: nothing to compare
+        return
+    else:
+        _assert_consistent(cat)
+    if sum(map(len, paths_by_pair(quiver, cutoff + 2).values())) > DENSE_PATHS:
+        return
     with dense_builder():
-        expected = build(dense_build_category)
-    assert build(build_category) == expected
+        try:
+            near, far = (dense_build_category(quiver, relations, field, cutoff + k)
+                         for k in (1, 2))
+        except PossiblyInfiniteError:
+            return
+    if _tables(near, cutoff + 1) != _tables(far, cutoff + 1):
+        return
+    if max(len(p) for ps in far._basis.values() for p in ps) >= cutoff:
+        assert cat is None and refused == min(pair for pair, ps in far._basis.items()
+                                              if ps and len(ps[-1]) >= cutoff)
+    else:
+        assert _tables(cat, cutoff) == _tables(far, cutoff)
 
 
 @given(bound_quivers(), st.integers(0, 2**32))
@@ -262,23 +321,27 @@ def test_syzygy_covers_match_span_cover_oracle(cat, seed, cutoff):
             assert stage.module == want.module and stage.epi.mats == want.epi.mats
 
 
-# three resolutions per example; 10 keep the test inside the tier-1 budget
+# nine resolutions per example; 10 keep the test inside the tier-1 budget
 @settings(max_examples=10)
 @given(bound_quivers(), st.integers(0, 2**32))
 def test_summand_vectors_are_generator_images(cat, seed):
     # the Cover contract that _diff_images reads d_j by: each summand vector
     # is the column of the stage's epi at its generator's identity-path row,
-    # in production, kernel-module and padded resolutions
+    # in production, kernel-module and padded resolutions; of a random
+    # module (most are projective), the simple at v0, which has arrows out
+    # and so is not, and an injective
     rng = random.Random(seed)
-    F = random_module(cat, rng)
-    for res in (projective_resolution(F, 3), derived_oracle.kernel_module_resolution(F, 3),
-                derived_oracle.padded_resolution(F, 3)):
-        res.length()
-        for stage in res.stages:
-            objs = [c for c, _ in stage.summands]
-            for l, (c, v) in enumerate(stage.summands):
-                row = block_offsets(cat, objs, c)[l]
-                assert [[r[row]] for r in stage.epi.mats[c].data] == v.data
+    c0 = rng.choice(cat.objects)
+    for F in (random_module(cat, rng), crosscheck.simple(cat, "v0"),
+              dual(representable(cat.opposite(), c0))):
+        for res in (projective_resolution(F, 3), derived_oracle.kernel_module_resolution(F, 3),
+                    derived_oracle.padded_resolution(F, 3)):
+            res.length()
+            for stage in res.stages:
+                objs = [c for c, _ in stage.summands]
+                for l, (c, v) in enumerate(stage.summands):
+                    row = block_offsets(cat, objs, c)[l]
+                    assert [[r[row]] for r in stage.epi.mats[c].data] == v.data
 
 
 # each example resolves every coefficient module of a fresh engine; 10 keep
