@@ -246,12 +246,16 @@ def _reduce(poly: dict, rules: dict, field, work: _Work) -> dict:
     return out
 
 
-def _complete(relations, field, work: _Work) -> dict:
+def _complete(relations, field, cutoff: int, work: _Work) -> dict:
     """The reduced Groebner basis of the ideal the relations generate, as
     tip -> tail: the rule tip = tail. Every relation and
     every overlap of two tips, smallest overlap first, is reduced; what is
     left becomes a new rule, whose tip sends the rules with that tip inside
-    their own tip back to be reduced and is rewritten in the others' tails."""
+    their own tip back to be reduced and is rewritten in the others' tails.
+    When every relation is homogeneous, so is every rule, and an overlap
+    longer than the cutoff can only give a rule that does too: such rules
+    change no path within the cutoff, and a category with a normal path as
+    long as the cutoff is refused anyway, so those overlaps are left out."""
     rules: dict = {}
     todo = []
     for rel in relations:
@@ -260,6 +264,7 @@ def _complete(relations, field, work: _Work) -> dict:
             poly[p] = field.add(poly.get(p, field.zero()), coef)
         todo.append({p: c for p, c in poly.items() if c})
     overlaps: list = []  # heap of (length, word, tip at its start, tip at its end)
+    graded = all(len({len(p) for p in poly}) <= 1 for poly in todo)
     while todo or overlaps:
         if todo:
             poly = todo.pop()
@@ -292,7 +297,7 @@ def _complete(relations, field, work: _Work) -> dict:
         for t in rules:
             for a, b in ((t, tip), (tip, t)) if t != tip else ((tip, tip),):
                 for k in range(1, min(len(a), len(b))):
-                    if a[len(a) - k:] == b[:k]:
+                    if a[len(a) - k:] == b[:k] and not (graded and len(a) + len(b) - k > cutoff):
                         work.spend()
                         word = a + b[k:]
                         heappush(overlaps, (len(word), word, a, b))
@@ -307,7 +312,7 @@ def build_category(quiver: Quiver, relations, field: Field, length_cutoff: int) 
     for rel in relations:
         rel.endpoints(arrow_map)
     work = _Work(length_cutoff)
-    rules = _complete(relations, field, work)
+    rules = _complete(relations, field, length_cutoff, work)
 
     # list the normal paths from each object by length: a path one arrow
     # longer than a normal path is normal unless a tip ends it

@@ -205,8 +205,9 @@ def two_loops(cutoff):
     return build_category(q, rels, QQ, cutoff)
 
 
-@pytest.mark.parametrize("cutoff", range(5, 10))
+@pytest.mark.parametrize("cutoff", range(3, 10))
 def test_mixed_length_relations_build_exactly(cutoff):
+    # below 5 the overlap babaa that gives aba = 0 is longer than the cutoff
     C = two_loops(cutoff)
     assert C.hom_basis_paths("o", "o") == ((), ("a",), ("b",), ("b", "a"))
     assert C.reduce_word("o", ("a", "b")) == {}

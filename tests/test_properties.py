@@ -119,7 +119,11 @@ def _tables(cat, cutoff):
 
 
 def _assert_consistent(cat):
-    """Each relation reduces to 0, and composing basis paths is associative."""
+    """Each relation reduces to 0; the normal form of each path up to the
+    cutoff is that of the product of the normal forms of any two pieces, so
+    the rewriting ends in the same place whichever tip it rewrites first;
+    the rules are reduced, each tail normal and every path inside a tip
+    but the tip itself normal; and composing basis paths is associative."""
     f = cat.field
     for rel in cat.relations:
         value = {}
@@ -127,6 +131,17 @@ def _assert_consistent(cat):
             for q, c in cat.reduce_word(cat.arrow_map[p[0]][0], p).items():
                 value[q] = f.add(value.get(q, f.zero()), f.mul(coef, c))
         assert not any(value.values())
+    for (c, d), paths in paths_by_pair(cat.quiver, cat.length_cutoff).items():
+        for p in paths:
+            for k in range(1, len(p)):
+                mid = cat.arrow_map[p[k - 1]][1]
+                assert cat.reduce_word(c, p) == crosscheck.compose(
+                    cat, c, mid, d, cat.reduce_word(c, p[:k]), cat.reduce_word(mid, p[k:]))
+    for tip, tail in cat._rules.items():
+        s, t = cat.arrow_map[tip[0]][0], cat.arrow_map[tip[0]][1]
+        assert cat.reduce_word(s, tip) == tail
+        assert cat.reduce_word(s, tip[:-1]) == {tip[:-1]: f.one()}
+        assert cat.reduce_word(t, tip[1:]) == {tip[1:]: f.one()}
     objs = cat.objects
     for a, b, c, d in itertools.product(objs, repeat=4):
         for p in cat.hom_basis_paths(a, b):
@@ -170,6 +185,26 @@ def _two_loops():
     return quiver, rels, QQ, 5
 
 
+def _two_loop_words(field, cutoff, *relations):
+    """k<a, b> with the relations, each a tuple of (coefficient, word), and
+    a^4 = b^4 = 0, in application order."""
+    quiver = Quiver(("o",), (("a", "o", "o"), ("b", "o", "o")))
+    rels = [Relation(tuple((field.of(c), tuple(w)) for c, w in r)) for r in relations]
+    rels += [Relation(((field.one(), (x,) * 4),)) for x in "ab"]
+    return quiver, tuple(rels), field, cutoff
+
+
+def _one_loop():
+    """k[x]/(x*x - x*x*x, x^5) at length 4: x^2 = x^5 = 0 takes overlaps of
+    length 5, past the cutoff, and a build from translates within length 4
+    could not impose x^5."""
+    quiver = Quiver(("o",), (("x", "o", "o"),))
+    one = QQ.one()
+    rels = (Relation(((one, ("x", "x")), (QQ.neg(one), ("x", "x", "x")))),
+            Relation(((one, ("x",) * 5),)))
+    return quiver, rels, QQ, 4
+
+
 # the dense oracle's rows grow with the square of the paths: three loops at
 # one object have 3,280 paths up to length 7, and such an example took 16 s
 DENSE_PATHS = 1000
@@ -180,6 +215,10 @@ DENSE_PATHS = 1000
 @given(presentations())
 @example(_trinomial())
 @example(_two_loops())
+@example(_one_loop())
+# needs the overlap of a tip with itself, and of a new tip on the left of an
+# older one
+@example(_two_loop_words(GF(3), 6, ((1, "aab"), (1, "bab")), ((1, "bb"), (1, "aa"))))
 def test_builder_agrees_with_dense_oracle_on_cyclic_quivers(presentation):
     # the completion is exact at any cutoff; the dense oracle only once every
     # consequence of the relations shows inside its cutoff: wherever it is
@@ -203,10 +242,12 @@ def test_builder_agrees_with_dense_oracle_on_cyclic_quivers(presentation):
             return
     if _tables(near, cutoff + 1) != _tables(far, cutoff + 1):
         return
-    if max(len(p) for ps in far._basis.values() for p in ps) >= cutoff:
-        assert cat is None and refused == min(pair for pair, ps in far._basis.items()
-                                              if ps and len(ps[-1]) >= cutoff)
+    growing = [(c, d) for c in far.objects for d in far.objects
+               if any(len(p) >= cutoff for p in far.hom_basis_paths(c, d))]
+    if growing:
+        assert cat is None and refused == min(growing)
     else:
+        assert cat is not None, f"refused as growing at {refused}"
         assert _tables(cat, cutoff) == _tables(far, cutoff)
 
 
