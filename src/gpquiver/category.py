@@ -1,15 +1,14 @@
 """Finite k-linear categories presented by a quiver with relations.
 
 Hom spaces are path spans modulo the two-sided ideal generated by the
-relations. Paths are ordered by (length, lex), and the relations are
-completed to the reduced Groebner basis of the ideal for that order
-(Bergman, The diamond lemma for ring theory, Adv. Math. 29, 1978; Green,
-Noncommutative Groebner bases, and projective resolutions, Progr. Math.
-173, 1999): monic rules tip -> tail, each tip the largest path of its rule,
-no tip inside another tip, and every tail path normal. A path is normal
-when no tip lies inside it. The normal paths from c to d are the basis of
-Hom(c, d), and rewriting tips by their tails takes every path to its
-normal form, the same whatever the order of the rewrites.
+relations. The relations are completed to the reduced Groebner basis of the
+ideal for the (length, lex) order on paths (Bergman, The diamond lemma for
+ring theory, Adv. Math. 29, 1978; Green, Noncommutative Groebner bases, and
+projective resolutions, Progr. Math. 173, 1999): monic rules tip -> tail,
+each tip the largest path of its rule and no tip inside another, every tail
+path normal, that is with no tip inside. The normal paths from c to d are
+the basis of Hom(c, d), and rewriting tips by their tails, in any order,
+takes every path to the same normal form.
 Paths are stored in application order: the tuple ("a", "b") means "a then b",
 which in function-composition notation is written b*a.
 """
@@ -37,13 +36,9 @@ class PossiblyInfiniteError(CategoryError):
         )
 
 
-# Completion need not end: an ideal may have no finite Groebner basis, and
-# below a long cutoff an infinite-dimensional category has more normal paths
-# than memory holds. So a build counts its work, in units of well under a
-# microsecond and a few bytes: each rule and each term a reduction scans,
-# the terms weighted by their length times the number of tip lengths; each
-# rule scanned when a new rule arrives; each overlap queued; each arrow of a
-# listed normal path. Past MAX_WORK units it is refused, within a second.
+# Completion need not end, and below a long cutoff an infinite-dimensional
+# category has more normal paths than memory holds, so a build counts its
+# work (see README) and is refused past MAX_WORK units, within a second.
 # Lambda(k^8), of dimension 256, takes about 8,500 units.
 MAX_WORK = 200_000
 
@@ -147,7 +142,6 @@ class BoundQuiverCategory:
         self.arrow_map = quiver.arrow_map()
         self._basis = basis
         self._rules = rules
-        self._normal_forms: dict = {}
         self._op = None
         self._memo: dict = {}
         self.factors = None  # (C1, C2) for C1 (x) C2, named by tensor_name
@@ -169,10 +163,8 @@ class BoundQuiverCategory:
         first, with their nonzero coefficients."""
         if not word:
             return {(): self.field.one()}
-        if word not in self._normal_forms:
-            self._normal_forms[word] = _reduce({word: self.field.one()}, self._rules,
-                                               self.field, _Work(self.length_cutoff))
-        return dict(self._normal_forms[word])
+        return dict(self.cached(("normal form", word), lambda: _reduce(
+            {word: self.field.one()}, self._rules, self.field, _Work(self.length_cutoff))))
 
     def cached(self, key, make):
         """make(), called once per category and key; later calls return the
@@ -218,6 +210,17 @@ def _tip_at(word: Path, rules: dict, lengths):
     return None
 
 
+def _add_to(acc: dict, terms, field) -> dict:
+    """acc += terms, pairs (path, scalar), dropping the paths that cancel."""
+    for p, c in terms:
+        c = field.add(acc.get(p, field.zero()), c)
+        if c:
+            acc[p] = c
+        else:
+            acc.pop(p, None)
+    return acc
+
+
 def _reduce(poly: dict, rules: dict, field, work: _Work) -> dict:
     """The normal form of a combination of parallel paths (path -> nonzero
     scalar): rewrite its largest path that has a tip inside until none has,
@@ -226,7 +229,6 @@ def _reduce(poly: dict, rules: dict, field, work: _Work) -> dict:
     work.spend(len(rules))
     lengths = sorted({len(t) for t in rules})
     todo, out = dict(poly), {}
-    zero = field.zero()
     while todo:
         word = max(todo, key=_path_key)
         work.spend(len(todo) + len(word) * len(lengths))
@@ -234,15 +236,10 @@ def _reduce(poly: dict, rules: dict, field, work: _Work) -> dict:
         hit = _tip_at(word, rules, lengths)
         if hit is None:
             out[word] = coef
-            continue
-        i, tip = hit
-        for path, c in rules[tip].items():
-            new = word[:i] + path + word[i + len(tip):]
-            acc = field.add(todo.get(new, zero), field.mul(coef, c))
-            if acc:
-                todo[new] = acc
-            else:
-                todo.pop(new, None)
+        else:
+            i, tip = hit
+            _add_to(todo, ((word[:i] + p + word[i + len(tip):], field.mul(coef, c))
+                           for p, c in rules[tip].items()), field)
     return out
 
 
@@ -257,12 +254,7 @@ def _complete(relations, field, cutoff: int, work: _Work) -> dict:
     change no path within the cutoff, and a category with a normal path as
     long as the cutoff is refused anyway, so those overlaps are left out."""
     rules: dict = {}
-    todo = []
-    for rel in relations:
-        poly: dict = {}
-        for coef, p in rel.terms:
-            poly[p] = field.add(poly.get(p, field.zero()), coef)
-        todo.append({p: c for p, c in poly.items() if c})
+    todo = [_add_to({}, ((p, c) for c, p in rel.terms), field) for rel in relations]
     overlaps: list = []  # heap of (length, word, tip at its start, tip at its end)
     graded = all(len({len(p) for p in poly}) <= 1 for poly in todo)
     while todo or overlaps:
@@ -272,14 +264,9 @@ def _complete(relations, field, cutoff: int, work: _Work) -> dict:
             _, word, left, right = heappop(overlaps)
             if left not in rules or right not in rules:
                 continue
-            poly = {p + word[len(left):]: c for p, c in rules[left].items()}
-            for p, c in rules[right].items():
-                p = word[:len(word) - len(right)] + p
-                acc = field.sub(poly.get(p, field.zero()), c)
-                if acc:
-                    poly[p] = acc
-                else:
-                    poly.pop(p, None)
+            poly = _add_to({p + word[len(left):]: c for p, c in rules[left].items()},
+                           ((word[:len(word) - len(right)] + p, field.neg(c))
+                            for p, c in rules[right].items()), field)
         poly = _reduce(poly, rules, field, work)
         if not poly:
             continue
@@ -287,9 +274,7 @@ def _complete(relations, field, cutoff: int, work: _Work) -> dict:
         tip, lead = next(iter(poly.items()))
         inv = field.neg(field.inv(lead))
         for old in [t for t in rules if _inside(tip, t)]:
-            back = {p: field.neg(c) for p, c in rules.pop(old).items()}
-            back[old] = field.one()
-            todo.append(back)
+            todo.append({old: field.one(), **{p: field.neg(c) for p, c in rules.pop(old).items()}})
         rules[tip] = {p: field.mul(inv, c) for p, c in poly.items() if p != tip}
         for t, tail in rules.items():
             if t != tip and any(_inside(tip, p) for p in tail):

@@ -134,8 +134,8 @@ def test_lambda_k4_at_length_7_builds_quickly():
 
 
 def test_too_many_relation_translates_are_refused():
-    # Lambda(k^4) at length 8 has 364,090 relation translates, once refused
-    # by their count; the completion never lists them, and the build is right
+    # 364,090 relation translates of length up to 8: the completion lists
+    # none of them
     start = time.perf_counter()
     C = build_category(*exterior4(GF(2)), GF(2), 8)
     assert time.perf_counter() - start < 5
@@ -143,8 +143,8 @@ def test_too_many_relation_translates_are_refused():
 
 
 def test_too_many_paths_are_refused_as_too_long_a_cutoff():
-    # Lambda(k^4) at length 9 has 349,525 paths, once refused by their
-    # count; it is finite of dimension 16, and a longer cutoff costs nothing
+    # 349,525 paths up to length 9: the completion lists only the 16 normal
+    # ones, so a longer cutoff costs a finite category nothing
     start = time.perf_counter()
     C = build_category(*exterior4(GF(2)), GF(2), 9)
     assert time.perf_counter() - start < 5

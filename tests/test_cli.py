@@ -456,8 +456,8 @@ def exterior_text(n, field, length_cutoff):
 
 
 def test_too_many_relation_translates_is_input_error(tmp_path, capsys):
-    # Lambda(k^4) at length 8 has 364,090 relation translates, once refused
-    # by their count; the completion never lists them and builds it at once
+    # 364,090 relation translates of length up to 8: the completion lists
+    # none of them
     p = tmp_path / "l4.cat"
     p.write_text(exterior_text(4, "F2", 8))
     start = time.perf_counter()
@@ -467,15 +467,14 @@ def test_too_many_relation_translates_is_input_error(tmp_path, capsys):
 
 
 def test_too_many_paths_is_input_error_asking_for_a_lower_cutoff(tmp_path, capsys):
-    # Lambda(k^4) at length 9 has 349,525 paths, once refused by their count
+    # 349,525 paths up to length 9, of which 16 are normal
     p = tmp_path / "l4.cat"
     p.write_text(exterior_text(4, "F5", 9))
     status, report = run_json(["cat-info", str(p)], capsys)
     assert (status, report["result"]["total_dim"]) == (0, 16)
 
 
-# a longer cutoff, also the default 16, costs a finite category nothing: both
-# were once refused at the length_cutoff line or the header
+# a longer cutoff, also the default 16, costs a finite category nothing
 @pytest.mark.parametrize("keep_cutoff", [True, False], ids=["length-cutoff", "default"])
 def test_too_many_paths_cite_the_cutoff_line(keep_cutoff, tmp_path, capsys):
     lines = exterior_text(4, "F5", 9).splitlines()
@@ -501,9 +500,8 @@ def loop_lines(relations, length_cutoff):
 
 def test_relation_longer_than_the_cutoff_that_does_not_hold_cites_the_cutoff_line(
         tmp_path, capsys):
-    # x^5 = 0 is longer than the cutoff 4; a truncated build could not impose
-    # it and was refused, but x*x = x*x*x gives x^2 = x^5 and the completion
-    # builds k[x]/(x^2), dim 2
+    # x^5 = 0 is longer than the cutoff 4, no translate of it fits, and
+    # still x*x = x*x*x gives x^2 = x^5 = 0: k[x]/(x^2), dim 2
     path = _bad_input(tmp_path, "loop.cat", loop_lines(["1 x*x + -1 x*x*x", "1 x*x*x*x*x"], 4))
     status, report = run_json(["cat-info", path], capsys)
     assert (status, report["result"]["total_dim"]) == (0, 2)
@@ -522,8 +520,8 @@ def test_relation_longer_than_the_cutoff_that_holds_builds(relations, length_cut
 
 
 def test_too_many_tensor_paths_name_the_factors_and_advise_nothing(tmp_path, capsys):
-    # Lambda(k^3) (x) Lambda(k^3) at length 8 was refused for its paths; it
-    # is Lambda(k^6) up to signs, self-injective of dimension 64
+    # Lambda(k^3) (x) Lambda(k^3), 335,923 paths up to length 7: Lambda(k^6)
+    # up to signs, self-injective of dimension 64
     for name in ("l3.cat", "l3b.cat"):
         (tmp_path / name).write_text(exterior_text(3, "F5", 4))
     path = _bad_input(tmp_path, "t.cat", ["# Lambda(k^3) twice", "[tensor]",
@@ -535,7 +533,7 @@ def test_too_many_tensor_paths_name_the_factors_and_advise_nothing(tmp_path, cap
 
 
 def test_exterior_algebra_on_six_generators_builds(tmp_path, capsys):
-    # 335,923 paths up to length 7 were once refused; dim 64, self-injective
+    # 335,923 paths up to length 7; dim 64, self-injective
     p = tmp_path / "l6.cat"
     p.write_text(exterior_text(6, "F5", 7))
     status, report = run_json(["gdim", str(p)], capsys)
