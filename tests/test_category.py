@@ -202,25 +202,30 @@ def two_loops(cutoff):
     one = QQ.one()
     rels = (Relation(((one, ("a", "a")),)), Relation(((one, ("b", "b")),)),
             Relation(((one, ("a", "b")), (one, ("b", "a", "b", "a")))))
-    return build_category(q, rels, QQ, cutoff)
+    return q, rels, QQ, cutoff
 
 
 @pytest.mark.parametrize("cutoff", range(3, 10))
 def test_mixed_length_relations_build_exactly(cutoff):
     # below 5 the overlap babaa that gives aba = 0 is longer than the cutoff
-    C = two_loops(cutoff)
+    C = build_category(*two_loops(cutoff))
     assert C.hom_basis_paths("o", "o") == ((), ("a",), ("b",), ("b", "a"))
     assert C.reduce_word("o", ("a", "b")) == {}
     assert C.reduce_word("o", ("b", "a", "b")) == {}
 
 
-@pytest.mark.parametrize("cutoff", [4, 5])
-def test_relation_longer_than_the_cutoff_is_imposed(cutoff):
-    # x*x = x*x*x and x^5 = 0: x^2 = x^3 = x^5 = 0, so k[x]/(x^2)
+def one_loop(cutoff):
+    """k[x]/(x*x - x*x*x, x^5): x^2 = x^5 = 0 takes overlaps of length 5,
+    and no translate of x^5 fits within a cutoff below 5."""
     q = Quiver(("1",), (("x", "1", "1"),))
     one = QQ.one()
     rels = (Relation(((one, ("x", "x")), (QQ.neg(one), ("x", "x", "x")))),
             Relation(((one, ("x",) * 5),)))
-    C = build_category(q, rels, QQ, cutoff)
+    return q, rels, QQ, cutoff
+
+
+@pytest.mark.parametrize("cutoff", [4, 5])
+def test_relation_longer_than_the_cutoff_is_imposed(cutoff):
+    C = build_category(*one_loop(cutoff))
     assert C.hom_basis_paths("1", "1") == ((), ("x",))
     assert C.reduce_word("1", ("x",) * 3) == {}

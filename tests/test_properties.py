@@ -35,6 +35,7 @@ from gpquiver.modules import (
     tensor_over_cat,
 )
 from gpquiver.nakayama import NakayamaEngine
+from test_category import one_loop, two_loops
 from test_modules import random_module
 
 
@@ -174,17 +175,6 @@ def _trinomial():
     return quiver, tuple(rels), QQ, 4
 
 
-def _two_loops():
-    """k<a, b>/(aa, bb, ab + baba): a truncated build at length 5 kept ab and
-    abab (dim 6); the consequence aba = 0 needs a translate of length 5 and
-    ab = 0 one of length 6, so the dense oracle is stable from 7 on."""
-    quiver = Quiver(("o",), (("a", "o", "o"), ("b", "o", "o")))
-    one = QQ.one()
-    rels = (Relation(((one, ("a", "a")),)), Relation(((one, ("b", "b")),)),
-            Relation(((one, ("a", "b")), (one, ("b", "a", "b", "a")))))
-    return quiver, rels, QQ, 5
-
-
 def _two_loop_words(field, cutoff, *relations):
     """k<a, b> with the relations, each a tuple of (coefficient, word), and
     a^4 = b^4 = 0, in application order."""
@@ -192,17 +182,6 @@ def _two_loop_words(field, cutoff, *relations):
     rels = [Relation(tuple((field.of(c), tuple(w)) for c, w in r)) for r in relations]
     rels += [Relation(((field.one(), (x,) * 4),)) for x in "ab"]
     return quiver, tuple(rels), field, cutoff
-
-
-def _one_loop():
-    """k[x]/(x*x - x*x*x, x^5) at length 4: x^2 = x^5 = 0 takes overlaps of
-    length 5, past the cutoff, and a build from translates within length 4
-    could not impose x^5."""
-    quiver = Quiver(("o",), (("x", "o", "o"),))
-    one = QQ.one()
-    rels = (Relation(((one, ("x", "x")), (QQ.neg(one), ("x", "x", "x")))),
-            Relation(((one, ("x",) * 5),)))
-    return quiver, rels, QQ, 4
 
 
 # the dense oracle's rows grow with the square of the paths: three loops at
@@ -214,8 +193,8 @@ DENSE_PATHS = 1000
 @settings(max_examples=50)
 @given(presentations())
 @example(_trinomial())
-@example(_two_loops())
-@example(_one_loop())
+@example(two_loops(5))
+@example(one_loop(4))
 # needs the overlap of a tip with itself, and of a new tip on the left of an
 # older one
 @example(_two_loop_words(GF(3), 6, ((1, "aab"), (1, "bab")), ((1, "bb"), (1, "aa"))))
