@@ -37,9 +37,9 @@ class PossiblyInfiniteError(CategoryError):
 
 
 # Completion need not end, and below a long cutoff an infinite-dimensional
-# category has more normal paths than memory holds, so a build counts its
-# work (see README) and is refused past MAX_WORK units, within a second.
-# Lambda(k^8), of dimension 256, takes about 8,500 units.
+# category has more normal paths than memory holds, so a build counts work:
+# terms and rules scanned, overlaps queued, arrows of listed normal paths.
+# Past MAX_WORK units it is refused, within a second; Lambda(k^8) takes 8,500.
 MAX_WORK = 200_000
 
 
