@@ -126,7 +126,8 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
     res_f = projective_resolution(f_mod, cutoff)
     a = _vanishing_scan(
         cert, "l_nu_dims", res_f.settled_degrees(), cat.objects,
-        lambda i: lambda c: _derived_dim(res_f, engine.coef_right(c), i, tensor=True),
+        lambda i: lambda c: _derived_either_side(engine.res_right(c), f_mod, i, True,
+                                                 lambda: (res_f, engine.coef_right(c))),
         l_nu)
     if a == "no":
         return Verdict("no", cert, hyp)

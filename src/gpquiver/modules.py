@@ -152,6 +152,25 @@ class Module:
         return f"Module({self.dims})"
 
 
+class DeferredModule(Module):
+    """A module given by its dims, one per object, whose arrow matrices
+    mats_of() makes when .mats is first read.  Only this class has
+    __getattr__, reached for the unset mats slot, so attribute reads on a
+    built Module cost what they did."""
+
+    __slots__ = ("_mats_of",)
+
+    def __init__(self, cat: BoundQuiverCategory, dims: dict, mats_of):
+        self.cat, self.dims, self._mats_of = cat, dims, mats_of
+
+    def __getattr__(self, name):
+        if name != "mats":
+            raise AttributeError(name)
+        self.mats = self._mats_of()
+        del self._mats_of
+        return self.mats
+
+
 class ModuleMap:
     __slots__ = ("src", "dst", "mats")
 
@@ -550,15 +569,48 @@ def _free_rows(k: Matrix) -> list:
     return [max(compress(range(k.rows), col)) for col in zip(*k.data)]
 
 
+class Stages(list):
+    """The stages of one module's minimal resolution, built in order and
+    shared by its resolutions at every cutoff.  Stage i+1 depends only on
+    the generator objects and syzygy bases of stage i (_syzygy_cover), so
+    once a stage n has those of an earlier stage j the resolution is
+    periodic: stage n+k is stage j+k, the same Cover, for every k >= 1,
+    and no stage past n is built."""
+
+    def __init__(self):
+        super().__init__()
+        self.period = None
+        self._seen = {}  # (generator objects, syzygy shapes) -> stages with them
+
+    def grow(self, module: Module):
+        n = len(self)
+        if self.period:
+            self.append(self[n - self.period])
+            return
+        stage = _syzygy_cover(module.cat, self[-1]) if self else projective_cover(module)
+        key = (tuple(c for c, _ in stage.summands),
+               tuple((k.rows, k.cols) for k in stage.syzygy.values()))
+        same = self._seen.setdefault(key, [])
+        for j in same:
+            if self[j].syzygy == stage.syzygy:
+                self.period = n - j
+                break
+        same.append(n)
+        self.append(stage)
+
+
 class Resolution:
     """The minimal projective resolution ... -> P_1 -> P_0 -> M, at most cutoff
-    stages past P_0; stages holds only those read so far (length() reads all)."""
+    stages past P_0; stages holds only those read so far (length() reads all),
+    a start of the module's shared Stages.  Over a self-injective category a
+    minimal resolution is periodic, and it is built one period long whatever
+    the cutoff (Stages)."""
 
-    def __init__(self, module: Module, cutoff: int, shared: list | None = None):
+    def __init__(self, module: Module, cutoff: int, shared: Stages | None = None):
         if cutoff < 0:
             raise ModuleError("cutoff must be nonnegative")
         self.module, self.cutoff = module, cutoff
-        self.stages, self._shared = [], [] if shared is None else shared
+        self.stages, self._shared = [], Stages() if shared is None else shared
         self._goes_on = True  # the last stage read has a nonzero syzygy
 
     def reaches(self, i: int) -> bool:
@@ -566,8 +618,7 @@ class Resolution:
         stages, shared = self.stages, self._shared
         while self._goes_on and len(stages) <= min(i, self.cutoff):
             if len(stages) == len(shared):
-                shared.append(_syzygy_cover(self.module.cat, stages[-1]) if stages
-                              else projective_cover(self.module))
+                shared.grow(self.module)
             stages.append(shared[len(stages)])
             self._goes_on = any(s.cols for s in stages[-1].syzygy.values())
         return i < len(stages)

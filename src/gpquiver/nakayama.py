@@ -39,11 +39,13 @@ from functools import cache
 from .category import BoundQuiverCategory
 from .linalg import Matrix, direct_sum_many, free_row_coords
 from .modules import (
+    DeferredModule,
     InconclusiveError,
     Module,
     ModuleMap,
     ModuleError,
     Resolution,
+    Stages,
     _applied_diff,
     _derived_either_side,
     _diff_images,
@@ -128,7 +130,7 @@ class NakayamaEngine:
         """D C(c,-) (side "right") or D C(-,c) resolved over its one stage list."""
         coef = self.coef_right if side == "right" else self.coef_left
         return self.cat.cached(("resolution", side, c, cutoff), lambda: Resolution(
-            coef(c), cutoff, self.cat.cached(("stages", side, c), list)))
+            coef(c), cutoff, self.cat.cached(("stages", side, c), Stages)))
 
     def u_map(self, arrow: str) -> ModuleMap:
         """D(C(s,-)) -> D(C(t,-)) for a: s -> t (covariant coefficient maps),
@@ -182,11 +184,11 @@ class NakayamaEngine:
             _, k, free = _applied_diff(f_mod, self._yoneda("right", c), True,
                                        acts).transpose().kernel_basis()
             frames[c] = (k.transpose(), free)
-        mats = {a: frames[t][0] @ _applied_diff(f_mod, self._yoneda("u", a), True, acts)
-                .submatrix(range(frames[t][0].cols), frames[s][1])
-                for a, (s, t) in cat.arrow_map.items()}
-        return Applied(Module(cat, {c: p.rows for c, (p, _) in frames.items()}, mats,
-                              check=False), frames, f_mod)
+        dims = {c: p.rows for c, (p, _) in frames.items()}
+        return Applied(DeferredModule(cat, dims, lambda: {
+            a: frames[t][0] @ _applied_diff(f_mod, self._yoneda("u", a), True, acts)
+            .submatrix(range(frames[t][0].cols), frames[s][1])
+            for a, (s, t) in cat.arrow_map.items()}), frames, f_mod)
 
     def nu_map(self, src: Applied, dst: Applied, phi: ModuleMap) -> ModuleMap:
         """At c, (+)_k phi_{d_k} between the section and the projection."""
@@ -202,11 +204,11 @@ class NakayamaEngine:
         cat, acts = self.cat, {}
         frames = {c: _applied_diff(f_mod, self._yoneda("left", c), False,
                                    acts).kernel_basis()[1:] for c in cat.objects}
-        mats = {a: _read(frames[t], _applied_diff(f_mod, self._yoneda("w", a), False,
-                                                  acts) @ frames[s][0])
-                for a, (s, t) in cat.arrow_map.items()}
-        return Applied(Module(cat, {c: k.cols for c, (k, _) in frames.items()}, mats,
-                              check=False), frames, f_mod)
+        dims = {c: k.cols for c, (k, _) in frames.items()}
+        return Applied(DeferredModule(cat, dims, lambda: {
+            a: _read(frames[t], _applied_diff(f_mod, self._yoneda("w", a), False, acts)
+                     @ frames[s][0])
+            for a, (s, t) in cat.arrow_map.items()}), frames, f_mod)
 
     def nu_minus_map(self, src: Applied, dst: Applied, phi: ModuleMap) -> ModuleMap:
         """At c, (+)_k phi_{e_k} on the kernel basis, read at the free rows."""

@@ -25,6 +25,7 @@ from gpquiver.modules import (
     Module,
     ModuleMap,
     Resolution,
+    Stages,
     _derived_dim,
     basis_cover,
     block_offsets,
@@ -278,7 +279,7 @@ def test_resolution_matches_kernel_module_oracle(cat, seed, cutoff):
     for F in (random_module(cat, rng), crosscheck.simple(cat, c0),
               dual(representable(cat.opposite(), c0))):
         oracle = derived_oracle.kernel_module_resolution(F, cutoff)
-        shared = []
+        shared = Stages()
         Resolution(F, cutoff + 2, shared).length()
         for res in (Resolution(F, cutoff, shared), projective_resolution(F, cutoff)):
             for i in range(cutoff + 2):

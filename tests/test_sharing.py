@@ -304,9 +304,11 @@ def test_maps_of_free_modules_are_compiled_once(monkeypatch):
     assert not compiled
 
     def read(F):
-        eng.nu(F), eng.nu_minus(F), eng.lambda_unit(F), eng.left_derived_nu_dims(F, 1)
+        return eng.nu(F), eng.nu_minus(F), eng.lambda_unit(F), eng.left_derived_nu_dims(F, 1)
 
-    read(first)
+    # the first module's nu and nu^- actions compile the lifts of u_a and w_a
+    nuF, nmF, *_ = read(first)
+    assert nuF.module.mats and nmF.module.mats
     del compiled[:], made[:]
     read(fresh)
     own = [st.diff for res in made if res.module is fresh for st in res.stages]
