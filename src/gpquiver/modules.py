@@ -621,7 +621,7 @@ class Resolution:
                 shared.grow(self.module)
             stages.append(shared[len(stages)])
             self._goes_on = any(s.cols for s in stages[-1].syzygy.values())
-        return i < len(stages)
+        return 0 <= i < len(stages)
 
     @property
     def completed(self) -> bool:  # a truncated resolution leaves the cutoff's degree unsettled

@@ -12,6 +12,7 @@ presentations with loops and cycles.
 import itertools
 import random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import crosscheck
@@ -27,15 +28,18 @@ from gpquiver.modules import (
     Resolution,
     Stages,
     _derived_dim,
+    _syzygy_cover,
     basis_cover,
     block_offsets,
     dual,
     free_module,
+    projective_cover,
     projective_resolution,
     representable,
     tensor_over_cat,
 )
 from gpquiver.nakayama import NakayamaEngine
+from conftest import cyclic3, tensor322
 from test_category import one_loop, two_loops
 from test_modules import random_module
 
@@ -81,15 +85,17 @@ def bound_quivers(draw):
 @st.composite
 def presentations(draw):
     """Quiver, relations, field and length cutoff of a small presentation
-    with a loop at v0 and one or two random arrows, loops and cycles
-    allowed: two to four relations, each a random combination of two or
-    three parallel paths of length 2 or 3, and in about half the examples
-    every path of length cutoff - 1 set to zero.  The others may still grow
-    at the cutoff."""
+    with a loop at v0 and up to n random arrows, n the number of objects,
+    loops and cycles allowed: two to four relations, each a random
+    combination of two or three parallel paths of length 2 or 3, and in
+    about three examples of four every path of length cutoff - 1 set to
+    zero.  The others may still grow at the cutoff.  Three loops at one
+    object have more paths than the dense oracle compares (DENSE_PATHS), so
+    one object has at most two loops, and most examples have two objects."""
     field = draw(st.sampled_from([GF(2), GF(3), QQ]))
-    n = draw(st.integers(1, 2))
+    n = draw(st.sampled_from([1, 2, 2, 2]))
     ends = [(0, 0)] + draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=2))
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=n))
     arrows = tuple((f"a{k}", f"v{s}", f"v{t}") for k, (s, t) in enumerate(ends))
     by_len = {1: [((name,), s, t) for name, s, t in arrows]}
     for k in (2, 3, 4):
@@ -106,7 +112,7 @@ def presentations(draw):
         relations.append(Relation(tuple(
             (field.of(draw(st.integers(1, top))), p) for p in terms)))
     cutoff = draw(st.integers(4, 5))
-    if draw(st.booleans()):
+    if draw(st.integers(0, 3)) > 0:
         relations += [Relation(((field.one(), p),)) for p, _, _ in by_len[cutoff - 1]]
     quiver = Quiver(tuple(f"v{i}" for i in range(n)), arrows)
     return quiver, tuple(relations), field, cutoff
@@ -340,6 +346,54 @@ def test_syzygy_covers_match_span_cover_oracle(cat, seed, cutoff):
             assert stage.summands == want.summands
             assert stage.syzygy == want.syzygy
             assert stage.module == want.module and stage.epi.mats == want.epi.mats
+
+
+def assert_stages_rebuild(res):
+    """Every stage of res, read to its cutoff, has the generator objects,
+    summand vectors and syzygy bases of the stages built one after another
+    through _syzygy_cover with nothing shared, and res has their length."""
+    want = [projective_cover(res.module)]
+    while len(want) <= res.cutoff and any(k.cols for k in want[-1].syzygy.values()):
+        want.append(_syzygy_cover(res.module.cat, want[-1]))
+    assert res.length() == len(want) - 1
+    for got, exp in zip(res.stages, want):
+        assert [c for c, _ in got.summands] == [c for c, _ in exp.summands]
+        assert [v for _, v in got.summands] == [v for _, v in exp.summands]
+        assert got.syzygy == exp.syzygy
+
+
+@settings(max_examples=10)
+@given(bound_quivers(), st.integers(0, 2**32))
+def test_shared_stages_match_a_stage_by_stage_rebuild(cat, seed):
+    # resolutions of a random module and a simple, at two cutoffs over one
+    # stage list, and the coefficient resolutions an engine shares
+    rng = random.Random(seed)
+    mods = [random_module(cat, rng, max_gens=1), crosscheck.simple(cat, rng.choice(cat.objects))]
+    shared = [Stages() for _ in mods]
+    for cutoff in (1, 4):
+        for F, stages in zip(mods, shared):
+            assert_stages_rebuild(Resolution(F, cutoff, stages))
+    eng = NakayamaEngine(cat, 4)
+    for c in cat.objects:
+        assert_stages_rebuild(eng.res_right(c))
+        assert_stages_rebuild(eng.res_left(c))
+
+
+# cyclic3 is self-injective and ex322 (x) ex322_op is not Iwanaga-Gorenstein:
+# there minimal resolutions repeat a stage, and are built one period long
+@pytest.mark.parametrize("build, cutoff", [(cyclic3, 12), (tensor322, 6)],
+                         ids=["cyclic3", "ex322(x)ex322_op"])
+def test_periodic_stages_match_a_stage_by_stage_rebuild(build, cutoff):
+    cat = build(GF(3))
+    rng = random.Random(build.__name__)
+    mods = [random_module(cat, rng, max_gens=1) for _ in range(3)]
+    mods += [crosscheck.simple(cat, c) for c in cat.objects]
+    eng = NakayamaEngine(cat, cutoff)
+    resolutions = [projective_resolution(F, cutoff) for F in mods]
+    resolutions += [eng.res_right(c) for c in cat.objects] + [eng.res_left(c) for c in cat.objects]
+    for res in resolutions:
+        assert_stages_rebuild(res)
+    assert sum(res._shared.period is not None for res in resolutions) >= 3
 
 
 # nine resolutions per example; 10 keep the test inside the tier-1 budget

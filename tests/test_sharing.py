@@ -17,6 +17,7 @@ from gpquiver.basechange import Factorization
 from gpquiver.gorenstein import discrepancy_probe, is_gproj_P
 from gpquiver.linalg import GF, QQ, Matrix, free_row_coords
 from gpquiver.modules import (
+    Module,
     ModuleMap,
     hom_basis,
     projective_cover,
@@ -143,6 +144,67 @@ def test_i_star_nu_matches_kronecker_oracle(field):
             for c in fact.cat.objects:
                 assert_iso({d: theta(eng, nus[d], nus_o[d], c) for d in fact.base.objects},
                            got[c], want[c])
+
+
+def actions_built(m) -> bool:
+    """Whether m's arrow matrices are made, asked without making them."""
+    try:
+        Module.mats.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
+def record_applied(monkeypatch) -> list:
+    """Record (name, F, result) of every nu and nu^- an engine computes."""
+    made = []
+    for name in ("nu", "nu_minus"):
+        method = getattr(NakayamaEngine, name)
+
+        def recording(self, f_mod, method=method, name=name):
+            made.append((name, f_mod, method(self, f_mod)))
+            return made[-1][2]
+
+        monkeypatch.setattr(NakayamaEngine, name, recording)
+    return made
+
+
+def test_nakayama_reads_build_only_the_actions_lambda_reads(monkeypatch):
+    """The reads of `gpquiver nakayama` and of the benchmark's nu_trio: the
+    dims of nu(F) and nu^-(F) and whether lambda_unit(F) is an isomorphism.
+    nu^-(nu F) is read off nu F's path actions, so the nu(F) that lambda
+    makes builds its arrow actions; nu^-(nu F), the other nu(F) and
+    nu^-(F) build none."""
+    made = record_applied(monkeypatch)
+    path = os.path.join(cli.fixtures_dir(), "a2_incl.rep")
+    assert cli.main(["nakayama", path, "--out", os.devnull]) == 0
+    cat = square(F3)
+    eng, F = NakayamaEngine(cat, 8), random_module(cat, random.Random(8))
+    lam = eng.lambda_unit(F)
+    eng.nu(F).module.dim_vector(), eng.nu_minus(F).module.dim_vector(), lam.is_iso()
+    # the report reads nu, nu^-, then lambda; nu_trio reads lambda first
+    assert [name for name, *_ in made] == ["nu", "nu_minus"] * 4
+    assert made[3][1] is made[2][2].module and made[5][1] is made[4][2].module
+    built = [actions_built(applied.module) for *_, applied in made]
+    assert built == [False, False, True, False, True, False, False, False]
+
+
+@pytest.mark.parametrize("build", [cyclic3, ex322, square])
+def test_deferred_actions_match_the_oracle_in_any_order(build):
+    """nu and nu^- of several modules made first, their arrow actions read
+    afterwards, last module first: each carries the oracle's arrows through
+    theta and Theta."""
+    cat = build(F3)
+    rng = random.Random(f"deferred:{build.__name__}")
+    mods = [random_module(cat, rng) for _ in range(3)] + [crosscheck.simple(cat, cat.objects[0])]
+    eng, orc = NakayamaEngine(cat, 4), derived_oracle.TensorNakayamaEngine(cat, 4)
+    applied = [(eng.nu(F), eng.nu_minus(F)) for F in mods]
+    assert not any(actions_built(a.module) for pair in applied for a in pair)
+    for F, (nuF, nmF) in reversed(list(zip(mods, applied))):
+        nuF_o, nmF_o = orc.nu(F), orc.nu_minus(F)
+        assert_iso({c: theta(eng, nuF, nuF_o, c) for c in cat.objects}, nuF.module, nuF_o.module)
+        assert_iso({c: big_theta(eng, nmF, nmF_o, c) for c in cat.objects},
+                   nmF_o.module, nmF.module)
 
 
 def coefficient_resolutions(monkeypatch) -> dict:
