@@ -122,7 +122,7 @@ def is_gproj_P(f_mod: Module, engine: NakayamaEngine, force_full: bool = False) 
 
     cert = {"route": "full"}
 
-    # (a) vanishing of the left derived Nakayama functor
+    # (a) vanishing of L_i nu, each read as left_derived_nu_dims reads it
     res_f = projective_resolution(f_mod, cutoff)
     a = _vanishing_scan(
         cert, "l_nu_dims", res_f.settled_degrees(), cat.objects,

@@ -22,8 +22,8 @@ stage i-1 in the coordinates of its canonical kernel basis K, where ker K E
 = ker E (Green-Solberg-Zacharia); its summand vectors, columns of K, are
 d_i's generator images, compiled when d_i is first read.  A stage's free
 module and epi d_i are built only when read.  Stages are built when read,
-up to the cutoff, into a list that resolutions of the module at other
-cutoffs may share; degree i reads up to stage i+1.
+up to the cutoff, into a list (Stages) that resolutions at other cutoffs
+share, one period long if periodic; degree i reads up to stage i+1.
 Coordinates in a canonical kernel basis are read at its free rows, with no
 solve: a kernel's arrows, nu^-'s arrows and maps, and the lift of a
 homology module.  A cokernel's section is the unit columns at the free
@@ -153,17 +153,15 @@ class Module:
 
 
 class DeferredModule(Module):
-    """A module given by its dims, one per object, whose arrow matrices
-    mats_of() makes when .mats is first read.  Only this class has
-    __getattr__, reached for the unset mats slot, so attribute reads on a
-    built Module cost what they did."""
-
+    """A module of the given dims whose arrow matrices mats_of() makes when
+    .mats is first read; only this class has __getattr__, so attribute reads
+    on a built Module cost what they did."""
     __slots__ = ("_mats_of",)
 
     def __init__(self, cat: BoundQuiverCategory, dims: dict, mats_of):
         self.cat, self.dims, self._mats_of = cat, dims, mats_of
 
-    def __getattr__(self, name):
+    def __getattr__(self, name):  # reached for the unset mats slot
         if name != "mats":
             raise AttributeError(name)
         self.mats = self._mats_of()
@@ -570,41 +568,28 @@ def _free_rows(k: Matrix) -> list:
 
 
 class Stages(list):
-    """The stages of one module's minimal resolution, built in order and
-    shared by its resolutions at every cutoff.  Stage i+1 depends only on
-    the generator objects and syzygy bases of stage i (_syzygy_cover), so
-    once a stage n has those of an earlier stage j the resolution is
-    periodic: stage n+k is stage j+k, the same Cover, for every k >= 1,
-    and no stage past n is built."""
-
-    def __init__(self):
-        super().__init__()
-        self.period = None
-        self._seen = {}  # (generator objects, syzygy shapes) -> stages with them
+    """The stages of one module's minimal resolution, shared by its
+    resolutions at every cutoff, and its period once a stage repeats."""
+    period = None
 
     def grow(self, module: Module):
-        n = len(self)
         if self.period:
-            self.append(self[n - self.period])
-            return
+            return self.append(self[len(self) - self.period])
         stage = _syzygy_cover(module.cat, self[-1]) if self else projective_cover(module)
-        key = (tuple(c for c, _ in stage.summands),
-               tuple((k.rows, k.cols) for k in stage.syzygy.values()))
-        same = self._seen.setdefault(key, [])
-        for j in same:
-            if self[j].syzygy == stage.syzygy:
-                self.period = n - j
-                break
-        same.append(n)
+        objs = [c for c, _ in stage.summands]  # compared before the syzygy bases
+        self.period = next((len(self) - j for j, old in enumerate(self) if objs == [
+            c for c, _ in old.summands] and old.syzygy == stage.syzygy), None)
         self.append(stage)
 
 
 class Resolution:
     """The minimal projective resolution ... -> P_1 -> P_0 -> M, at most cutoff
     stages past P_0; stages holds only those read so far (length() reads all),
-    a start of the module's shared Stages.  Over a self-injective category a
-    minimal resolution is periodic, and it is built one period long whatever
-    the cutoff (Stages)."""
+    a start of the module's Stages.  Stage i+1 depends only on the generator
+    objects and syzygy bases of stage i (_syzygy_cover), so once stage n has
+    those of an earlier stage j the resolution is periodic (as every minimal
+    one over a self-injective category is, Erdmann-Skowronski): stage n+k is
+    stage j+k, the same Cover, for k >= 1, and no stage past n is built."""
 
     def __init__(self, module: Module, cutoff: int, shared: Stages | None = None):
         if cutoff < 0:

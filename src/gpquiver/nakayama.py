@@ -13,12 +13,13 @@ modules, stages 0-1 of their lists: nu is right exact, nu(C(x,-)) = D C(-,x),
 so nu(F)(c) = coker F (x) d_1, and nu^-(F)(c) = ker Hom(d_1, F), each one
 matrix of F's path actions (Yoneda, modules._applied_diff).  Arrows, maps and
 the unit go through lifts to the P_0s, and are read at free rows with no
-solve.  Each d_1 and each lift is compiled once into its nonzero path terms
-(modules._free_map) and kept in the category's memo (_yoneda); d_1 is the
-compiled differential of stage 1, on its Cover, which Tor and Ext over the
-coefficient resolutions read too.  The tensor D(C) (x)_C F stays in modules
-as tensor_over_cat.  Both halves of D(C) are written in the dual of C's path
-basis.
+solve; arrows are made when first read (modules.DeferredModule), as the unit
+and dimension counts read only frames and dims.  Each d_1 and each lift is
+compiled once into its nonzero path terms (modules._free_map) and kept in
+the category's memo (_yoneda); d_1 is the compiled differential of stage 1,
+on its Cover, which Tor and Ext over the coefficient resolutions read too.
+The tensor D(C) (x)_C F stays in modules as tensor_over_cat.  Both halves of
+D(C) are written in the dual of C's path basis.
 
 The adjoint triple i_! -| i^* -| i_* around evaluation, the counit sigma of
 nu -| nu^- and the triangle identities check these routes; they live with
@@ -26,8 +27,10 @@ the tests (tests/crosscheck.py), not here.
 
 The derived functors have one shape.  Their dimension counts are Tor and Ext
 over the coefficient resolutions, or, where those are truncated, over one of F
-or D(F).  As modules, L_i nu (F) and R^i nu^- (F) are the homology at stage i
-of nu applied to a projective resolution of F, and of nu^- applied to the
+or D(F); L_i nu (F)(c) = Tor_i(D C(c,-), F) has that one route in
+left_derived_nu_dims and both routes of gorenstein.is_gproj_P (Tor is
+balanced).  As modules, L_i nu (F) and R^i nu^- (F) are the homology at stage
+i of nu applied to a projective resolution of F, and of nu^- applied to the
 injective coresolution D(P_j) of F, P a projective resolution of D(F); only
 stages i-1, i and i+1 are built.
 """
@@ -184,8 +187,7 @@ class NakayamaEngine:
             _, k, free = _applied_diff(f_mod, self._yoneda("right", c), True,
                                        acts).transpose().kernel_basis()
             frames[c] = (k.transpose(), free)
-        dims = {c: p.rows for c, (p, _) in frames.items()}
-        return Applied(DeferredModule(cat, dims, lambda: {
+        return Applied(DeferredModule(cat, {c: p.rows for c, (p, _) in frames.items()}, lambda: {
             a: frames[t][0] @ _applied_diff(f_mod, self._yoneda("u", a), True, acts)
             .submatrix(range(frames[t][0].cols), frames[s][1])
             for a, (s, t) in cat.arrow_map.items()}), frames, f_mod)
@@ -204,8 +206,7 @@ class NakayamaEngine:
         cat, acts = self.cat, {}
         frames = {c: _applied_diff(f_mod, self._yoneda("left", c), False,
                                    acts).kernel_basis()[1:] for c in cat.objects}
-        dims = {c: k.cols for c, (k, _) in frames.items()}
-        return Applied(DeferredModule(cat, dims, lambda: {
+        return Applied(DeferredModule(cat, {c: k.cols for c, (k, _) in frames.items()}, lambda: {
             a: _read(frames[t], _applied_diff(f_mod, self._yoneda("w", a), False, acts)
                      @ frames[s][0])
             for a, (s, t) in cat.arrow_map.items()}), frames, f_mod)
