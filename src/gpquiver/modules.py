@@ -606,7 +606,7 @@ class Resolution:
                 shared.grow(self.module)
             stages.append(shared[len(stages)])
             self._goes_on = any(s.cols for s in stages[-1].syzygy.values())
-        return 0 <= i < len(stages)
+        return i < len(stages)
 
     @property
     def completed(self) -> bool:  # a truncated resolution leaves the cutoff's degree unsettled
