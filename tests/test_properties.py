@@ -379,6 +379,13 @@ def test_shared_stages_match_a_stage_by_stage_rebuild(cat, seed):
         assert_stages_rebuild(eng.res_left(c))
 
 
+# A module over ex322 (x) ex322_op whose resolution has stages with the same
+# generator objects and syzygy shapes but other syzygy bases before it repeats
+REPEATED_SHAPES = ({"2|1": 3, "2|2": 2}, {"be|1": [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+                                          "be|2": [[0, 0], [1, 0]], "2|ao": [[1, 0], [0, 0], [0, 0]],
+                                          "2|bo": [[0, 0], [2, 0]]})
+
+
 # cyclic3 is self-injective and ex322 (x) ex322_op is not Iwanaga-Gorenstein:
 # there minimal resolutions repeat a stage, and are built one period long
 @pytest.mark.parametrize("build, cutoff", [(cyclic3, 12), (tensor322, 6)],
@@ -388,6 +395,11 @@ def test_periodic_stages_match_a_stage_by_stage_rebuild(build, cutoff):
     rng = random.Random(build.__name__)
     mods = [random_module(cat, rng, max_gens=1) for _ in range(3)]
     mods += [crosscheck.simple(cat, c) for c in cat.objects]
+    if build is tensor322:
+        dims, rows = REPEATED_SHAPES
+        mods.append(Module(cat, dims, {a: Matrix(cat.field, r, dims[cat.arrow_map[a][1]],
+                                                 dims[cat.arrow_map[a][0]])
+                                       for a, r in rows.items()}))
     eng = NakayamaEngine(cat, cutoff)
     resolutions = [projective_resolution(F, cutoff) for F in mods]
     resolutions += [eng.res_right(c) for c in cat.objects] + [eng.res_left(c) for c in cat.objects]
