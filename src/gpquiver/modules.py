@@ -587,9 +587,9 @@ class Resolution:
     stages past P_0; stages holds only those read so far (length() reads all),
     a start of the module's Stages.  Stage i+1 depends only on the generator
     objects and syzygy bases of stage i (_syzygy_cover), so once stage n has
-    those of an earlier stage j the resolution is periodic (as every minimal
-    one over a self-injective category is, Erdmann-Skowronski): stage n+k is
-    stage j+k, the same Cover, for k >= 1, and no stage past n is built."""
+    those of an earlier stage j, as over a periodic algebra like cyclic3
+    (Erdmann-Skowronski), stage n+k is stage j+k, the same Cover, for k >= 1,
+    and no stage past n is built."""
 
     def __init__(self, module: Module, cutoff: int, shared: Stages | None = None):
         if cutoff < 0:

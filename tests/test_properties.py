@@ -21,8 +21,10 @@ from dense_builder import dense_build_category, dense_builder, paths_by_pair
 from gpquiver.category import (CategoryError, PossiblyInfiniteError, Quiver, Relation,
                                build_category)
 from gpquiver.gorenstein import is_gproj_P, is_p_projective, splitting_section
+from gpquiver import modules
 from gpquiver.linalg import GF, QQ, Matrix
 from gpquiver.modules import (
+    Cover,
     Module,
     ModuleMap,
     Resolution,
@@ -406,6 +408,23 @@ def test_periodic_stages_match_a_stage_by_stage_rebuild(build, cutoff):
     for res in resolutions:
         assert_stages_rebuild(res)
     assert sum(res._shared.period is not None for res in resolutions) >= 3
+
+
+def test_a_stage_repeats_only_on_its_generator_objects_too(monkeypatch):
+    # _syzygy_cover reads a stage's generator objects as well as its syzygy
+    # bases, so stage 0's bases on other objects are no repeat
+    cat = cyclic3(GF(3))
+    F = crosscheck.simple(cat, cat.objects[0])
+    first = projective_cover(F)
+    c0 = first.summands[0][0]
+    for objs, period in (([next(c for c in cat.objects if c != c0)], None), ([c0], 1)):
+        summands = [(c, v) for c, (_, v) in zip(objs, first.summands)]
+        monkeypatch.setattr(modules, "_syzygy_cover", lambda _cat, prev, summands=summands:
+                            Cover(None, None, summands, dict(first.syzygy), prev))
+        stages = Stages()
+        stages.grow(F)
+        stages.grow(F)
+        assert stages.period == period
 
 
 # nine resolutions per example; 10 keep the test inside the tier-1 budget

@@ -1,15 +1,15 @@
 """Lockstep A/B timing of two source trees of gpquiver in one process.
 
     python3 tools/lockstep.py TREE_A TREE_B --workload sweep-fp|large-q \
-        --groups N --seed S [--repeats R]
+        --groups N --seed S
 
 TREE_A and TREE_B are checkouts (each with `src/gpquiver`); A is the
 baseline.  Both trees run the same op groups of `perfbench/workloads.py`
 (read from this checkout, never written): the gpquiver modules of the two
 trees are loaded side by side and swapped in `sys.modules` before each
-call, and the trees alternate whole op calls, each op R times (default 3),
-its fastest call counting, as the benchmark counts it; each tree calls
-first on every other op.  Calls seconds apart
+call, and the trees alternate whole op calls, each op `workloads.REPEATS`
+times, its fastest call counting, as the benchmark counts it; each tree
+calls first on every other op.  Calls seconds apart
 see a shared machine at different speeds; calls in lockstep see it alike,
 so a few groups size a change before the 30 s benchmark pairs do.
 
@@ -90,12 +90,13 @@ class Side:
             return None, f"{type(exc).__name__}: {exc}"
 
 
-def run(tree_a, tree_b, workload, groups, seed, repeats, out=sys.stdout) -> int:
+def run(tree_a, tree_b, workload, groups, seed, out=sys.stdout) -> int:
     sys.path.insert(0, PERFBENCH)
     saved = {n: m for n, m in sys.modules.items() if _ours(n)}
     bad = 0
     speedups, kinds = [], {}
     try:
+        import workloads
         with tempfile.TemporaryDirectory() as dir_a, tempfile.TemporaryDirectory() as dir_b:
             sides = [Side(tree_a, workload, seed, dir_a), Side(tree_b, workload, seed, dir_b)]
             for g in range(groups):
@@ -109,7 +110,7 @@ def run(tree_a, tree_b, workload, groups, seed, repeats, out=sys.stdout) -> int:
                 totals = [0.0, 0.0]
                 for i, (op_a, op_b) in enumerate(zip(*ops)):
                     calls = [[], []]
-                    for _ in range(repeats):
+                    for _ in range(workloads.REPEATS):
                         # each tree goes first on every other op
                         for k in ((0, 1), (1, 0))[i % 2]:
                             calls[k].append(sides[k].call((op_a, op_b)[k]))
@@ -149,9 +150,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=["sweep-fp", "large-q"], required=True)
     ap.add_argument("--groups", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args(argv)
-    return run(args.tree_a, args.tree_b, args.workload, args.groups, args.seed, args.repeats)
+    return run(args.tree_a, args.tree_b, args.workload, args.groups, args.seed)
 
 
 if __name__ == "__main__":
